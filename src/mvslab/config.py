@@ -51,7 +51,3 @@ def _build(cls, data: dict):
 def load_config(path) -> RunConfig:
     data = json.loads(Path(path).read_text())
     return _build(RunConfig, data)
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)

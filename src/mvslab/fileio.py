@@ -4,13 +4,12 @@ pair-score files, binary PLY point clouds, and line-delimited JSON records."""
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import Camera
-from .grids import ScalarField
+from .geometry import Camera, GeometryError
+from .grids import GridError, ScalarField
 
 
 class FileFormatError(ValueError):
@@ -19,6 +18,13 @@ class FileFormatError(ValueError):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _read_tokens(path) -> list[str]:
+    try:
+        return Path(path).read_text().split()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not a text file") from exc
 
 
 def write_cam(path, cam: Camera) -> None:
@@ -36,7 +42,7 @@ def write_cam(path, cam: Camera) -> None:
 
 
 def read_cam(path) -> Camera:
-    tokens = Path(path).read_text().split()
+    tokens = _read_tokens(path)
     if not tokens or tokens[0] != "extrinsic":
         raise FileFormatError("camera file must start with 'extrinsic'")
     try:
@@ -52,10 +58,15 @@ def read_cam(path) -> Camera:
         raise FileFormatError("malformed intrinsic matrix or depth line") from exc
     if len(tokens) != 31:
         raise FileFormatError(f"trailing tokens in camera file: {tokens[31:]}")
+    if not np.all(np.isfinite([*pose.ravel(), *k.ravel(), dmin, dint, dnum, dmax])):
+        raise FileFormatError("non-finite value in camera file")
     r = pose[:3, :3]
     if np.linalg.norm(r.T @ r - np.eye(3)) > 1e-4:
         raise FileFormatError("extrinsic rotation is not orthonormal")
-    return Camera(k, pose, dmin, dmax, dint, int(dnum))
+    try:
+        return Camera(k, pose, dmin, dmax, dint, int(dnum))
+    except GeometryError as exc:
+        raise FileFormatError(f"invalid camera: {exc}") from exc
 
 
 def write_pfm(path, field: ScalarField) -> None:
@@ -75,16 +86,22 @@ def read_pfm(path) -> ScalarField:
             raise FileFormatError("color PFM is not supported, expected grayscale 'Pf'")
         if magic != b"Pf":
             raise FileFormatError(f"bad PFM magic {magic!r}")
-        dims = f.readline().split()
-        if len(dims) != 2:
-            raise FileFormatError("malformed PFM dimension line")
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(f.readline().rstrip())
-        endian = "<" if scale < 0 else ">"
-        payload = np.frombuffer(f.read(4 * w * h), dtype=endian + "f4")
-        if payload.size != w * h:
-            raise FileFormatError("truncated PFM payload")
-    return ScalarField(np.flipud(payload.reshape(h, w)).astype(np.float64))
+        try:
+            w, h = (int(t) for t in f.readline().split())
+            scale = float(f.readline())
+        except ValueError as exc:
+            raise FileFormatError("malformed PFM dimension or scale line") from exc
+        payload = f.read()
+    if w < 1 or h < 1:
+        raise FileFormatError(f"PFM dimensions must be positive, got {w} x {h}")
+    if len(payload) != 4 * w * h:
+        raise FileFormatError(f"PFM payload of {len(payload)} bytes, expected 4 * {w} * {h}")
+    endian = "<" if scale < 0 else ">"
+    data = np.frombuffer(payload, dtype=endian + "f4").reshape(h, w)
+    try:
+        return ScalarField(np.flipud(data).astype(np.float64))
+    except GridError as exc:
+        raise FileFormatError(f"invalid PFM values: {exc}") from exc
 
 
 def write_pair_file(path, pair_scores: dict[int, list[tuple[int, float]]]) -> None:
@@ -101,15 +118,21 @@ def write_pair_file(path, pair_scores: dict[int, list[tuple[int, float]]]) -> No
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _count(token: str) -> int:
+    n = int(token)
+    if n < 0:
+        raise ValueError(f"negative count {n}")
+    return n
+
+
 def read_pair_file(path) -> dict[int, list[tuple[int, float]]]:
-    tokens = Path(path).read_text().split()
-    it = iter(tokens)
+    it = iter(_read_tokens(path))
     try:
-        n = int(next(it))
+        n = _count(next(it))
         out: dict[int, list[tuple[int, float]]] = {}
         for _ in range(n):
             ref_id = int(next(it))
-            k = int(next(it))
+            k = _count(next(it))
             entries = []
             for _ in range(k):
                 vid = int(next(it))
@@ -118,6 +141,8 @@ def read_pair_file(path) -> dict[int, list[tuple[int, float]]]:
             out[ref_id] = entries
     except (StopIteration, ValueError) as exc:
         raise FileFormatError("malformed pair file") from exc
+    if next(it, None) is not None:
+        raise FileFormatError("trailing tokens in pair file")
     return out
 
 
@@ -133,6 +158,8 @@ property uchar blue
 end_header
 """
 
+PLY_VERTEX = np.dtype([("xyz", "<f4", 3), ("rgb", "u1", 3)])  # 15 bytes, packed
+
 
 def write_ply(path, points: np.ndarray, colors: np.ndarray) -> None:
     """Binary little-endian PLY with float32 xyz and uint8 rgb."""
@@ -140,10 +167,12 @@ def write_ply(path, points: np.ndarray, colors: np.ndarray) -> None:
     colors = np.asarray(colors).reshape(-1, 3)
     if len(points) != len(colors):
         raise FileFormatError("points and colors must have equal length")
+    vertices = np.empty(len(points), dtype=PLY_VERTEX)
+    vertices["xyz"] = points.astype("<f4")
+    vertices["rgb"] = colors.astype(np.uint8)
     with open(path, "wb") as f:
         f.write(PLY_HEADER.format(n=len(points)).encode("ascii"))
-        for p, c in zip(points.astype("<f4"), colors.astype(np.uint8)):
-            f.write(struct.pack("<fffBBB", p[0], p[1], p[2], c[0], c[1], c[2]))
+        f.write(vertices.tobytes())
 
 
 def read_ply(path) -> tuple[np.ndarray, np.ndarray]:
@@ -151,25 +180,24 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray]:
     end = raw.find(b"end_header\n")
     if end < 0:
         raise FileFormatError("missing PLY end_header")
-    header = raw[:end].decode("ascii").splitlines()
-    if header[0] != "ply" or "format binary_little_endian 1.0" not in header[1]:
+    try:
+        header = raw[:end].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError("PLY header is not ASCII") from exc
+    if len(header) < 2 or header[0] != "ply" \
+            or "format binary_little_endian 1.0" not in header[1]:
         raise FileFormatError("expected binary little-endian PLY")
-    n = None
-    for line in header:
-        if line.startswith("element vertex"):
-            n = int(line.split()[-1])
-    if n is None:
+    counts = [line.split()[-1] for line in header if line.startswith("element vertex")]
+    if not counts:
         raise FileFormatError("missing vertex element")
+    if not counts[-1].isdigit():
+        raise FileFormatError(f"bad vertex count {counts[-1]!r}")
+    n = int(counts[-1])
     body = raw[end + len(b"end_header\n"):]
-    if len(body) != 15 * n:
+    if len(body) != PLY_VERTEX.itemsize * n:
         raise FileFormatError(f"payload size {len(body)} != 15 * {n}")
-    pts = np.empty((n, 3), dtype=np.float64)
-    cols = np.empty((n, 3), dtype=np.uint8)
-    for i in range(n):
-        x, y, z, r, g, b = struct.unpack_from("<fffBBB", body, 15 * i)
-        pts[i] = (x, y, z)
-        cols[i] = (r, g, b)
-    return pts, cols
+    vertices = np.frombuffer(body, dtype=PLY_VERTEX)
+    return vertices["xyz"].astype(np.float64), vertices["rgb"].copy()
 
 
 def write_records(path, records: list[dict]) -> None:
@@ -180,5 +208,8 @@ def write_records(path, records: list[dict]) -> None:
 
 
 def read_records(path) -> list[dict]:
-    with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]
+    try:
+        with open(path) as f:
+            return [json.loads(line) for line in f if line.strip()]
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise FileFormatError(f"malformed record file {path}") from exc

@@ -1,6 +1,6 @@
 """Cross-view depth filtering, point-cloud fusion, and the depth / point-cloud
 evaluation metrics (per-threshold inlier fractions and accuracy/completeness
-via nearest-neighbor distances on a uniform spatial hash)."""
+via nearest-neighbor distances from a KD-tree)."""
 
 from __future__ import annotations
 
@@ -176,36 +176,11 @@ def depth_metrics(depth: ScalarField, gt: ScalarField, valid: BinaryMask,
     return {float(t): float((err <= t).mean()) for t in thresholds}
 
 
-class _HashGrid:
-    """Uniform spatial hash with cell size equal to the search radius; a query
-    scans the 27 neighboring cells, so any neighbor within the radius is found."""
-
-    def __init__(self, points: np.ndarray, cell: float):
-        self.points = points
-        self.cell = cell
-        self.table: dict[tuple[int, int, int], list[int]] = {}
-        keys = np.floor(points / cell).astype(np.int64)
-        for idx, key in enumerate(map(tuple, keys)):
-            self.table.setdefault(key, []).append(idx)
-
-    def nearest_within(self, q: np.ndarray, cap: float) -> float:
-        kx, ky, kz = np.floor(q / self.cell).astype(np.int64)
-        best = cap
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    bucket = self.table.get((kx + dx, ky + dy, kz + dz))
-                    if bucket is None:
-                        continue
-                    d = np.linalg.norm(self.points[bucket] - q, axis=1).min()
-                    if d < best:
-                        best = d
-        return best
-
-
 def _directed_mean_distance(src: np.ndarray, dst: np.ndarray, cap: float) -> float:
-    grid = _HashGrid(dst, cap)
-    return float(np.mean([grid.nearest_within(p, cap) for p in src]))
+    # imported here so that `import mvslab.cli` does not pay for scipy.spatial
+    from scipy.spatial import cKDTree
+    dist, _ = cKDTree(dst).query(src, distance_upper_bound=cap)
+    return float(np.mean(np.minimum(dist, cap)))
 
 
 def cloud_metrics(pred: PointCloud, gt: PointCloud, outlier_cap: float = 20.0

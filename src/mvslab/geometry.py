@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import BinaryMask, Image, ScalarField
+from .grids import Image, ScalarField
 
 EPS_Z = 1e-3  # mm; guard against points at/behind the source camera plane
 
@@ -52,14 +52,6 @@ class Camera:
             raise GeometryError("need 0 < depth_min < depth_max")
         if self.depth_interval is None:
             self.depth_interval = (self.depth_max - self.depth_min) / (self.depth_num - 1)
-
-    @property
-    def fx(self) -> float:
-        return float(self.k[0, 0])
-
-    @property
-    def fy(self) -> float:
-        return float(self.k[1, 1])
 
     def center(self) -> np.ndarray:
         """Camera center in world coordinates."""
@@ -158,23 +150,8 @@ def warp_depth_jacobian(p, d, ref: Camera, src: Camera, eps_z: float = EPS_Z):
 
     Quotient rule on the perspective division: with q(d) = d*a + c,
     du'/dd = (a_x * c_z - c_x * a_z) / z^2 and likewise for v'.
-    Raises on points at or behind the source camera plane.
-    """
-    b, c = _projection_coeffs(ref, src)
-    ph = _homogeneous(p)
-    d = np.asarray(d, dtype=np.float64)
-    a = ph @ b.T
-    z = d * a[..., 2] + c[2]
-    if np.any(z <= eps_z):
-        raise GeometryError("depth jacobian undefined for points behind the source camera")
-    num_u = a[..., 0] * c[2] - c[0] * a[..., 2]
-    num_v = a[..., 1] * c[2] - c[1] * a[..., 2]
-    return np.stack([num_u, num_v], axis=-1) / (z * z)[..., None]
-
-
-def warp_depth_jacobian_grid(p, d, ref: Camera, src: Camera, eps_z: float = EPS_Z):
-    """Grid-friendly variant of warp_depth_jacobian: returns (jac, valid) with
-    zeros instead of raising where points fall at/behind the source camera."""
+    Returns (jac, valid); jac is zero where points fall at/behind the source
+    camera plane (valid False)."""
     b, c = _projection_coeffs(ref, src)
     ph = _homogeneous(p)
     d = np.asarray(d, dtype=np.float64)
@@ -255,25 +232,6 @@ def pixel_grid(h: int, w: int) -> np.ndarray:
     """(H, W, 2) array of (u, v) pixel-center coordinates."""
     us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     return np.stack([us, vs], axis=-1)
-
-
-def warp_to_reference(src: CameraView, depth: ScalarField, ref_cam: Camera,
-                      eps_z: float = EPS_Z) -> tuple[Image, BinaryMask]:
-    """Reconstruct the reference image from a source view at the given depth.
-
-    For every reference pixel the depth hypothesis is projected into the
-    source view and the source image bilinearly sampled there; the mask marks
-    pixels whose projection is in front of the source camera and in bounds.
-    """
-    h, w = depth.height, depth.width
-    grid = pixel_grid(h, w)
-    d = depth.data
-    positive = d > 0.0
-    uv, z, front = project_with_depth(grid, np.where(positive, d, 1.0), ref_cam, src.camera, eps_z)
-    val, inb = bilinear_sample(src.image, uv)
-    mask = inb & front & positive
-    val = val * mask[:, :, None]
-    return Image(val), BinaryMask(mask)
 
 
 def backproject(cam: Camera, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:

@@ -114,11 +114,6 @@ def forward_diff(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def image_gradient(img: Image) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel forward-difference gradient of an image, (H, W, C) each."""
-    return forward_diff(img.data)
-
-
 def _corner_aligned_coords(n_src: int, n_dst: int) -> np.ndarray:
     if n_dst == 1:
         return np.zeros(1)

@@ -68,46 +68,32 @@ def norm_value_grad(e: np.ndarray, kind: NormKind) -> tuple[float, np.ndarray]:
 class PhotometricResult:
     value: float
     image_grads: list[np.ndarray]       # dL/d(warped image), (H, W, C) per source
-    residuals: list[np.ndarray]         # per-pixel image residual fields
-    grad_residuals: list[np.ndarray]    # per-pixel gradient-term residual fields
     skipped_sources: list[int] = field(default_factory=list)
-
-
-def photometric_consistency(warped: list[Image], masks: list[BinaryMask],
-                            reference: Image, kind: NormKind) -> PhotometricResult:
-    """Masked norm of the per-pixel residuals of each reconstructed image and
-    of its forward-difference gradient against the reference, each normalized
-    by the mask area, summed over sources.
-
-    The returned image_grads hold dL/d(warped_i), including the adjoint of the
-    forward-difference operator for the gradient term.
-    """
-    return photometric_consistency_arrays([w.data for w in warped],
-                                          [m.data for m in masks],
-                                          reference.data, kind)
 
 
 def photometric_consistency_arrays(warped: list[np.ndarray], masks: list[np.ndarray],
                                    ref: np.ndarray, kind: NormKind,
                                    need_grads: bool = True) -> PhotometricResult:
-    """Array-level core of photometric_consistency (no container validation).
+    """Masked norm of the per-pixel residuals of each reconstructed (H, W, C)
+    image and of its forward-difference gradient against the reference, each
+    normalized by the mask area, summed over sources.
 
-    need_grads=False skips assembling dL/d(warped), which roughly halves the
-    cost of a value-only evaluation inside the finite-difference oracle."""
+    The returned image_grads hold dL/d(warped_i), including the adjoint of the
+    forward-difference operator for the gradient term. need_grads=False skips
+    assembling them, which roughly halves the cost of a value-only evaluation
+    inside the finite-difference oracle."""
     if not warped:
         raise LossError("need at least one warped source")
     gxr, gyr = forward_diff(ref)
     c = ref.shape[2]
     total = 0.0
-    grads, residuals, grad_residuals, skipped = [], [], [], []
+    grads, skipped = [], []
     any_valid = False
     for i, (rec_arr, mask) in enumerate(zip(warped, masks)):
         msum = float(mask.sum())
         if msum == 0:
             skipped.append(i)
             grads.append(np.zeros_like(ref))
-            residuals.append(np.zeros(ref.shape[:2]))
-            grad_residuals.append(np.zeros(ref.shape[:2]))
             continue
         any_valid = True
         diff = rec_arr - ref
@@ -121,8 +107,6 @@ def photometric_consistency_arrays(warped: list[np.ndarray], masks: list[np.ndar
         total += (v_img + v_grad) / msum
         if not need_grads:
             grads.append(None)
-            residuals.append(r_img * mask)
-            grad_residuals.append(r_grad * mask)
             continue
 
         w_img = np.zeros(ref.shape[:2])
@@ -140,11 +124,9 @@ def photometric_consistency_arrays(warped: list[np.ndarray], masks: list[np.ndar
         grad[1:, :] += sy[:-1, :]
 
         grads.append(grad)
-        residuals.append(r_img * mask)
-        grad_residuals.append(r_grad * mask)
     if not any_valid:
         raise LossError("all source masks are empty; no photometric signal")
-    return PhotometricResult(total, grads, residuals, grad_residuals, skipped)
+    return PhotometricResult(total, grads, skipped)
 
 
 def _pool(arr: np.ndarray) -> np.ndarray:
@@ -157,16 +139,12 @@ def _pool3(arr: np.ndarray) -> np.ndarray:
     return uniform_filter(arr, size=(3, 3, 1), mode="constant", cval=0.0)
 
 
-def ssim_loss(warped: Image, reference: Image, mask: BinaryMask
-              ) -> tuple[float, np.ndarray]:
-    """Mean over the mask of (1 - SSIM)/2 with 3x3 uniform windows, computed
-    per channel and averaged. Returns the value and dL/d(warped)."""
-    return ssim_loss_arrays(warped.data, reference.data, mask.data)
-
-
 def ssim_loss_arrays(x_all: np.ndarray, y_all: np.ndarray, m: np.ndarray,
                      need_grad: bool = True) -> tuple[float, np.ndarray | None]:
-    """Array-level core of ssim_loss."""
+    """Mean over the mask m of (1 - SSIM)/2 between the (H, W, C) arrays x_all
+    (warped) and y_all (reference), with 3x3 uniform windows, computed per
+    channel and averaged. Returns the value and dL/d(x_all), or None for it
+    when need_grad is False."""
     msum = float(m.sum())
     if msum == 0:
         raise LossError("SSIM over an empty mask")
@@ -293,12 +271,10 @@ class LossReport:
     total: float
     components: dict[str, float]
     weights: dict[str, float]
-    residual_fields: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def overall_loss(parts: dict[str, float], weights: LossWeights,
-                 image_consist_weight: float,
-                 residual_fields: dict[str, np.ndarray] | None = None) -> LossReport:
+                 image_consist_weight: float) -> LossReport:
     """Weighted sum of the five components; the icc weight comes from the
     curriculum schedule."""
     missing = [k for k in COMPONENTS if k not in parts]
@@ -312,5 +288,4 @@ def overall_loss(parts: dict[str, float], weights: LossWeights,
         "smooth": weights.smooth,
     }
     total = sum(w[k] * parts[k] for k in COMPONENTS)
-    return LossReport(total, {k: float(parts[k]) for k in COMPONENTS}, w,
-                      residual_fields or {})
+    return LossReport(total, {k: float(parts[k]) for k in COMPONENTS}, w)

@@ -35,7 +35,6 @@ class SweepConfig:
     smoothing_passes: int = 2
     softmax_sharpness: float = 50.0
     conf_threshold: float = 0.95
-    clamp_margin: float = 0.0
     drop_last_source: bool = False
 
     def __post_init__(self):
@@ -95,8 +94,7 @@ def build_hypotheses(cam: Camera, stage: int, cfg: SweepConfig,
     fixed-count window centered on the upsampled previous depth, shifted (not
     clipped) back into the valid range so spacing stays strictly increasing."""
     count = cfg.stage_counts[stage - 1]
-    lo = cam.depth_min * (1.0 - cfg.clamp_margin)
-    hi = cam.depth_max * (1.0 + cfg.clamp_margin)
+    lo, hi = cam.depth_min, cam.depth_max
     if stage == 1:
         spacing = cfg.coarse_interval_scale * (hi - lo) / (count - 1)
         if spacing * (count - 1) > (hi - lo) + 1e-9:

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvslab.fileio import (FileFormatError, read_cam, read_pair_file, read_pfm,
                            read_ply, read_records, write_cam, write_pair_file,
@@ -156,6 +158,15 @@ def test_ply_single_point_payload_is_15_bytes(tmp_path):
     x, y, z, r, g, b = struct.unpack("<fffBBB", body)
     assert (x, y, z) == (1.0, 2.0, 3.0)
     assert (r, g, b) == (10, 20, 30)
+    # several points with distinct colours, against a per-point struct reference
+    pts = np.array([[1.0, 2.0, 3.0], [-0.1, 1e5, -7.25], [3.3, 0.0, -0.0],
+                    [123.456, -1e-3, 2.0 ** -20]])
+    cols = np.array([[10, 20, 30], [0, 255, 128], [1, 2, 3], [254, 7, 99]])
+    write_ply(path, pts, cols)
+    body = path.read_bytes().split(b"end_header\n", 1)[1]
+    want = b"".join(struct.pack("<fffBBB", *p, *c) for p, c in zip(pts, cols))
+    assert len(body) == 15 * len(pts)
+    assert body == want
 
 
 def test_ply_round_trip(tmp_path):
@@ -181,6 +192,57 @@ def test_pair_file_malformed(tmp_path):
     path.write_text("2\n0\n1 5\n")
     with pytest.raises(FileFormatError):
         read_pair_file(path)
+
+
+MALFORMED = [
+    ("ply", b"ply\nend_header\n"),
+    ("ply", b"ply\nformat binary_little_endian 1.0\nelement vertex x\nend_header\n"),
+    ("ply", b"ply\nformat binary_little_endian 1.0\nelement vertex -1\nend_header\n"),
+    ("ply", b"ply\n\xff\nend_header\n"),
+    ("ply", b"ply\nformat binary_little_endian 1.0\nelement vertex 2\nend_header\n"
+            + b"\x00" * 15),
+    ("pfm", b"Pf\n3 x\n-1.0\n" + b"\x00" * 12),
+    ("pfm", b"Pf\n3\n-1.0\n" + b"\x00" * 12),
+    ("pfm", b"Pf\n1 1\nabc\n" + b"\x00" * 4),
+    ("pfm", b"Pf\n-1 -1\n-1.0\n" + b"\x00" * 4),
+    ("pfm", b"Pf\n0 0\n-1.0\n"),
+    ("pfm", b"Pf\n1 1\n-1.0\n" + np.array([np.nan], dtype="<f4").tobytes()),
+    ("pfm", b"Pf\n1 1\n-1.0\n" + b"\x00" * 8),
+    ("pair", b"-2\n"),
+    ("pair", b"1\n0\n-1\n"),
+    ("pair", b"1\n0\n0\n7\n"),
+    ("pair", b"\xff\n"),
+    ("cam", b"extrinsic\n" + b"nan " * 16 + b"\nintrinsic\n1 0 0 0 1 0 0 0 1\n1 1 2 3\n"),
+    ("cam", b"extrinsic\n1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1\nintrinsic\n"
+            b"1 0 0 0 1 0 0 0 1\n900 1 2 400\n"),
+    ("records", b"{\"a\": 1}\n{not json\n"),
+]
+READERS = {"ply": read_ply, "pfm": read_pfm, "pair": read_pair_file,
+           "cam": read_cam, "records": read_records}
+
+
+@pytest.mark.parametrize("kind,raw", MALFORMED,
+                         ids=[f"{kind}{i}" for i, (kind, _) in enumerate(MALFORMED)])
+def test_readers_raise_file_format_error(tmp_path, kind, raw):
+    path = tmp_path / "bad"
+    path.write_bytes(raw)
+    with pytest.raises(FileFormatError):
+        READERS[kind](path)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(READERS)),
+       st.sampled_from([b"", b"ply\nformat binary_little_endian 1.0\n", b"Pf\n",
+                        b"Pf\n2 1\n", b"extrinsic\n", b"1\n0\n"]),
+       st.binary(max_size=64))
+def test_readers_on_arbitrary_bytes(tmp_path_factory, kind, prefix, tail):
+    # any input either parses or fails with the module's own error
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(prefix + tail)
+    try:
+        READERS[kind](path)
+    except FileFormatError:
+        pass
 
 
 def test_records_round_trip(tmp_path):
