@@ -42,8 +42,7 @@ def main():
                                       ref.image, ref.view_id))
 
     cfg = fusion.FusionConfig(reproj_px=0.5, rel_depth=0.005, min_consistent_views=4)
-    masks = fusion.geometric_consistency_filter(views, cfg)
-    cloud = fusion.fuse_point_cloud(views, masks, cfg)
+    cloud, masks = fusion.fuse_point_cloud(views, cfg)
     print(f"fused {len(cloud)} points "
           f"(survivors per view: {[int(m.data.sum()) for m in masks]})")
     if args.out:

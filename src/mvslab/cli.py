@@ -158,8 +158,7 @@ def cmd_fuse(args) -> int:
     cfg = _load_run_config(args)
     scene = synth.load_scene(args.scene)
     views = _load_depth_views(scene, args.depths)
-    masks = fusion.geometric_consistency_filter(views, cfg.fusion)
-    cloud = fusion.fuse_point_cloud(views, masks, cfg.fusion)
+    cloud, masks = fusion.fuse_point_cloud(views, cfg.fusion)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_ply(out, cloud.points, cloud.colors)

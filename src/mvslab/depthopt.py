@@ -86,11 +86,12 @@ def _warp_sources(sample: Sample, depth: np.ndarray, with_chain: bool) -> WarpDe
 
 
 def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
-              with_grad: bool):
-    """Shared evaluator; with_grad=False is the cheap path the FD oracle uses."""
+              with_grad: bool, details: WarpDetails | None = None):
+    """The one loss evaluator; with_grad=False is the cheap path the FD oracle
+    uses. Warps the sources unless a warp of this depth is given as details."""
     d = depth.data
-    needs_warp = cfg.weight_photo > 0 or cfg.weight_ssim > 0
-    details = _warp_sources(sample, d, with_chain=with_grad) if needs_warp else None
+    if details is None and (cfg.weight_photo > 0 or cfg.weight_ssim > 0):
+        details = _warp_sources(sample, d, with_chain=with_grad)
     parts: dict[str, float] = {}
     grad = np.zeros_like(d) if with_grad else None
 
@@ -146,11 +147,6 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
     return total, grad, parts, details
 
 
-def depth_loss_value(sample: Sample, depth: ScalarField, cfg: BranchLossConfig) -> float:
-    total, _, _, _ = _evaluate(sample, depth, cfg, with_grad=False)
-    return total
-
-
 def loss_grad_wrt_depth(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
                         return_details: bool = False):
     """Analytic total loss and per-pixel d(loss)/d(depth) in 1/mm."""
@@ -172,9 +168,9 @@ def finite_diff_grad(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
         for u in range(base.shape[1]):
             d0 = work[v, u]
             work[v, u] = d0 + h
-            plus = depth_loss_value(sample, ScalarField(work), cfg)
+            plus = _evaluate(sample, ScalarField(work), cfg, False)[0]
             work[v, u] = d0 - h
-            minus = depth_loss_value(sample, ScalarField(work), cfg)
+            minus = _evaluate(sample, ScalarField(work), cfg, False)[0]
             work[v, u] = d0
             grad[v, u] = (plus - minus) / (2.0 * h)
     return grad
@@ -182,53 +178,12 @@ def finite_diff_grad(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
 
 def _multi_values(sample: Sample, depth_arr: np.ndarray,
                   cfgs: dict[str, BranchLossConfig]) -> dict[str, float]:
-    """Loss values of several configs at one depth field, sharing the warp.
-
-    Equivalent to calling depth_loss_value per config; the warp and any
-    repeated sub-terms are computed once.
-    """
-    ref_img = sample.reference.image.data
+    """Loss values of several configs at one depth field, sharing one warp."""
+    depth = ScalarField(depth_arr)
     needs_warp = any(c.weight_photo > 0 or c.weight_ssim > 0 for c in cfgs.values())
     details = _warp_sources(sample, depth_arr, with_chain=False) if needs_warp else None
-    photo_memo: dict[tuple[float, float], float] = {}
-    memo: dict[str, float] = {}
-
-    def photo_value(norm: NormKind) -> float:
-        key = (norm.exponent, norm.eps_grad)
-        if key not in photo_memo:
-            res = photometric_consistency_arrays(details.warped, details.masks,
-                                                 ref_img, norm, need_grads=False)
-            photo_memo[key] = res.value
-        return photo_memo[key]
-
-    def ssim_value() -> float:
-        if "ssim" not in memo:
-            vals = [ssim_loss_arrays(rec, ref_img, m, need_grad=False)[0]
-                    for rec, m in zip(details.warped, details.masks) if m.any()]
-            memo["ssim"] = float(np.mean(vals)) if vals else 0.0
-        return memo["ssim"]
-
-    def smooth_value() -> float:
-        if "smooth" not in memo:
-            memo["smooth"] = smoothness_loss(ScalarField(depth_arr),
-                                             sample.reference.image)[0]
-        return memo["smooth"]
-
-    out = {}
-    for name, cfg in cfgs.items():
-        total = 0.0
-        if cfg.weight_photo > 0:
-            total += cfg.weight_photo * photo_value(cfg.norm)
-        if cfg.weight_ssim > 0:
-            total += cfg.weight_ssim * ssim_value()
-        if cfg.weight_smooth > 0:
-            total += cfg.weight_smooth * smooth_value()
-        if cfg.weight_consist > 0 and cfg.consist_target is not None:
-            res = branch_consistency(cfg.consist_target, ScalarField(depth_arr),
-                                     cfg.consist_mask)
-            total += cfg.weight_consist * res.value
-        out[name] = total
-    return out
+    return {name: _evaluate(sample, depth, cfg, False, details)[0]
+            for name, cfg in cfgs.items()}
 
 
 def finite_diff_grad_multi(sample: Sample, depth: ScalarField,

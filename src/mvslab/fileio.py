@@ -60,6 +60,8 @@ def read_cam(path) -> Camera:
         raise FileFormatError(f"trailing tokens in camera file: {tokens[31:]}")
     if not np.all(np.isfinite([*pose.ravel(), *k.ravel(), dmin, dint, dnum, dmax])):
         raise FileFormatError("non-finite value in camera file")
+    if dnum != int(dnum):
+        raise FileFormatError(f"depth count {dnum!r} is not an integer")
     r = pose[:3, :3]
     if np.linalg.norm(r.T @ r - np.eye(3)) > 1e-4:
         raise FileFormatError("extrinsic rotation is not orthonormal")
@@ -159,6 +161,8 @@ end_header
 """
 
 PLY_VERTEX = np.dtype([("xyz", "<f4", 3), ("rgb", "u1", 3)])  # 15 bytes, packed
+_PLY_PROPERTIES = [line.split() for line in PLY_HEADER.splitlines()
+                   if line.startswith("property")]
 
 
 def write_ply(path, points: np.ndarray, colors: np.ndarray) -> None:
@@ -193,6 +197,8 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray]:
     if not counts[-1].isdigit():
         raise FileFormatError(f"bad vertex count {counts[-1]!r}")
     n = int(counts[-1])
+    if [line.split() for line in header if line.startswith("property")] != _PLY_PROPERTIES:
+        raise FileFormatError("PLY vertices must be float x, y, z then uchar red, green, blue")
     body = raw[end + len(b"end_header\n"):]
     if len(body) != PLY_VERTEX.itemsize * n:
         raise FileFormatError(f"payload size {len(body)} != 15 * {n}")

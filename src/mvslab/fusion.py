@@ -63,12 +63,13 @@ class PointCloud:
         return len(self.points)
 
 
-def _pairwise_consistency(ref: DepthView, other: DepthView):
+def _pairwise_consistency(ref: DepthView, other: DepthView, cfg: FusionConfig):
     """Round-trip check of every ref pixel against one other view.
 
     Projects the ref depth into the other view, reads that view's depth at the
     rounded pixel, back-projects it, and reprojects into ref. Returns
-    (consistent mask, matched pixel coords in other, matched world points).
+    (match mask under the reprojection / relative-depth gate, matched pixel
+    coords in other, matched world points).
     """
     h, w = ref.depth.height, ref.depth.width
     grid = pixel_grid(h, w)
@@ -82,68 +83,49 @@ def _pairwise_consistency(ref: DepthView, other: DepthView):
     inb = front & pos & (u >= 0) & (u < ow) & (v >= 0) & (v < oh)
     uc, vc = np.clip(u, 0, ow - 1), np.clip(v, 0, oh - 1)
     d_other = other.depth.data[vc, uc]
-    ok = inb & (d_other > 0)
     pix_other = np.stack([uc, vc], axis=-1).astype(np.float64)
     world = backproject(other.camera, pix_other, d_other)
-    # reproject the other view's matched point into the reference
-    r = ref.camera.pose[:3, :3]
-    t = ref.camera.pose[:3, 3]
-    cam_pts = world @ r.T + t
-    z_r = cam_pts[..., 2]
-    ok &= z_r > 1e-3
-    proj = cam_pts @ ref.camera.k.T
-    safe_z = np.where(ok, z_r, 1.0)
-    uv_r = proj[..., :2] / safe_z[..., None]
+    uv_r, z_r, front_r = project_with_depth(pix_other, d_other, other.camera, ref.camera)
     reproj_err = np.linalg.norm(uv_r - grid, axis=-1)
     depth_err = np.abs(z_r - d_ref) / np.where(pos, d_ref, 1.0)
-    return ok, reproj_err, depth_err, pix_other, world
+    match = (inb & (d_other > 0) & front_r & (reproj_err < cfg.reproj_px)
+             & (depth_err < cfg.rel_depth))
+    return match, pix_other, world
 
 
-def geometric_consistency_filter(views: list[DepthView], cfg: FusionConfig
-                                 ) -> list[BinaryMask]:
-    """Per-view masks of pixels passing the photometric confidence gate and a
-    round-trip geometric check against at least min_consistent_views others."""
+def fuse_point_cloud(views: list[DepthView], cfg: FusionConfig
+                     ) -> tuple[PointCloud, list[BinaryMask]]:
+    """Filter and fuse in one pass over the references in view-id order.
+
+    A pixel survives when it passes the photometric confidence gate and the
+    round trip against at least min_consistent_views other views. Surviving
+    pixels not yet consumed are back-projected and averaged with their
+    matches, and the matched pixels are consumed so overlapping surfaces are
+    not duplicated. Returns the cloud and the per-view survival masks, in
+    input order."""
     if len(views) < 2:
-        raise FusionError("geometric filtering needs at least 2 views")
-    masks = []
-    for ref in views:
-        conf = ref.prob_map.data > cfg.conf_threshold
-        count = np.zeros(ref.depth.data.shape, dtype=int)
-        for other in views:
-            if other.view_id == ref.view_id:
-                continue
-            ok, reproj, derr, _, _ = _pairwise_consistency(ref, other)
-            count += (ok & (reproj < cfg.reproj_px) & (derr < cfg.rel_depth))
-        masks.append(BinaryMask(conf & (count >= cfg.min_consistent_views)))
-    return masks
-
-
-def fuse_point_cloud(views: list[DepthView], masks: list[BinaryMask],
-                     cfg: FusionConfig) -> PointCloud:
-    """Back-project surviving pixels, average each pixel's mutually-consistent
-    cross-view matches into a single point, and consume the matched pixels so
-    overlapping surfaces are not duplicated."""
-    if len(views) != len(masks):
-        raise FusionError("need one survival mask per view")
+        raise FusionError("fusion needs at least 2 views")
+    if len({v.view_id for v in views}) != len(views):
+        raise FusionError("view ids must be unique")
     order = sorted(range(len(views)), key=lambda i: views[i].view_id)
     consumed = [np.zeros(v.depth.data.shape, dtype=bool) for v in views]
+    masks: list[BinaryMask | None] = [None] * len(views)
     all_pts, all_cols, all_prov = [], [], []
     for i in order:
         ref = views[i]
-        h, w = ref.depth.height, ref.depth.width
+        pairs = [(j, *_pairwise_consistency(ref, views[j], cfg))
+                 for j in order if j != i]
+        count = np.sum([match for _, match, _, _ in pairs], axis=0)
+        masks[i] = BinaryMask((ref.prob_map.data > cfg.conf_threshold)
+                              & (count >= cfg.min_consistent_views))
         alive = masks[i].data & ~consumed[i]
         if not alive.any():
             continue
-        grid = pixel_grid(h, w)
-        base = backproject(ref.camera, grid, ref.depth.data)
-        acc = base.copy()
+        h, w = ref.depth.height, ref.depth.width
+        acc = backproject(ref.camera, pixel_grid(h, w), ref.depth.data)
         n_acc = np.ones((h, w))
-        for j in order:
-            if j == i:
-                continue
-            other = views[j]
-            ok, reproj, derr, pix_other, world = _pairwise_consistency(ref, other)
-            match = alive & ok & (reproj < cfg.reproj_px) & (derr < cfg.rel_depth)
+        for j, match, pix_other, world in pairs:
+            match = match & alive
             acc += np.where(match[..., None], world, 0.0)
             n_acc += match
             mu = pix_other[..., 0].astype(int)[match]
@@ -160,10 +142,12 @@ def fuse_point_cloud(views: list[DepthView], masks: list[BinaryMask],
         all_cols.append(cols)
         all_prov.append(prov)
     if not all_pts:
-        return PointCloud(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.uint8),
-                          np.zeros((0, 3), dtype=np.int64))
-    return PointCloud(np.concatenate(all_pts), np.concatenate(all_cols),
-                      np.concatenate(all_prov))
+        cloud = PointCloud(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.uint8),
+                           np.zeros((0, 3), dtype=np.int64))
+    else:
+        cloud = PointCloud(np.concatenate(all_pts), np.concatenate(all_cols),
+                           np.concatenate(all_prov))
+    return cloud, masks
 
 
 def depth_metrics(depth: ScalarField, gt: ScalarField, valid: BinaryMask,

@@ -269,8 +269,7 @@ def test_criterion_8_fusion_integrity():
         views.append(fusion.DepthView(stages[-1].depth, stages[-1].prob_map,
                                       ref.camera, ref.image, ref.view_id))
     cfg = fusion.FusionConfig(reproj_px=0.5, rel_depth=0.005, min_consistent_views=4)
-    masks = fusion.geometric_consistency_filter(views, cfg)
-    cloud = fusion.fuse_point_cloud(views, masks, cfg)
+    cloud, masks = fusion.fuse_point_cloud(views, cfg)
     half = synth._CUBE_HALF
     center = np.array([0.0, 0.0, half])
     d_plane = np.abs(cloud.points[:, 2])

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvslab.fileio import (FileFormatError, read_cam, read_pair_file, read_pfm,
-                           read_ply, read_records, write_cam, write_pair_file,
-                           write_pfm, write_ply, write_records)
+from mvslab.fileio import (PLY_HEADER, FileFormatError, read_cam, read_pair_file,
+                           read_pfm, read_ply, read_records, write_cam,
+                           write_pair_file, write_pfm, write_ply, write_records)
 from mvslab.geometry import Camera
 from mvslab.grids import ScalarField
 
@@ -57,6 +57,9 @@ intrinsic
     cam = read_cam(path)
     assert np.array_equal(cam.pose, np.eye(4))
     assert cam.k[0, 0] == 100.0
+    # an integral depth count written as a float still loads
+    path.write_text(text.replace(" 192 ", " 192.0 "))
+    assert read_cam(path).depth_num == 192
 
 
 def test_cam_dtu_convention_fixture(tmp_path):
@@ -216,6 +219,13 @@ MALFORMED = [
     ("cam", b"extrinsic\n1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1\nintrinsic\n"
             b"1 0 0 0 1 0 0 0 1\n900 1 2 400\n"),
     ("records", b"{\"a\": 1}\n{not json\n"),
+    ("cam", b"extrinsic\n1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1\nintrinsic\n"
+            b"100 0 32 0 100 24 0 0 1\n425 2.5 192.7 935\n"),
+    ("ply", b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+            b"property int x\nproperty int y\nproperty int z\n"
+            b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            b"end_header\n" + struct.pack("<iiiBBB", 1, 2, 3, 4, 5, 6)),
+    ("ply", PLY_HEADER.format(n=2).encode("ascii") + b"\x00" * 15),
 ]
 READERS = {"ply": read_ply, "pfm": read_pfm, "pair": read_pair_file,
            "cam": read_cam, "records": read_records}

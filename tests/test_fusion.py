@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from mvslab import fusion, sampling, synth
 from mvslab.fusion import (DepthView, FusionConfig, FusionError, PointCloud,
-                           cloud_metrics, depth_metrics, fuse_point_cloud,
-                           geometric_consistency_filter)
+                           cloud_metrics, depth_metrics, fuse_point_cloud)
 from mvslab.geometry import Camera, backproject, pixel_grid
 from mvslab.grids import BinaryMask, ScalarField
 from mvslab.planesweep import cascade_infer
@@ -39,7 +38,7 @@ def test_filter_gt_depths_mostly_survive(gt_views):
     scene, views = gt_views
     cfg = FusionConfig(conf_threshold=0.5, reproj_px=1.0, rel_depth=0.01,
                        min_consistent_views=3)
-    masks = geometric_consistency_filter(views, cfg)
+    _, masks = fuse_point_cloud(views, cfg)
     # mutually visible pixels: GT projects into at least 3 other views
     for view, mask in zip(views, masks):
         h, w = view.depth.data.shape
@@ -61,10 +60,10 @@ def test_filter_rejects_corrupted_view(gt_views):
     scene, views = gt_views
     cfg = FusionConfig(conf_threshold=0.5, reproj_px=1.0, rel_depth=0.01,
                        min_consistent_views=3)
-    base = geometric_consistency_filter(views, cfg)[0]
+    base = fuse_point_cloud(views, cfg)[1][0]
     corrupted = [DepthView(ScalarField(v.depth.data + (50.0 if v.view_id == 0 else 0.0)),
                            v.prob_map, v.camera, v.image, v.view_id) for v in views]
-    masks = geometric_consistency_filter(corrupted, cfg)
+    _, masks = fuse_point_cloud(corrupted, cfg)
     # view 0's +50mm depths fail the cross-view round trip almost everywhere
     assert masks[0].data.mean() < 0.02
     assert base.data.mean() > 0.5
@@ -75,14 +74,14 @@ def test_filter_photometric_gate(gt_views):
     low_conf = [DepthView(v.depth, ScalarField(np.full(v.depth.data.shape, 0.5)),
                           v.camera, v.image, v.view_id) for v in views]
     cfg = FusionConfig(conf_threshold=0.95)
-    masks = geometric_consistency_filter(low_conf, cfg)
+    _, masks = fuse_point_cloud(low_conf, cfg)
     assert all(not m.data.any() for m in masks)
 
 
 def test_filter_needs_two_views(gt_views):
     scene, views = gt_views
     with pytest.raises(FusionError):
-        geometric_consistency_filter(views[:1], FusionConfig())
+        fuse_point_cloud(views[:1], FusionConfig())
 
 
 def test_filter_stricter_thresholds_give_subsets(gt_views):
@@ -91,10 +90,10 @@ def test_filter_stricter_thresholds_give_subsets(gt_views):
                                    + np.random.default_rng(v.view_id).normal(0, 1.5,
                                                                              v.depth.data.shape)),
                        v.prob_map, v.camera, v.image, v.view_id) for v in views]
-    loose = geometric_consistency_filter(
+    _, loose = fuse_point_cloud(
         noisy, FusionConfig(conf_threshold=0.5, reproj_px=2.0, rel_depth=0.02,
                             min_consistent_views=2))
-    strict = geometric_consistency_filter(
+    _, strict = fuse_point_cloud(
         noisy, FusionConfig(conf_threshold=0.5, reproj_px=0.8, rel_depth=0.005,
                             min_consistent_views=3))
     for lo, hi in zip(loose, strict):
@@ -110,8 +109,7 @@ def test_backprojection_pinhole_point():
 def test_fuse_cube_points_on_surface(cube_views):
     scene, views = cube_views
     cfg = FusionConfig(reproj_px=0.5, rel_depth=0.005, min_consistent_views=4)
-    masks = geometric_consistency_filter(views, cfg)
-    cloud = fuse_point_cloud(views, masks, cfg)
+    cloud, _ = fuse_point_cloud(views, cfg)
     assert len(cloud) > 500
     half = synth._CUBE_HALF
     center = np.array([0.0, 0.0, half])
@@ -127,8 +125,7 @@ def test_fuse_cube_points_on_surface(cube_views):
 def test_fuse_provenance_passes_gates(cube_views):
     scene, views = cube_views
     cfg = FusionConfig(reproj_px=0.5, rel_depth=0.005, min_consistent_views=4)
-    masks = geometric_consistency_filter(views, cfg)
-    cloud = fuse_point_cloud(views, masks, cfg)
+    cloud, masks = fuse_point_cloud(views, cfg)
     for vid, v, u in cloud.provenance:
         assert masks[vid].data[v, u]
         assert views[vid].prob_map.data[v, u] > cfg.conf_threshold
@@ -139,8 +136,7 @@ def test_fuse_duplicate_suppression(gt_views):
     cfg = FusionConfig(conf_threshold=0.5, reproj_px=1.0, rel_depth=0.01,
                        min_consistent_views=1)
     pair = views[:2]
-    masks = geometric_consistency_filter(pair, cfg)
-    cloud = fuse_point_cloud(pair, masks, cfg)
+    cloud, masks = fuse_point_cloud(pair, cfg)
     single = int(masks[0].data.sum())
     assert single > 0
     assert len(cloud) <= 1.2 * single
@@ -148,9 +144,35 @@ def test_fuse_duplicate_suppression(gt_views):
 
 def test_fuse_empty_masks_give_empty_cloud(gt_views):
     scene, views = gt_views
-    empty = [BinaryMask(np.zeros(v.depth.data.shape, dtype=bool)) for v in views]
-    cloud = fuse_point_cloud(views, empty, FusionConfig())
+    # each view has only len(views) - 1 others, so no pixel can reach this count
+    cfg = FusionConfig(min_consistent_views=len(views))
+    cloud, masks = fuse_point_cloud(views, cfg)
+    assert all(not m.data.any() for m in masks)
     assert len(cloud) == 0
+
+
+def test_fuse_rejects_duplicate_view_ids(gt_views):
+    scene, views = gt_views
+    twin = DepthView(views[1].depth, views[1].prob_map, views[1].camera,
+                     views[1].image, views[0].view_id)
+    with pytest.raises(FusionError):
+        fuse_point_cloud([views[0], twin, *views[2:]], FusionConfig())
+
+
+def test_fuse_evaluates_each_ordered_pair_once(cube_views, monkeypatch):
+    scene, views = cube_views
+    pairs = []
+    original = fusion._pairwise_consistency
+
+    def counted(ref, other, cfg):
+        pairs.append((ref.view_id, other.view_id))
+        return original(ref, other, cfg)
+
+    monkeypatch.setattr(fusion, "_pairwise_consistency", counted)
+    fuse_point_cloud(views, FusionConfig())
+    n = len(views)
+    assert n == 7
+    assert len(pairs) == n * (n - 1) == len(set(pairs))
 
 
 def test_depth_metrics_exact():
