@@ -1,5 +1,6 @@
 """Command-line workbench: scene generation, plane-sweep inference, joint
-three-branch depth optimization, gradient audits, fusion and evaluation.
+three-branch depth optimization, gradient audits, fusion, evaluation and A/B
+trials of the paper's claims.
 
 Every pipeline is a pure function of (inputs, config, seed); repeated runs
 produce byte-identical output trees.
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import depthopt, fileio, fusion, planesweep, sampling, synth
+from . import claims, depthopt, fileio, fusion, planesweep, sampling, synth
 from .config import RunConfig, load_config
 from .grids import BinaryMask, ScalarField
 
@@ -55,13 +56,6 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def _regular_sample(scene, ref_id: int, n_views: int):
-    reference = scene.views[ref_id]
-    candidates = [v for v in scene.views if v.view_id != ref_id]
-    return sampling.select_regular_views(reference, candidates,
-                                         scene.pair_scores[ref_id], n_views)
-
-
 def cmd_infer(args) -> int:
     cfg = _load_run_config(args)
     scene = synth.load_scene(args.scene)
@@ -70,7 +64,7 @@ def cmd_infer(args) -> int:
     refs = [args.ref] if args.ref is not None else list(range(len(scene.views)))
     records = []
     for ref_id in refs:
-        sample = _regular_sample(scene, ref_id, cfg.n_views)
+        sample = synth.regular_sample(scene, ref_id, cfg.n_views)
         stages = planesweep.cascade_infer(sample, cfg.sweep)
         final = stages[-1]
         fileio.write_pfm(out / f"{ref_id:08d}_depth.pfm", final.depth)
@@ -211,6 +205,28 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def cmd_ablate(args) -> int:
+    trial = claims.TRIALS[args.claim]
+    seeds = args.seeds or claims.CLAIM_SEEDS[args.claim]
+    records = []
+    for seed in seeds:
+        rec = trial(seed)
+        if rec is None:
+            print(f"{args.claim} seed {seed}: skipped, the scene does not qualify")
+            continue
+        arms = "  ".join(f"{arm} {value:.4f}" for arm, value in rec["arms"].items())
+        print(f"{args.claim} seed {seed}: {rec['metric']}  {arms}  "
+              f"margin {rec['margin']:+.4f} [{'win' if rec['win'] else 'loss'}]")
+        records.append(rec)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    fileio.write_records(out / f"ablate_{args.claim}.jsonl", records)
+    if records:
+        print(f"{args.claim}: {sum(r['win'] for r in records)}/{len(records)} wins, "
+              f"mean margin {np.mean([r['margin'] for r in records]):+.4f}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mvslab",
                                      description=__doc__.splitlines()[0])
@@ -257,6 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cloud", default=None, help="fused PLY to score")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eval, needs_out=False)
+
+    p = sub.add_parser("ablate", help="A/B trials of the paper's three claims")
+    p.add_argument("--claim", required=True, choices=sorted(claims.TRIALS))
+    p.add_argument("--seeds", type=int, nargs="+", default=None,
+                   help="scene seeds (default: those of the acceptance criteria)")
+    p.add_argument("--out", default=None, help="directory for ablate_<claim>.jsonl")
+    p.set_defaults(fn=cmd_ablate, needs_out=True)
     return parser
 
 

@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .fileio import FileFormatError
 from .fusion import FusionConfig
 from .losses import LossWeights, NormKind
 from .planesweep import SweepConfig
@@ -31,16 +32,19 @@ class RunConfig:
 
 
 def _build(cls, data: dict):
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{cls.__name__} must be a JSON object, "
+                              f"got {type(data).__name__}")
     kwargs = {}
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, value in data.items():
         if key not in fields:
-            raise ValueError(f"unknown config key {key!r} for {cls.__name__}")
+            raise FileFormatError(f"unknown config key {key!r} for {cls.__name__}")
         if isinstance(value, dict):
             sub = {"weights": LossWeights, "sweep": SweepConfig,
                    "fusion": FusionConfig}.get(key)
             if sub is None:
-                raise ValueError(f"config key {key!r} does not take a table")
+                raise FileFormatError(f"config key {key!r} does not take a table")
             value = _build(sub, value)
         elif isinstance(value, list):
             value = tuple(value)
@@ -49,5 +53,8 @@ def _build(cls, data: dict):
 
 
 def load_config(path) -> RunConfig:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise FileFormatError(f"config file {path} is not JSON: {exc}") from exc
     return _build(RunConfig, data)

@@ -33,10 +33,6 @@ class Sample:
         if self.kind not in ("regular", "image_contrastive", "scene_contrastive"):
             raise SamplingError(f"unknown sample kind {self.kind!r}")
 
-    @property
-    def n_views(self) -> int:
-        return 1 + len(self.sources)
-
     def source_ids(self) -> list[int]:
         return [s.view_id for s in self.sources]
 

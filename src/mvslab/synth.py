@@ -20,6 +20,8 @@ import numpy as np
 from . import fileio
 from .geometry import Camera, CameraView, pixel_grid, project_with_depth
 from .grids import BinaryMask, Image, ScalarField
+from .sampling import (ColorFluctuation, Sample, make_image_contrastive,
+                       make_scene_contrastive, select_regular_views)
 
 GEOMETRIES = ("textured_plane", "cube", "sphere", "plane_with_occluder")
 TEXTURES = ("checker", "noise", "uniform")
@@ -370,50 +372,26 @@ def gen_scene(spec: SceneSpec) -> SyntheticScene:
     return SyntheticScene(spec, views, _overlap_scores(views), corrupted, occ_masks)
 
 
-def build_branch_samples(scene: SyntheticScene, ref_id: int, n_views: int,
-                         occlusion_rate: float, seed: int,
-                         fluctuation=None) -> dict:
-    """Regular / image-contrastive / scene-contrastive samples for one
-    reference view of a synthetic scene."""
-    from .sampling import (ColorFluctuation, make_image_contrastive,
-                           make_scene_contrastive, select_regular_views)
+def regular_sample(scene: SyntheticScene, ref_id: int, n_views: int) -> Sample:
+    """Reference view ref_id with its top-scored N-1 source views."""
     reference = scene.views[ref_id]
     candidates = [v for v in scene.views if v.view_id != ref_id]
-    regular = select_regular_views(reference, candidates,
-                                   scene.pair_scores[ref_id], n_views)
-    if fluctuation is None:
-        fluctuation = ColorFluctuation()
+    return select_regular_views(reference, candidates, scene.pair_scores[ref_id],
+                                n_views)
+
+
+def build_branch_samples(scene: SyntheticScene, ref_id: int, n_views: int,
+                         occlusion_rate: float, seed: int,
+                         fluctuation: ColorFluctuation | None = ColorFluctuation()
+                         ) -> dict:
+    """Regular / image-contrastive / scene-contrastive samples for one
+    reference view of a synthetic scene; fluctuation=None turns the color
+    fluctuation of the image-contrastive sources off."""
+    regular = regular_sample(scene, ref_id, n_views)
     image = make_image_contrastive(regular, occlusion_rate, seed, fluctuation)
-    scene_s = make_scene_contrastive(scene.views, reference, n_views, seed)
+    scene_s = make_scene_contrastive(scene.views, regular.reference, n_views, seed)
     return {"regular": regular, "image_contrastive": image,
             "scene_contrastive": scene_s}
-
-
-def occlusion_affected_mask(scene: SyntheticScene, ref_id: int, src_id: int,
-                            dilate_px: float = 1.0) -> BinaryMask:
-    """Reference pixels whose GT correspondence in src lands on (or within
-    dilate_px of) that view's occluder footprint."""
-    ref = scene.views[ref_id]
-    footprint = scene.occluder_masks.get(src_id)
-    h, w = ref.gt_depth.height, ref.gt_depth.width
-    if footprint is None:
-        return BinaryMask(np.zeros((h, w), dtype=bool))
-    uv, _, front = project_with_depth(pixel_grid(h, w), ref.gt_depth.data,
-                                      ref.camera, scene.views[src_id].camera)
-    from scipy.ndimage import binary_dilation
-    fat = binary_dilation(footprint, iterations=max(1, int(round(dilate_px))))
-    val, inb = _nearest_lookup(fat.astype(np.float64), uv)
-    return BinaryMask((val > 0.5) & inb & front)
-
-
-def _nearest_lookup(arr: np.ndarray, uv: np.ndarray):
-    h, w = arr.shape
-    u = np.round(uv[..., 0]).astype(int)
-    v = np.round(uv[..., 1]).astype(int)
-    inb = (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    uc = np.clip(u, 0, w - 1)
-    vc = np.clip(v, 0, h - 1)
-    return arr[vc, uc] * inb, inb
 
 
 def save_scene(scene: SyntheticScene, out_dir) -> None:

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvslab import fileio
+from mvslab import claims, fileio
 from mvslab.cli import EVAL_CAVEAT, main
 from mvslab.config import RunConfig, load_config
+from mvslab.fileio import FileFormatError
 
 
 def run_cli(*argv):
@@ -143,6 +144,52 @@ def test_config_round_trip(tmp_path):
     assert loaded.n_views == 4
     assert loaded.weights.photo == 0.5
     assert loaded.sweep.stage_counts == (32, 16, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(FileFormatError):
         path.write_text(json.dumps({"bogus": 1}))
         load_config(path)
+
+
+@pytest.mark.parametrize("text", ["[1]", "{not json", '{"n_views": {"a": 1}}',
+                                  '{"sweep": {"bogus": 1}}'])
+def test_bad_config_raises_file_format_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(FileFormatError):
+        load_config(path)
+    assert run_cli("--config", str(path), "infer", "--scene", str(tmp_path),
+                   "--out", str(tmp_path / "out")) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def fake_trial(seed):
+    # stands in for a 60-iteration trial; odd seeds do not qualify
+    if seed % 2:
+        return None
+    return claims._record("scc", seed, "median_abs_err_affected_mm",
+                          {"consistency": 1.0, "no_consistency": 1.0 + seed}, float(seed))
+
+
+def test_ablate_writes_one_record_per_qualifying_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(claims.TRIALS, "scc", fake_trial)
+    assert run_cli("ablate", "--claim", "scc", "--seeds", "2", "3", "4",
+                   "--out", str(tmp_path)) == 0
+    records = fileio.read_records(tmp_path / "ablate_scc.jsonl")
+    assert [r["seed"] for r in records] == [2, 4]
+    assert all(set(r["arms"]) == {"consistency", "no_consistency"} for r in records)
+    assert all(r["win"] for r in records)
+    out = capsys.readouterr().out
+    assert "scc seed 3: skipped" in out
+    assert "2/2 wins" in out
+
+
+def test_ablate_defaults_to_the_criteria_seeds(tmp_path, monkeypatch):
+    monkeypatch.setitem(claims.TRIALS, "norm", fake_trial)
+    assert run_cli("ablate", "--claim", "norm", "--out", str(tmp_path)) == 0
+    records = fileio.read_records(tmp_path / "ablate_norm.jsonl")
+    assert [r["seed"] for r in records] == [300, 302, 304]
+
+
+def test_ablate_rejects_unknown_claim(tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("ablate", "--claim", "bogus", "--out", str(tmp_path))
+    assert excinfo.value.code == 2

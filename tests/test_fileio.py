@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mvslab.fileio import (PLY_HEADER, FileFormatError, read_cam, read_pair_file,
                            read_pfm, read_ply, read_records, write_cam,
@@ -195,6 +196,76 @@ def test_pair_file_malformed(tmp_path):
     path.write_text("2\n0\n1 5\n")
     with pytest.raises(FileFormatError):
         read_pair_file(path)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+finite32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+@st.composite
+def cameras(draw):
+    q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    q = q / np.linalg.norm(q) if np.linalg.norm(q) > 0.1 else np.array([1.0, 0, 0, 0])
+    w, x, y, z = q
+    rot = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                    [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                    [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    pose = np.eye(4)
+    pose[:3, :3] = rot
+    pose[:3, 3] = draw(st.lists(finite, min_size=3, max_size=3))
+    fx, fy = draw(st.floats(1e-3, 1e5)), draw(st.floats(1e-3, 1e5))
+    k = np.array([[fx, draw(finite), draw(finite)], [0.0, fy, draw(finite)],
+                  [0.0, 0.0, 1.0]])
+    dmin = draw(st.floats(1e-3, 1e5))
+    dmax = dmin + draw(st.floats(1e-3, 1e5))
+    return Camera(k, pose, dmin, dmax, draw(st.floats(1e-6, 1e3)),
+                  draw(st.integers(2, 10_000)))
+
+
+@settings(deadline=None, max_examples=50)
+@given(cameras())
+def test_cam_round_trip_property(tmp_path_factory, cam):
+    path = tmp_path_factory.mktemp("cam") / "cam.txt"
+    write_cam(path, cam)
+    back = read_cam(path)
+    assert np.array_equal(back.k, cam.k)
+    assert np.array_equal(back.pose, cam.pose)
+    assert (back.depth_min, back.depth_max, back.depth_interval, back.depth_num) \
+        == (cam.depth_min, cam.depth_max, cam.depth_interval, cam.depth_num)
+
+
+@settings(deadline=None, max_examples=50)
+@given(arrays(np.float32, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+              elements=finite32))
+def test_pfm_round_trip_property(tmp_path_factory, values):
+    field = ScalarField(values.astype(np.float64))
+    path = tmp_path_factory.mktemp("pfm") / "f.pfm"
+    write_pfm(path, field)
+    assert np.array_equal(read_pfm(path).data, field.data)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.dictionaries(st.integers(0, 10**6),
+                       st.lists(st.tuples(st.integers(0, 10**6),
+                                          st.floats(allow_nan=False, allow_infinity=False)),
+                                max_size=6),
+                       max_size=6))
+def test_pair_file_round_trip_property(tmp_path_factory, scores):
+    path = tmp_path_factory.mktemp("pair") / "pair.txt"
+    write_pair_file(path, scores)
+    assert read_pair_file(path) == scores
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 20).flatmap(lambda n: st.tuples(
+    arrays(np.float32, (n, 3), elements=finite32), arrays(np.uint8, (n, 3)))))
+def test_ply_round_trip_property(tmp_path_factory, cloud):
+    pts, cols = cloud[0].astype(np.float64), cloud[1]
+    path = tmp_path_factory.mktemp("ply") / "cloud.ply"
+    write_ply(path, pts, cols)
+    back_pts, back_cols = read_ply(path)
+    assert np.array_equal(back_pts, pts)
+    assert np.array_equal(back_cols, cols)
 
 
 MALFORMED = [

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvslab import fusion, sampling, synth
+from mvslab import fusion, synth
 from mvslab.fusion import (DepthView, FusionConfig, FusionError, PointCloud,
                            cloud_metrics, depth_metrics, fuse_point_cloud)
 from mvslab.geometry import Camera, backproject, pixel_grid
@@ -17,10 +17,7 @@ def cube_views():
                                             height=48, width=64, n_views=7, seed=9))
     views = []
     for ref in scene.views:
-        candidates = [v for v in scene.views if v.view_id != ref.view_id]
-        sample = sampling.select_regular_views(ref, candidates,
-                                               scene.pair_scores[ref.view_id], 5)
-        stages = cascade_infer(sample)
+        stages = cascade_infer(synth.regular_sample(scene, ref.view_id, 5))
         views.append(DepthView(stages[-1].depth, stages[-1].prob_map, ref.camera,
                                ref.image, ref.view_id))
     return scene, views

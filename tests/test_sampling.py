@@ -39,7 +39,7 @@ def test_select_five_views_from_ten_candidates():
     views = make_views(11)
     scores = [(i, 10.0 - i) for i in range(1, 11)]
     sample = select_regular_views(views[0], views[1:], scores, 5)
-    assert sample.n_views == 5
+    assert len(sample.sources) == 4
     assert sample.source_ids() == [1, 2, 3, 4]
 
 

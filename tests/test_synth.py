@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mvslab import synth
+from mvslab import claims, synth
 from mvslab.geometry import bilinear_sample, pixel_grid, project_with_depth, backproject
-from mvslab.synth import SceneError, SceneSpec, gen_scene, occlusion_affected_mask
+from mvslab.synth import SceneError, SceneSpec, gen_scene
 
 
 def test_spec_validation():
@@ -123,10 +123,13 @@ def test_occluder_corrupts_one_view_only():
 def test_occlusion_affected_mask_nonempty():
     scene = gen_scene(SceneSpec(geometry="plane_with_occluder", height=32, width=40,
                                 n_views=6, seed=6))
-    aff = occlusion_affected_mask(scene, 0, scene.corrupted_view)
-    assert aff.data.any()
-    none = occlusion_affected_mask(scene, 0, 0)
-    assert not none.data.any()
+    ref, corrupted = scene.views[0], scene.corrupted_view
+    aff = claims.affected_mask(ref, [scene.views[corrupted]],
+                               [scene.occluder_masks[corrupted]])
+    assert aff.any()
+    assert 0 not in scene.occluder_masks
+    none = claims.affected_mask(ref, [ref], [np.zeros((32, 40), dtype=bool)])
+    assert not none.any()
 
 
 def test_depth_range_violation_raises():
@@ -153,7 +156,16 @@ def test_build_branch_samples_structure(checker_scene):
     samples = synth.build_branch_samples(checker_scene, 0, 5, 0.05, 3)
     assert set(samples) == {"regular", "image_contrastive", "scene_contrastive"}
     reg = samples["regular"]
-    assert reg.n_views == 5
+    assert len(reg.sources) == 4
     assert samples["image_contrastive"].source_ids() == reg.source_ids()
     assert samples["scene_contrastive"].reference is reg.reference
     assert 0 not in samples["scene_contrastive"].source_ids()
+
+
+def test_build_branch_samples_without_fluctuation_keeps_sources(checker_scene):
+    # fluctuation=None turns the color fluctuation off: at occlusion rate 0 the
+    # image-contrastive sources are the regular ones
+    samples = synth.build_branch_samples(checker_scene, 0, 5, 0.0, 3, fluctuation=None)
+    pairs = zip(samples["image_contrastive"].sources, samples["regular"].sources)
+    for ic, reg in pairs:
+        assert np.array_equal(ic.image.data, reg.image.data)
