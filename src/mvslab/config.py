@@ -31,12 +31,30 @@ class RunConfig:
         return NormKind(self.norm_exponent, self.eps_grad)
 
 
+_COUNTS = ("n_views", "total_epochs", "epoch", "iterations")
+
+
+def _typed(name: str, value, default):
+    """value, checked against the type of the field's default: an int field
+    takes neither a bool nor a float, a float field takes an int as a float,
+    and a tuple field takes a list of its first element's type."""
+    if isinstance(default, tuple) and isinstance(value, list):
+        return tuple(_typed(name, v, default[0]) for v in value)
+    if isinstance(default, float) and type(value) is int and abs(value) < 1e308:
+        value = float(value)
+    if type(value) is not type(default):
+        raise FileFormatError(f"config key {name!r} takes a {type(default).__name__}, "
+                              f"got {value!r}")
+    return value
+
+
 def _build(cls, data: dict):
     if not isinstance(data, dict):
         raise FileFormatError(f"{cls.__name__} must be a JSON object, "
                               f"got {type(data).__name__}")
     kwargs = {}
     fields = {f.name: f for f in dataclasses.fields(cls)}
+    defaults = cls()
     for key, value in data.items():
         if key not in fields:
             raise FileFormatError(f"unknown config key {key!r} for {cls.__name__}")
@@ -46,8 +64,10 @@ def _build(cls, data: dict):
             if sub is None:
                 raise FileFormatError(f"config key {key!r} does not take a table")
             value = _build(sub, value)
-        elif isinstance(value, list):
-            value = tuple(value)
+        else:
+            value = _typed(key, value, getattr(defaults, key))
+            if key in _COUNTS and value < 0:
+                raise FileFormatError(f"config key {key!r} must not be negative, got {value}")
         kwargs[key] = value
     return cls(**kwargs)
 

@@ -10,18 +10,17 @@ SSIM, smoothness and branch-consistency contributions when enabled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (Camera, CameraView, bilinear_sample, bilinear_sample_grad,
-                       pixel_grid, project_with_depth, warp_depth_jacobian)
+from .geometry import (BilinearCells, Camera, CameraView, bilinear_cells,
+                       project_rays, ray_jacobian)
 from .grids import BinaryMask, Image, ScalarField
 from .losses import (LossWeights, NormKind, branch_consistency, overall_loss,
                      photometric_consistency_arrays, smoothness_loss,
                      ssim_loss_arrays)
 from .planesweep import SweepConfig, cascade_infer, refresh_confidence
-from .sampling import Sample, Schedule
+from .sampling import Sample, SamplingError, Schedule
 
 
 class OptimizationDiverged(RuntimeError):
@@ -43,55 +42,67 @@ class BranchLossConfig:
     consist_mask: BinaryMask | None = None
 
 
-@lru_cache(maxsize=16)
-def _cached_grid(h: int, w: int) -> np.ndarray:
-    grid = pixel_grid(h, w)
-    grid.flags.writeable = False
-    return grid
-
-
 @dataclass
 class WarpDetails:
-    """Per-source intermediates of one warp pass, kept for the FD audit.
-    Arrays, not containers: this sits inside the per-pixel FD hot loop."""
+    """Per-source intermediates of one warp of a depth field: what the loss
+    terms and the FD audit read, plus the projection and bilinear cells the
+    chain is built from. optimize_joint keeps each branch's latest warp so its
+    next gradient evaluation at that depth adds only the chain. Arrays, not
+    containers: this sits inside the per-pixel FD hot loop."""
 
     warped: list[np.ndarray]
     masks: list[np.ndarray]
     uv: list[np.ndarray]
-    jacobian: list[np.ndarray]
-    chain: list[np.ndarray]  # dI_hat/dD per pixel and channel, (H, W, C)
+    z: list[np.ndarray]
+    cells: list[BilinearCells]
+    jacobian: list[np.ndarray] = field(default_factory=list)
+    # dI_hat/dD per pixel and channel, (H, W, C); empty until _add_chain
+    chain: list[np.ndarray] = field(default_factory=list)
 
 
 def _warp_sources(sample: Sample, depth: np.ndarray, with_chain: bool) -> WarpDetails:
-    ref_cam = sample.reference.camera
-    h, w = depth.shape
-    grid = _cached_grid(h, w)
     positive = depth > 0.0
     safe_d = np.where(positive, depth, 1.0)
-    warped, masks, uvs, jacs, chains = [], [], [], [], []
-    for view in sample.sources:
-        uv, z, front = project_with_depth(grid, safe_d, ref_cam, view.camera)
-        val, inb = bilinear_sample(view.image.data, uv)
-        mask = inb & front & positive
-        warped.append(val * mask[:, :, None])
-        masks.append(mask)
-        uvs.append(uv)
-        if with_chain:
-            jac, _ = warp_depth_jacobian(grid, safe_d, ref_cam, view.camera)
-            sg = bilinear_sample_grad(view.image.data, uv)
-            chain = (sg * jac[:, :, None, :]).sum(axis=-1) * mask[:, :, None]
-            jacs.append(jac * mask[:, :, None])
-            chains.append(chain)
-    return WarpDetails(warped, masks, uvs, jacs, chains)
+    details = WarpDetails([], [], [], [], [])
+    for (a, c), view in zip(sample.rays, sample.sources):
+        uv, z, front = project_rays(a, c, safe_d)
+        cells = bilinear_cells(view.image.data, uv)
+        mask = cells.inb.reshape(depth.shape) & front & positive
+        val = cells.value().reshape(depth.shape + (-1,))
+        details.warped.append(val * mask[:, :, None])
+        details.masks.append(mask)
+        details.uv.append(uv)
+        details.z.append(z)
+        details.cells.append(cells)
+    if with_chain:
+        _add_chain(sample, details)
+    return details
+
+
+def _add_chain(sample: Sample, details: WarpDetails) -> None:
+    """Fill details.jacobian and details.chain, if not yet there, from the
+    warp's own cells: the depth derivative of every warped image."""
+    if details.chain:
+        return
+    for i, (a, c) in enumerate(sample.rays):
+        jac = ray_jacobian(a, c, details.z[i])
+        mask = details.masks[i]
+        gu, gv = (g.reshape(mask.shape + (-1,)) for g in details.cells[i].grad())
+        details.chain.append((gu * jac[:, :, 0:1] + gv * jac[:, :, 1:2]) * mask[:, :, None])
+        details.jacobian.append(jac * mask[:, :, None])
 
 
 def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
               with_grad: bool, details: WarpDetails | None = None):
     """The one loss evaluator; with_grad=False is the cheap path the FD oracle
-    uses. Warps the sources unless a warp of this depth is given as details."""
+    uses. Warps the sources unless a warp of this depth is given as details,
+    to which a gradient evaluation adds the chain."""
     d = depth.data
-    if details is None and (cfg.weight_photo > 0 or cfg.weight_ssim > 0):
-        details = _warp_sources(sample, d, with_chain=with_grad)
+    if cfg.weight_photo > 0 or cfg.weight_ssim > 0:
+        if details is None:
+            details = _warp_sources(sample, d, with_chain=with_grad)
+        elif with_grad:
+            _add_chain(sample, details)
     parts: dict[str, float] = {}
     grad = np.zeros_like(d) if with_grad else None
 
@@ -114,8 +125,8 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
         for i, (rec, m) in enumerate(zip(details.warped, details.masks)):
             if not m.any():
                 continue
-            value, img_grad = ssim_loss_arrays(rec, sample.reference.image.data,
-                                               m, need_grad=with_grad)
+            value, img_grad = ssim_loss_arrays(rec, sample.reference.image.data, m,
+                                               with_grad, sample.reference_moments)
             vals.append(value)
             if with_grad:
                 g_ssim += (img_grad * details.chain[i]).sum(axis=2)
@@ -441,11 +452,11 @@ def optimize_joint(samples: dict[str, Sample], schedule: Schedule,
     opt = opt_cfg or OptimizerConfig()
     for name in BRANCHES:
         if name not in samples:
-            raise ValueError(f"missing sample for branch {name!r}")
+            raise SamplingError(f"missing sample for branch {name!r}")
     ref0 = samples["regular"].reference
     for name in BRANCHES:
         if samples[name].reference.view_id != ref0.view_id:
-            raise ValueError("all branches must share the reference view")
+            raise SamplingError("all branches must share the reference view")
 
     icc_weight = (opt.image_consist_weight if opt.image_consist_weight is not None
                   else schedule.image_consist_weight)
@@ -453,27 +464,31 @@ def optimize_joint(samples: dict[str, Sample], schedule: Schedule,
     interval = sweep_cfg.final_interval(cam)
     init_step = opt.init_step_interval_scale * interval
 
-    depths: dict[str, ScalarField] = {}
-    conf_mask = None
-    prob_map = None
-    for name in BRANCHES:
+    def initial(name: str):  # keeps no sweep volume alive
         if init_depths is not None and name in init_depths:
-            depths[name] = ScalarField(init_depths[name].data.copy())
-            continue
-        stages = cascade_infer(samples[name], sweep_cfg)
-        depths[name] = stages[-1].depth
+            return ScalarField(init_depths[name].data.copy()), None, None
+        final = cascade_infer(samples[name], sweep_cfg)[-1]
+        return final.depth, final.prob_map, final.conf_mask
+
+    depths: dict[str, ScalarField] = {}
+    for name in BRANCHES:
+        depths[name], pm, cm = initial(name)
         if name == "regular":
-            prob_map, conf_mask = stages[-1].prob_map, stages[-1].conf_mask
+            prob_map, conf_mask = pm, cm
     if conf_mask is None:
         prob_map, conf_mask = refresh_confidence(samples["regular"],
                                                  depths["regular"], sweep_cfg)
 
     steps = {name: init_step for name in BRANCHES}
     history: list[dict] = []
+    # Per branch, the warp of depths[branch]: the accepted trial's, else the last
+    # gradient point's. None is kept across a sweep, the run's memory peak.
+    warps: dict[str, WarpDetails] = {}
 
-    def objective(branch: str, d: ScalarField, with_grad: bool):
+    def objective(branch: str, d: ScalarField, with_grad: bool,
+                  details: WarpDetails | None = None):
         cfg = _branch_cfg(opt, branch, icc_weight, depths["regular"], conf_mask)
-        total, grad, parts, _ = _evaluate(samples[branch], d, cfg, with_grad)
+        total, grad, parts, details = _evaluate(samples[branch], d, cfg, with_grad, details)
         if opt.symmetric_consistency and branch == "regular":
             for other, weight in (("image_contrastive", icc_weight),
                                   ("scene_contrastive", opt.weights.scene_consist)):
@@ -481,41 +496,45 @@ def optimize_joint(samples: dict[str, Sample], schedule: Schedule,
                 total += weight * res.value
                 if with_grad:
                     grad += weight * res.grad_target
-        return total, grad, parts
+        return total, grad, parts, details
+
+    def descend(branch: str, it: int):
+        """One backtracking step on a branch: (loss, parts, accepted)."""
+        cur_val, grad, parts, warps[branch] = objective(branch, depths[branch], True,
+                                                        warps.pop(branch, None))
+        if not np.isfinite(cur_val):
+            raise OptimizationDiverged(
+                f"non-finite loss on branch {branch} at iteration {it}",
+                {"iteration": it, "branch": branch, "loss": cur_val})
+        scale = np.abs(grad).max()
+        if not scale > 0:
+            return cur_val, parts, False
+        direction = grad / scale
+        step = steps[branch]
+        for attempt in range(opt.max_halvings + 1):
+            cand = ScalarField(np.clip(depths[branch].data - step * direction,
+                                       cam.depth_min, cam.depth_max))
+            new_val, _, new_parts, new_warp = objective(branch, cand, False)
+            if not np.isfinite(new_val):
+                raise OptimizationDiverged(
+                    f"non-finite trial loss on branch {branch} at iteration {it}",
+                    {"iteration": it, "branch": branch, "loss": new_val})
+            if new_val <= cur_val + 1e-12:
+                depths[branch], warps[branch] = cand, new_warp
+                steps[branch] = min(step * 2.0, init_step) if attempt == 0 else step
+                return new_val, new_parts, True
+            step *= 0.5
+        steps[branch] = step
+        return cur_val, parts, False
 
     for it in range(opt.iterations):
         if opt.refresh_every > 0 and it > 0 and it % opt.refresh_every == 0:
+            warps.clear()
             prob_map, conf_mask = refresh_confidence(samples["regular"],
                                                      depths["regular"], sweep_cfg)
         record = {"iteration": it}
         for branch in BRANCHES:
-            cur_val, grad, parts = objective(branch, depths[branch], True)
-            if not np.isfinite(cur_val):
-                raise OptimizationDiverged(
-                    f"non-finite loss on branch {branch} at iteration {it}",
-                    {"iteration": it, "branch": branch, "loss": cur_val})
-            scale = np.abs(grad).max()
-            accepted = False
-            attempts = 0
-            if scale > 0:
-                direction = grad / scale
-                step = steps[branch]
-                for attempt in range(opt.max_halvings + 1):
-                    cand = ScalarField(np.clip(depths[branch].data - step * direction,
-                                               cam.depth_min, cam.depth_max))
-                    new_val, _, new_parts = objective(branch, cand, False)
-                    if not np.isfinite(new_val):
-                        raise OptimizationDiverged(
-                            f"non-finite trial loss on branch {branch} at iteration {it}",
-                            {"iteration": it, "branch": branch, "loss": new_val})
-                    if new_val <= cur_val + 1e-12:
-                        depths[branch] = cand
-                        cur_val, parts = new_val, new_parts
-                        accepted = True
-                        attempts = attempt
-                        break
-                    step *= 0.5
-                steps[branch] = min(step * 2.0, init_step) if (accepted and attempts == 0) else step
+            cur_val, parts, accepted = descend(branch, it)
             short = {"regular": "reg", "image_contrastive": "ic",
                      "scene_contrastive": "sc"}[branch]
             record[f"loss_{short}"] = cur_val

@@ -8,6 +8,7 @@ world-to-camera rigid transforms; depth is the camera-frame z in mm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,28 +102,27 @@ def relative_transform(ref: Camera, src: Camera) -> np.ndarray:
     return src.pose @ rigid_inverse(ref.pose)
 
 
-_COEFF_MEMO: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _projection_coeffs(ref: Camera, src: Camera) -> tuple[np.ndarray, np.ndarray]:
-    """q(d) = d * (B @ p~) + c per pixel; returns (B, c). Memoized by matrix
-    content (the projection sits inside per-pixel finite-difference loops)."""
-    key = ref.k.tobytes() + ref.pose.tobytes() + src.k.tobytes() + src.pose.tobytes()
-    hit = _COEFF_MEMO.get(key)
-    if hit is not None:
-        return hit
-    t_rel = relative_transform(ref, src)
-    b = src.k @ t_rel[:3, :3] @ np.linalg.inv(ref.k)
-    c = src.k @ t_rel[:3, 3]
-    if len(_COEFF_MEMO) > 256:
-        _COEFF_MEMO.clear()
-    _COEFF_MEMO[key] = (b, c)
-    return b, c
-
-
 def _homogeneous(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     return np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
+
+
+def warp_rays(p, ref: Camera, src: Camera) -> tuple[np.ndarray, np.ndarray]:
+    """The depth-independent part of the warp of pixel(s) p from ref into src:
+    q(d) = d * a + c, with a = p~ @ B^T per pixel (..., 3) and c (3,)."""
+    t_rel = relative_transform(ref, src)
+    b = src.k @ t_rel[:3, :3] @ np.linalg.inv(ref.k)
+    return _homogeneous(p) @ b.T, src.k @ t_rel[:3, 3]
+
+
+def project_rays(a: np.ndarray, c: np.ndarray, d: np.ndarray, eps_z: float = EPS_Z):
+    """q = d * a + c divided by its z: (uv, z, valid) with valid = z > eps_z."""
+    q = d[..., None] * a + c
+    z = q[..., 2]
+    valid = z > eps_z
+    safe_z = np.where(valid, z, 1.0)
+    uv = q[..., :2] / safe_z[..., None]
+    return uv, z, valid
 
 
 def project_with_depth(p, d, ref: Camera, src: Camera, eps_z: float = EPS_Z):
@@ -134,35 +134,73 @@ def project_with_depth(p, d, ref: Camera, src: Camera, eps_z: float = EPS_Z):
     Returns (uv, z, valid) where uv has the shape of p, z the shape of d, and
     valid flags z > eps_z. Accepts a single (2,) pixel or an (..., 2) array.
     """
-    b, c = _projection_coeffs(ref, src)
-    ph = _homogeneous(p)
-    d = np.asarray(d, dtype=np.float64)
-    q = d[..., None] * (ph @ b.T) + c
-    z = q[..., 2]
+    a, c = warp_rays(p, ref, src)
+    return project_rays(a, c, np.asarray(d, dtype=np.float64), eps_z)
+
+
+def ray_jacobian(a: np.ndarray, c: np.ndarray, z: np.ndarray,
+                 eps_z: float = EPS_Z) -> np.ndarray:
+    """d(uv')/dd in pixels per mm at project_rays' z. Quotient rule on the
+    perspective division: with q(d) = d*a + c, du'/dd = (a_x * c_z - c_x * a_z)
+    / z^2 and likewise for v'. Zero where points fall at/behind the source
+    camera plane."""
     valid = z > eps_z
     safe_z = np.where(valid, z, 1.0)
-    uv = q[..., :2] / safe_z[..., None]
-    return uv, z, valid
+    num = np.stack([a[..., 0] * c[2] - c[0] * a[..., 2],
+                    a[..., 1] * c[2] - c[1] * a[..., 2]], axis=-1)
+    return num / (safe_z * safe_z)[..., None] * valid[..., None]
 
 
 def warp_depth_jacobian(p, d, ref: Camera, src: Camera, eps_z: float = EPS_Z):
-    """d(uv')/dd of the projection above, in pixels per mm.
+    """d(uv')/dd of project_with_depth. Returns (jac, valid)."""
+    a, c = warp_rays(p, ref, src)
+    _, z, valid = project_rays(a, c, np.asarray(d, dtype=np.float64), eps_z)
+    return ray_jacobian(a, c, z, eps_z), valid
 
-    Quotient rule on the perspective division: with q(d) = d*a + c,
-    du'/dd = (a_x * c_z - c_x * a_z) / z^2 and likewise for v'.
-    Returns (jac, valid); jac is zero where points fall at/behind the source
-    camera plane (valid False)."""
-    b, c = _projection_coeffs(ref, src)
-    ph = _homogeneous(p)
-    d = np.asarray(d, dtype=np.float64)
-    a = ph @ b.T
-    z = d * a[..., 2] + c[2]
-    valid = z > eps_z
-    safe_z = np.where(valid, z, 1.0)
-    num_u = a[..., 0] * c[2] - c[0] * a[..., 2]
-    num_v = a[..., 1] * c[2] - c[1] * a[..., 2]
-    jac = np.stack([num_u, num_v], axis=-1) / (safe_z * safe_z)[..., None]
-    return jac * valid[..., None], valid
+
+class BilinearCells(NamedTuple):
+    """The interpolation cell of each of N points in an (H, W, C) image, shared
+    by the bilinear value and its spatial derivative. Out-of-bounds points are
+    clamped onto the border cell and flagged by inb."""
+
+    flat: np.ndarray  # (H*W, C) view of the image
+    base: np.ndarray  # (N,) flat index of the cell's top-left corner
+    du: int           # flat offset to the right-hand corner
+    dv: int           # flat offset to the lower corner
+    fu: np.ndarray    # (N, 1) fractions inside the cell
+    fv: np.ndarray
+    inb: np.ndarray   # (N,)
+
+    def value(self) -> np.ndarray:
+        """(N, C) interpolated values, 0 out of bounds."""
+        f, b, du, dv, fu, fv, inb = self
+        top = f[b] * (1.0 - fu) + f[b + du] * fu
+        bot = f[b + dv] * (1.0 - fu) + f[b + dv + du] * fu
+        return (top * (1.0 - fv) + bot * fv) * inb[:, None]
+
+    def grad(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N, C) derivatives of value w.r.t. u and v: piecewise per cell,
+        one-sided at cell boundaries, 0 out of bounds."""
+        f, b, du, dv, fu, fv, inb = self
+        f00, f01, f10, f11 = f[b], f[b + du], f[b + dv], f[b + dv + du]
+        gu = (1.0 - fv) * (f01 - f00) + fv * (f11 - f10)
+        gv = (1.0 - fu) * (f10 - f00) + fu * (f11 - f01)
+        return gu * inb[:, None], gv * inb[:, None]
+
+
+def bilinear_cells(arr: np.ndarray, uv: np.ndarray) -> BilinearCells:
+    """Cells of the points uv (..., 2), continuous pixel coordinates, in the
+    (H, W, C) array arr."""
+    h, w, c = arr.shape
+    u = uv[..., 0].ravel()
+    v = uv[..., 1].ravel()
+    inb = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    uc = np.clip(u, 0.0, w - 1.0)
+    vc = np.clip(v, 0.0, h - 1.0)
+    u0 = np.minimum(uc.astype(int), max(w - 2, 0))
+    v0 = np.minimum(vc.astype(int), max(h - 2, 0))
+    return BilinearCells(arr.reshape(-1, c), v0 * w + u0, 1 if w > 1 else 0,
+                         w if h > 1 else 0, (uc - u0)[:, None], (vc - v0)[:, None], inb)
 
 
 def bilinear_sample(img, uv):
@@ -172,60 +210,16 @@ def bilinear_sample(img, uv):
     pixel coordinates. Out-of-bounds points return value 0 with flag False.
     """
     arr = img.data if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
-    squeeze = False
-    if arr.ndim == 2:
+    squeeze = arr.ndim == 2
+    if squeeze:
         arr = arr[:, :, None]
-        squeeze = True
-    h, w, c = arr.shape
     uv = np.asarray(uv, dtype=np.float64)
-    u = uv[..., 0].ravel()
-    v = uv[..., 1].ravel()
-    inb = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    uc = np.clip(u, 0.0, w - 1.0)
-    vc = np.clip(v, 0.0, h - 1.0)
-    u0 = np.minimum(uc.astype(int), max(w - 2, 0))
-    v0 = np.minimum(vc.astype(int), max(h - 2, 0))
-    fu = (uc - u0)[:, None]
-    fv = (vc - v0)[:, None]
-    flat = arr.reshape(-1, c)
-    base = v0 * w + u0
-    du = 1 if w > 1 else 0
-    dv = w if h > 1 else 0
-    top = flat[base] * (1.0 - fu) + flat[base + du] * fu
-    bot = flat[base + dv] * (1.0 - fu) + flat[base + dv + du] * fu
-    val = (top * (1.0 - fv) + bot * fv) * inb[:, None]
-    val = val.reshape(uv.shape[:-1] + (c,))
-    inb = inb.reshape(uv.shape[:-1])
+    cells = bilinear_cells(arr, uv)
+    val = cells.value().reshape(uv.shape[:-1] + (arr.shape[2],))
+    inb = cells.inb.reshape(uv.shape[:-1])
     if squeeze:
         val = val[..., 0]
     return val, inb
-
-
-def bilinear_sample_grad(img, uv):
-    """Spatial derivative of bilinear_sample w.r.t. (u, v).
-
-    Piecewise per interpolation cell; one-sided at cell boundaries. Returns
-    (..., C, 2) for (H, W, C) input, zero outside the image.
-    """
-    arr = img.data if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    h, w, _ = arr.shape
-    uv = np.asarray(uv, dtype=np.float64)
-    u, v = uv[..., 0], uv[..., 1]
-    inb = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    uc = np.clip(u, 0.0, w - 1.0)
-    vc = np.clip(v, 0.0, h - 1.0)
-    u0 = np.clip(np.floor(uc).astype(int), 0, max(w - 2, 0))
-    v0 = np.clip(np.floor(vc).astype(int), 0, max(h - 2, 0))
-    u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
-    fu = (uc - u0)[..., None]
-    fv = (vc - v0)[..., None]
-    du = (1.0 - fv) * (arr[v0, u1] - arr[v0, u0]) + fv * (arr[v1, u1] - arr[v1, u0])
-    dv = (1.0 - fu) * (arr[v1, u0] - arr[v0, u0]) + fu * (arr[v1, u1] - arr[v0, u1])
-    g = np.stack([du, dv], axis=-1) * inb[..., None, None]
-    return g
 
 
 def pixel_grid(h: int, w: int) -> np.ndarray:

@@ -6,11 +6,13 @@ schedules for the occlusion rate and the image-consistency weight."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import CameraView
+from .geometry import CameraView, pixel_grid, warp_rays
 from .grids import Image
+from .losses import ssim_reference_moments
 
 
 class SamplingError(ValueError):
@@ -36,6 +38,19 @@ class Sample:
     def source_ids(self) -> list[int]:
         return [s.view_id for s in self.sources]
 
+    @cached_property
+    def rays(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """warp_rays over the reference pixel grid, per source. Computed once,
+        like reference_moments: nothing changes a Sample's views once built."""
+        ref = self.reference
+        grid = pixel_grid(ref.image.height, ref.image.width)
+        return [warp_rays(grid, ref.camera, s.camera) for s in self.sources]
+
+    @cached_property
+    def reference_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """ssim_reference_moments of the reference image."""
+        return ssim_reference_moments(self.reference.image.data)
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -53,9 +68,16 @@ class ColorFluctuation:
     contrast: tuple[float, float] = (0.8, 1.2)
 
 
+def _check_n_views(n_views: int) -> None:
+    if n_views < 2:
+        raise SamplingError(f"a sample needs n_views >= 2 (a reference and a source), "
+                            f"got {n_views}")
+
+
 def select_regular_views(reference: CameraView, candidates: list[CameraView],
                          scores: list[tuple[int, float]], n_views: int) -> Sample:
     """Top-(N-1) candidates by score; ties broken by ascending view id."""
+    _check_n_views(n_views)
     if len(scores) < n_views - 1:
         raise SamplingError(f"need {n_views - 1} scored candidates, got {len(scores)}")
     by_id = {v.view_id: v for v in candidates}
@@ -104,6 +126,7 @@ def make_scene_contrastive(scene_views: list[CameraView], reference: CameraView,
                            n_views: int, rng_seed: int) -> Sample:
     """N-1 source views drawn uniformly without replacement from the scene's
     non-reference views. Deterministic given the seed."""
+    _check_n_views(n_views)
     pool = [v for v in scene_views if v.view_id != reference.view_id]
     if len(pool) < n_views - 1:
         raise SamplingError(f"scene has {len(pool)} non-reference views, need {n_views - 1}")

@@ -144,13 +144,32 @@ def test_config_round_trip(tmp_path):
     assert loaded.n_views == 4
     assert loaded.weights.photo == 0.5
     assert loaded.sweep.stage_counts == (32, 16, 8)
+    # float fields take ints, as floats
+    path.write_text(json.dumps({"norm_exponent": 1, "weights": {"photo": 1},
+                                "sweep": {"refine_interval_scales": [4, 1]}}))
+    loaded = load_config(path)
+    assert loaded.norm_exponent == 1.0 and isinstance(loaded.norm_exponent, float)
+    assert isinstance(loaded.weights.photo, float)
+    assert loaded.sweep.refine_interval_scales == (4.0, 1.0)
     with pytest.raises(FileFormatError):
         path.write_text(json.dumps({"bogus": 1}))
         load_config(path)
 
 
 @pytest.mark.parametrize("text", ["[1]", "{not json", '{"n_views": {"a": 1}}',
-                                  '{"sweep": {"bogus": 1}}'])
+                                  '{"sweep": {"bogus": 1}}', '{"n_views": "x"}',
+                                  '{"iterations": -3}', '{"epoch": -1}',
+                                  '{"total_epochs": -16}', '{"n_views": -5}',
+                                  '{"n_views": true}', '{"iterations": 50.0}',
+                                  '{"seed": null}', '{"eps_grad": [0.1]}',
+                                  '{"weights": {"photo": "0.8"}}', '{"weights": 3}',
+                                  '{"sweep": {"n_groups": 4.0}}',
+                                  '{"sweep": {"drop_last_source": 1}}',
+                                  '{"sweep": {"stage_counts": [48, "32", 8]}}',
+                                  '{"sweep": {"stage_counts": 48}}',
+                                  '{"fusion": {"min_consistent_views": false}}',
+                                  pytest.param('{"eps_grad": 1' + '0' * 400 + '}',
+                                               id="eps_grad-10**400")])
 def test_bad_config_raises_file_format_error(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"
     path.write_text(text)

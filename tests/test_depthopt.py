@@ -9,7 +9,7 @@ from mvslab.geometry import Camera, CameraView
 from mvslab.grids import BinaryMask, Image, ScalarField
 from mvslab.losses import LossWeights, NormKind
 from mvslab.planesweep import SweepConfig
-from mvslab.sampling import Sample, curriculum
+from mvslab.sampling import Sample, SamplingError, curriculum
 
 
 def test_finite_diff_on_quadratic_toy():
@@ -214,5 +214,55 @@ def test_divergence_aborts_with_snapshot():
 def test_missing_branch_rejected():
     scene, schedule, samples = opt_scene(seed=3)
     del samples["scene_contrastive"]
-    with pytest.raises(ValueError):
+    with pytest.raises(SamplingError):
         optimize_joint(samples, schedule, SweepConfig(), OptimizerConfig(iterations=1))
+
+
+def test_branches_with_different_references_rejected():
+    scene, schedule, samples = opt_scene(seed=3)
+    other = synth.regular_sample(scene, 1, 4)
+    samples["scene_contrastive"] = Sample(other.reference, other.sources,
+                                          kind="scene_contrastive")
+    with pytest.raises(SamplingError, match="reference"):
+        optimize_joint(samples, schedule, SweepConfig(), OptimizerConfig(iterations=1))
+
+
+def test_retained_warp_gives_the_fresh_evaluation(monkeypatch):
+    # every gradient evaluation handed a kept warp must return, bit for bit,
+    # what a fresh evaluation at that depth returns; only trials and gradient
+    # points without a kept warp (the first, and the first after each
+    # confidence refresh) warp the sources
+    scene = synth.gen_scene(synth.SceneSpec(height=24, width=30, n_views=6, seed=3))
+    schedule = curriculum(8, 16)
+    samples = synth.build_branch_samples(scene, 0, 4, schedule.occlusion_rate, 11)
+    evaluate, warp = depthopt._evaluate, depthopt._warp_sources
+    calls = {"warps": 0, "trials": 0, "fresh": 0, "reused": 0}
+
+    def counting_warp(*args, **kwargs):
+        calls["warps"] += 1
+        return warp(*args, **kwargs)
+
+    def checked_evaluate(sample, depth, cfg, with_grad, details=None):
+        if not with_grad:
+            calls["trials"] += 1
+        elif details is None:
+            calls["fresh"] += 1
+        else:
+            calls["reused"] += 1
+            monkeypatch.setattr(depthopt, "_warp_sources", warp)
+            total, grad, _, _ = evaluate(sample, depth, cfg, True)
+            monkeypatch.setattr(depthopt, "_warp_sources", counting_warp)
+            got = evaluate(sample, depth, cfg, True, details)
+            assert got[0] == total
+            assert got[1].tobytes() == grad.tobytes()
+            return got
+        return evaluate(sample, depth, cfg, with_grad, details)
+
+    monkeypatch.setattr(depthopt, "_evaluate", checked_evaluate)
+    monkeypatch.setattr(depthopt, "_warp_sources", counting_warp)
+    optimize_joint(samples, schedule, SweepConfig(),
+                   OptimizerConfig(iterations=3, refresh_every=2))
+    assert calls["fresh"] == 6  # 3 branches, at iteration 0 and after the refresh at 2
+    assert calls["reused"] == 3
+    assert calls["trials"] > 0
+    assert calls["warps"] == calls["trials"] + calls["fresh"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from mvslab.depthopt import _warp_sources
 from mvslab.geometry import (Camera, CameraView, GeometryError, backproject,
-                             bilinear_sample, bilinear_sample_grad, pixel_grid,
-                             project_with_depth, warp_depth_jacobian)
+                             bilinear_cells, bilinear_sample, pixel_grid, project_rays,
+                             project_with_depth, warp_depth_jacobian, warp_rays)
 from mvslab.grids import Image, ScalarField
 from mvslab.sampling import Sample
 
@@ -258,7 +260,8 @@ def test_bilinear_sample_grad_matches_fd():
     img = rng.random((8, 9, 3))
     for _ in range(20):
         uv = rng.uniform([0.6, 0.6], [7.4, 6.4], 2)
-        g = bilinear_sample_grad(img, uv)
+        gu, gv = bilinear_cells(img, uv).grad()
+        g = np.stack([gu[0], gv[0]], axis=-1)
         eps = 1e-6
         for axis in range(2):
             up = uv.copy(); up[axis] += eps
@@ -267,6 +270,81 @@ def test_bilinear_sample_grad_matches_fd():
             vd, _ = bilinear_sample(img, dn)
             fd = (vu - vd) / (2 * eps)
             assert np.allclose(g[:, axis], fd, atol=1e-6)
+
+
+def _slow_bilinear(img, u, v):
+    """One point, the interpolation formulas written out on Python floats:
+    (value, d/du, d/dv) per channel, zeros out of bounds."""
+    h, w, c = img.shape
+    inb = 0.0 <= u <= w - 1.0 and 0.0 <= v <= h - 1.0
+    uc, vc = min(max(u, 0.0), w - 1.0), min(max(v, 0.0), h - 1.0)
+    u0, v0 = min(int(math.floor(uc)), max(w - 2, 0)), min(int(math.floor(vc)), max(h - 2, 0))
+    u1, v1 = min(u0 + 1, w - 1), min(v0 + 1, h - 1)
+    fu, fv = uc - u0, vc - v0
+    out = np.zeros((3, c))
+    for ch in range(c):
+        f00, f01 = float(img[v0, u0, ch]), float(img[v0, u1, ch])
+        f10, f11 = float(img[v1, u0, ch]), float(img[v1, u1, ch])
+        top = f00 * (1.0 - fu) + f01 * fu
+        bot = f10 * (1.0 - fu) + f11 * fu
+        out[:, ch] = (top * (1.0 - fv) + bot * fv,
+                      (1.0 - fv) * (f01 - f00) + fv * (f11 - f10),
+                      (1.0 - fu) * (f10 - f00) + fu * (f11 - f01))
+    return out * inb
+
+
+@pytest.mark.parametrize("shape", [(7, 9, 3), (1, 5, 3), (6, 1, 1)])
+def test_bilinear_cells_equal_slow_reference_exactly(shape):
+    # random interior points, the last row and column exactly, and points
+    # outside the image on every side
+    rng = np.random.default_rng(12)
+    h, w, _ = shape
+    img = rng.random(shape)
+    pts = [rng.uniform([0.0, 0.0], [w - 1.0, h - 1.0], (40, 2)),
+           np.stack([np.full(h, w - 1.0), np.arange(h, dtype=float)], axis=-1),
+           np.stack([rng.uniform(0, w - 1.0, 5), np.full(5, h - 1.0)], axis=-1),
+           np.array([[w - 1.0, h - 1.0], [-1e-9, 0.0], [0.0, -0.5], [w - 1.0 + 1e-9, 0.0],
+                     [0.0, h + 3.0], [-7.0, -7.0]])]
+    uv = np.concatenate(pts)[None]
+    cells = bilinear_cells(img, uv)
+    val, inb = bilinear_sample(img, uv)
+    gu, gv = cells.grad()
+    assert np.array_equal(cells.value().reshape(val.shape), val)
+    assert np.array_equal(cells.inb.reshape(inb.shape), inb)
+    assert not inb.all() and inb.any()
+    slow = np.array([_slow_bilinear(img, u, v) for u, v in uv.reshape(-1, 2)])
+    assert np.array_equal(val.reshape(-1, shape[2]), slow[:, 0])
+    assert np.array_equal(gu, slow[:, 1])
+    assert np.array_equal(gv, slow[:, 2])
+
+
+def test_ray_projection_matches_explicit_reprojection():
+    # backproject with the reference camera, move into the source frame with
+    # its pose, apply its intrinsics and divide: the ray form must agree
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        k_ref = np.array([[rng.uniform(40, 90), 0, 20.0], [0, rng.uniform(40, 90), 15.0],
+                          [0, 0, 1]])
+        k_src = np.array([[rng.uniform(40, 90), 0.3, 22.0], [0, rng.uniform(40, 90), 14.0],
+                          [0, 0, 1]])
+        poses = []
+        for _ in range(2):
+            pose = np.eye(4)
+            pose[:3, :3] = rotation(*rng.uniform(-0.2, 0.2, 3))
+            pose[:3, 3] = rng.uniform(-40, 40, 3)
+            poses.append(pose)
+        ref = Camera(k_ref, poses[0], 100.0, 1000.0)
+        src = Camera(k_src, poses[1], 100.0, 1000.0)
+        grid = pixel_grid(6, 8)
+        depth = rng.uniform(300, 800, (6, 8))
+        a, c = warp_rays(grid, ref, src)
+        uv, z, valid = project_rays(a, c, depth)
+        x_src = backproject(ref, grid, depth) @ src.pose[:3, :3].T + src.pose[:3, 3]
+        q = x_src @ src.k.T
+        assert valid.all()
+        assert np.abs(z - x_src[..., 2]).max() < 1e-12 * np.abs(z).max()
+        assert np.abs(uv - q[..., :2] / q[..., 2:]).max() < 1e-12 * np.abs(uv).max()
+        assert np.array_equal(project_with_depth(grid, depth, ref, src)[0], uv)
 
 
 def test_backproject_pinhole_identity():

@@ -49,6 +49,17 @@ def test_select_too_few_candidates():
         select_regular_views(views[0], views[1:], [(1, 1.0)], 4)
 
 
+@pytest.mark.parametrize("n_views", [-1, 0, 1])
+def test_fewer_than_two_views_rejected(n_views):
+    # n_views = 0 would slice the ranking with [:-1] and keep all but one
+    views = make_views(6)
+    scores = [(i, 1.0) for i in range(1, 6)]
+    with pytest.raises(SamplingError):
+        select_regular_views(views[0], views[1:], scores, n_views)
+    with pytest.raises(SamplingError):
+        make_scene_contrastive(views, views[0], n_views, rng_seed=1)
+
+
 def regular_sample():
     views = make_views(5, h=16, w=20, seed=1)
     scores = [(i, 5.0 - i) for i in range(1, 5)]
