@@ -1,8 +1,11 @@
+import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from mvslab import claims, fileio
 from mvslab.cli import EVAL_CAVEAT, main
@@ -17,6 +20,24 @@ def run_cli(*argv):
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+
+
+def assert_golden(name: str, root: Path) -> None:
+    """SHA-256 of every file under root against the digests recorded as name
+    in golden/digests.json. Float output is only reproducible on the Python,
+    numpy and scipy versions the digests were made with, so another version
+    fails rather than skips."""
+    golden = json.loads(GOLDEN.read_text())
+    here = {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+    assert golden["versions"] == here, \
+        f"golden digests were made with {golden['versions']}, this run has {here}"
+    digests = {k: hashlib.sha256(v).hexdigest() for k, v in tree_bytes(root).items()}
+    assert digests == golden["digests"].get(name), \
+        "seeded outputs changed; new digests:\n" + json.dumps({name: digests}, indent=2)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +93,7 @@ def test_fuse_and_eval_cloud(pipeline_dirs, capsys):
     assert "cloud:" in out and EVAL_CAVEAT in out
     recs = fileio.read_records(root / "eval" / "eval.jsonl")
     assert any("cloud_overall_mm" in r for r in recs)
+    assert_golden("fuse_and_eval", root)
 
 
 def test_optimize_emits_history_and_depths(tmp_path):
@@ -91,6 +113,7 @@ def test_optimize_emits_history_and_depths(tmp_path):
         assert (out / name).exists()
     report = fileio.read_records(out / "final_report.jsonl")[0]
     assert "total" in report and "component_pc" in report
+    assert_golden("optimize", tmp_path)
 
 
 def test_grad_check_passes_quickly(tmp_path, capsys):
@@ -101,6 +124,7 @@ def test_grad_check_passes_quickly(tmp_path, capsys):
     recs = fileio.read_records(tmp_path / "audit" / "grad_check.jsonl")
     assert len(recs) == 7
     assert all(r["frac"] >= 0.99 for r in recs)
+    assert_golden("grad_check", tmp_path)
 
 
 def test_seeded_pipeline_is_byte_identical(tmp_path):
@@ -115,6 +139,7 @@ def test_seeded_pipeline_is_byte_identical(tmp_path):
     assert trees[0].keys() == trees[1].keys()
     for key in trees[0]:
         assert trees[0][key] == trees[1][key], key
+    assert_golden("seeded_pipeline", tmp_path / "a")
 
 
 def test_unknown_flag_exits_nonzero(capsys):
