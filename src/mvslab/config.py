@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fileio import FileFormatError
-from .fusion import FusionConfig
-from .losses import LossWeights, NormKind
-from .planesweep import SweepConfig
+from .fusion import FusionConfig, FusionError
+from .losses import LossError, LossWeights, NormKind
+from .planesweep import PlaneSweepError, SweepConfig
 
 
 @dataclass
@@ -27,6 +28,9 @@ class RunConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
 
+    def __post_init__(self):
+        self.norm()  # a bad norm_exponent or eps_grad fails here, not mid-run
+
     def norm(self) -> NormKind:
         return NormKind(self.norm_exponent, self.eps_grad)
 
@@ -36,8 +40,9 @@ _COUNTS = ("n_views", "total_epochs", "epoch", "iterations")
 
 def _typed(name: str, value, default):
     """value, checked against the type of the field's default: an int field
-    takes neither a bool nor a float, a float field takes an int as a float,
-    and a tuple field takes a list of its first element's type."""
+    takes neither a bool nor a float, a float field takes a finite float or an
+    int as a float, and a tuple field takes a list of its first element's
+    type."""
     if isinstance(default, tuple) and isinstance(value, list):
         return tuple(_typed(name, v, default[0]) for v in value)
     if isinstance(default, float) and type(value) is int and abs(value) < 1e308:
@@ -45,6 +50,8 @@ def _typed(name: str, value, default):
     if type(value) is not type(default):
         raise FileFormatError(f"config key {name!r} takes a {type(default).__name__}, "
                               f"got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FileFormatError(f"config key {name!r} takes a finite number, got {value!r}")
     return value
 
 
@@ -69,7 +76,10 @@ def _build(cls, data: dict):
             if key in _COUNTS and value < 0:
                 raise FileFormatError(f"config key {key!r} must not be negative, got {value}")
         kwargs[key] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (FusionError, LossError, PlaneSweepError) as exc:
+        raise FileFormatError(f"invalid {cls.__name__}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:

@@ -225,7 +225,6 @@ def finite_diff_grad_multi(sample: Sample, depth: ScalarField,
 
 @dataclass
 class AuditReport:
-    term: str
     n_checked: int
     n_passed: int
     max_rel_err: float
@@ -287,7 +286,7 @@ def _exclusion_mask(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
     return excl
 
 
-def _compare_grads(term: str, analytic: np.ndarray, fd: np.ndarray,
+def _compare_grads(analytic: np.ndarray, fd: np.ndarray,
                    excl: np.ndarray, rel_tol: float, abs_floor: float) -> AuditReport:
     checked = ~excl
     a = analytic[checked]
@@ -297,7 +296,7 @@ def _compare_grads(term: str, analytic: np.ndarray, fd: np.ndarray,
     tiny = (np.abs(a) < abs_floor) & (np.abs(f) < abs_floor)
     passed = (rel < rel_tol) | tiny
     max_rel = float(rel[~tiny].max()) if np.any(~tiny) else 0.0
-    return AuditReport(term, int(checked.sum()), int(passed.sum()), max_rel)
+    return AuditReport(int(checked.sum()), int(passed.sum()), max_rel)
 
 
 def audit_case(sample: Sample, depth: ScalarField,
@@ -313,31 +312,8 @@ def audit_case(sample: Sample, depth: ScalarField,
         _, grad, _, details = loss_grad_wrt_depth(sample, depth, cfg,
                                                   return_details=True)
         excl = _exclusion_mask(sample, depth, cfg, details, h)
-        out[term] = _compare_grads(term, grad, fds[term], excl, rel_tol, abs_floor)
+        out[term] = _compare_grads(grad, fds[term], excl, rel_tol, abs_floor)
     return out
-
-
-def term_configs(norm: NormKind = NormKind(),
-                 icc_target: ScalarField | None = None,
-                 icc_mask: BinaryMask | None = None,
-                 scc_target: ScalarField | None = None,
-                 scc_mask: BinaryMask | None = None) -> dict[str, BranchLossConfig]:
-    """One single-term config per auditable loss term."""
-    off = dict(weight_photo=0.0, weight_ssim=0.0, weight_smooth=0.0, weight_consist=0.0)
-    cfgs = {}
-    for expo in (0.5, 1.0, 2.0):
-        cfgs[f"photo_l{expo:g}"] = BranchLossConfig(
-            norm=NormKind(expo, norm.eps_grad), **{**off, "weight_photo": 1.0})
-    cfgs["ssim"] = BranchLossConfig(norm=norm, **{**off, "weight_ssim": 1.0})
-    cfgs["smooth"] = BranchLossConfig(norm=norm, **{**off, "weight_smooth": 1.0})
-    cfgs["image_consist"] = BranchLossConfig(
-        norm=norm, **{**off, "weight_consist": 1.0},
-        consist_target=icc_target, consist_mask=icc_mask)
-    cfgs["scene_consist"] = BranchLossConfig(
-        norm=norm, **{**off, "weight_consist": 1.0},
-        consist_target=scc_target if scc_target is not None else icc_target,
-        consist_mask=scc_mask if scc_mask is not None else icc_mask)
-    return cfgs
 
 
 @dataclass
@@ -350,8 +326,19 @@ class AuditCase:
     scc_mask: BinaryMask
 
     def configs(self, norm: NormKind = NormKind()) -> dict[str, BranchLossConfig]:
-        return term_configs(norm, self.icc_target, self.icc_mask,
-                            self.scc_target, self.scc_mask)
+        """One single-term config per auditable loss term."""
+        off = dict(weight_photo=0.0, weight_ssim=0.0, weight_smooth=0.0, weight_consist=0.0)
+        cfgs = {}
+        for expo in (0.5, 1.0, 2.0):
+            cfgs[f"photo_l{expo:g}"] = BranchLossConfig(
+                norm=NormKind(expo, norm.eps_grad), **{**off, "weight_photo": 1.0})
+        cfgs["ssim"] = BranchLossConfig(norm=norm, **{**off, "weight_ssim": 1.0})
+        cfgs["smooth"] = BranchLossConfig(norm=norm, **{**off, "weight_smooth": 1.0})
+        for name, target, mask in (("image_consist", self.icc_target, self.icc_mask),
+                                   ("scene_consist", self.scc_target, self.scc_mask)):
+            cfgs[name] = BranchLossConfig(norm=norm, **{**off, "weight_consist": 1.0},
+                                          consist_target=target, consist_mask=mask)
+        return cfgs
 
 
 def random_audit_case(seed: int, h: int = 32, w: int = 40) -> AuditCase:
@@ -411,7 +398,6 @@ class OptimizerConfig:
     norm: NormKind = NormKind()
     weights: LossWeights = field(default_factory=LossWeights)
     image_consist_weight: float | None = None  # None: take it from the schedule
-    symmetric_consistency: bool = False
 
 
 @dataclass
@@ -419,9 +405,7 @@ class OptState:
     depths: dict[str, ScalarField]
     conf_mask: BinaryMask
     prob_map: ScalarField
-    step_sizes: dict[str, float]
-    iteration: int
-    history: list[dict]
+    history: list[dict]  # one record per iteration
 
 
 BRANCHES = ("regular", "image_contrastive", "scene_contrastive")
@@ -488,15 +472,7 @@ def optimize_joint(samples: dict[str, Sample], schedule: Schedule,
     def objective(branch: str, d: ScalarField, with_grad: bool,
                   details: WarpDetails | None = None):
         cfg = _branch_cfg(opt, branch, icc_weight, depths["regular"], conf_mask)
-        total, grad, parts, details = _evaluate(samples[branch], d, cfg, with_grad, details)
-        if opt.symmetric_consistency and branch == "regular":
-            for other, weight in (("image_contrastive", icc_weight),
-                                  ("scene_contrastive", opt.weights.scene_consist)):
-                res = branch_consistency(d, depths[other], conf_mask, symmetric=True)
-                total += weight * res.value
-                if with_grad:
-                    grad += weight * res.grad_target
-        return total, grad, parts, details
+        return _evaluate(samples[branch], d, cfg, with_grad, details)
 
     def descend(branch: str, it: int):
         """One backtracking step on a branch: (loss, parts, accepted)."""
@@ -549,7 +525,7 @@ def optimize_joint(samples: dict[str, Sample], schedule: Schedule,
         record["total"] = record["loss_reg"] + record["loss_ic"] + record["loss_sc"]
         record["conf_count"] = conf_mask.count()
         history.append(record)
-    return OptState(depths, conf_mask, prob_map, steps, opt.iterations, history)
+    return OptState(depths, conf_mask, prob_map, history)
 
 
 def eq_style_report(state: OptState, samples: dict[str, Sample],

@@ -115,47 +115,39 @@ def warp_rays(p, ref: Camera, src: Camera) -> tuple[np.ndarray, np.ndarray]:
     return _homogeneous(p) @ b.T, src.k @ t_rel[:3, 3]
 
 
-def project_rays(a: np.ndarray, c: np.ndarray, d: np.ndarray, eps_z: float = EPS_Z):
-    """q = d * a + c divided by its z: (uv, z, valid) with valid = z > eps_z."""
+def project_rays(a: np.ndarray, c: np.ndarray, d: np.ndarray):
+    """q = d * a + c divided by its z: (uv, z, valid) with valid = z > EPS_Z."""
     q = d[..., None] * a + c
     z = q[..., 2]
-    valid = z > eps_z
+    valid = z > EPS_Z
     safe_z = np.where(valid, z, 1.0)
     uv = q[..., :2] / safe_z[..., None]
     return uv, z, valid
 
 
-def project_with_depth(p, d, ref: Camera, src: Camera, eps_z: float = EPS_Z):
+def project_with_depth(p, d, ref: Camera, src: Camera):
     """Inverse-warp pixel(s) p at depth(s) d from ref into src.
 
     Unprojects with ref intrinsics, applies the relative rigid transform,
     reprojects with src intrinsics and divides by the source-frame z.
 
     Returns (uv, z, valid) where uv has the shape of p, z the shape of d, and
-    valid flags z > eps_z. Accepts a single (2,) pixel or an (..., 2) array.
+    valid flags z > EPS_Z. Accepts a single (2,) pixel or an (..., 2) array.
     """
     a, c = warp_rays(p, ref, src)
-    return project_rays(a, c, np.asarray(d, dtype=np.float64), eps_z)
+    return project_rays(a, c, np.asarray(d, dtype=np.float64))
 
 
-def ray_jacobian(a: np.ndarray, c: np.ndarray, z: np.ndarray,
-                 eps_z: float = EPS_Z) -> np.ndarray:
+def ray_jacobian(a: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """d(uv')/dd in pixels per mm at project_rays' z. Quotient rule on the
     perspective division: with q(d) = d*a + c, du'/dd = (a_x * c_z - c_x * a_z)
     / z^2 and likewise for v'. Zero where points fall at/behind the source
     camera plane."""
-    valid = z > eps_z
+    valid = z > EPS_Z
     safe_z = np.where(valid, z, 1.0)
     num = np.stack([a[..., 0] * c[2] - c[0] * a[..., 2],
                     a[..., 1] * c[2] - c[1] * a[..., 2]], axis=-1)
     return num / (safe_z * safe_z)[..., None] * valid[..., None]
-
-
-def warp_depth_jacobian(p, d, ref: Camera, src: Camera, eps_z: float = EPS_Z):
-    """d(uv')/dd of project_with_depth. Returns (jac, valid)."""
-    a, c = warp_rays(p, ref, src)
-    _, z, valid = project_rays(a, c, np.asarray(d, dtype=np.float64), eps_z)
-    return ray_jacobian(a, c, z, eps_z), valid
 
 
 class BilinearCells(NamedTuple):

@@ -45,10 +45,6 @@ class Image:
     def width(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass
 class ScalarField:

@@ -9,7 +9,7 @@ finite-difference audit can cross-check the whole chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -68,7 +68,6 @@ def norm_value_grad(e: np.ndarray, kind: NormKind) -> tuple[float, np.ndarray]:
 class PhotometricResult:
     value: float
     image_grads: list[np.ndarray]       # dL/d(warped image), (H, W, C) per source
-    skipped_sources: list[int] = field(default_factory=list)
 
 
 def photometric_consistency_arrays(warped: list[np.ndarray], masks: list[np.ndarray],
@@ -87,12 +86,11 @@ def photometric_consistency_arrays(warped: list[np.ndarray], masks: list[np.ndar
     gxr, gyr = forward_diff(ref)
     c = ref.shape[2]
     total = 0.0
-    grads, skipped = [], []
+    grads = []
     any_valid = False
-    for i, (rec_arr, mask) in enumerate(zip(warped, masks)):
+    for rec_arr, mask in zip(warped, masks):
         msum = float(mask.sum())
         if msum == 0:
-            skipped.append(i)
             grads.append(np.zeros_like(ref))
             continue
         any_valid = True
@@ -126,7 +124,7 @@ def photometric_consistency_arrays(warped: list[np.ndarray], masks: list[np.ndar
         grads.append(grad)
     if not any_valid:
         raise LossError("all source masks are empty; no photometric signal")
-    return PhotometricResult(total, grads, skipped)
+    return PhotometricResult(total, grads)
 
 
 def _pool(arr: np.ndarray) -> np.ndarray:
@@ -227,30 +225,24 @@ def smoothness_loss(depth: ScalarField, reference: Image
 class ConsistencyResult:
     value: float
     grad_branch: np.ndarray
-    grad_target: np.ndarray | None
-    empty_mask: bool
 
 
-def branch_consistency(target: ScalarField, branch: ScalarField, mask: BinaryMask,
-                       symmetric: bool = False) -> ConsistencyResult:
+def branch_consistency(target: ScalarField, branch: ScalarField,
+                       mask: BinaryMask) -> ConsistencyResult:
     """Masked mean absolute difference between two branch depth maps.
 
-    By default the target is treated as detached pseudo-supervision (no
-    gradient); symmetric=True also returns the gradient into the target.
-    An empty confidence mask is flagged and contributes zero, not an error.
+    The target is detached pseudo-supervision: only the branch gets a
+    gradient. An empty confidence mask contributes zero, not an error.
     """
     if target.data.shape != branch.data.shape or mask.data.shape != branch.data.shape:
         raise LossError("branch consistency shapes must match")
     m = mask.data
     msum = float(m.sum())
     if msum == 0:
-        zeros = np.zeros_like(branch.data)
-        return ConsistencyResult(0.0, zeros, zeros.copy() if symmetric else None, True)
+        return ConsistencyResult(0.0, np.zeros_like(branch.data))
     diff = target.data - branch.data
     value = float((np.abs(diff) * m).sum() / msum)
-    grad_branch = -np.sign(diff) * m / msum
-    grad_target = np.sign(diff) * m / msum if symmetric else None
-    return ConsistencyResult(value, grad_branch, grad_target, False)
+    return ConsistencyResult(value, -np.sign(diff) * m / msum)
 
 
 @dataclass(frozen=True)
@@ -277,7 +269,6 @@ COMPONENTS = ("pc", "icc", "scc", "ssim", "smooth")
 class LossReport:
     total: float
     components: dict[str, float]
-    weights: dict[str, float]
 
 
 def overall_loss(parts: dict[str, float], weights: LossWeights,
@@ -295,4 +286,4 @@ def overall_loss(parts: dict[str, float], weights: LossWeights,
         "smooth": weights.smooth,
     }
     total = sum(w[k] * parts[k] for k in COMPONENTS)
-    return LossReport(total, {k: float(parts[k]) for k in COMPONENTS}, w)
+    return LossReport(total, {k: float(parts[k]) for k in COMPONENTS})

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
+from scipy.ndimage import gaussian_filter, uniform_filter
 
 from .geometry import Camera, bilinear_sample, pixel_grid, project_with_depth
 from .grids import BinaryMask, Image, ScalarField, forward_diff, resize_bilinear, to_grayscale
@@ -23,29 +23,42 @@ class PlaneSweepError(ValueError):
     pass
 
 
+N_FEATURES = 8  # channels extract_features builds
+
+
 @dataclass
 class SweepConfig:
     stage_counts: tuple[int, ...] = (48, 32, 8)
     stage_scales: tuple[int, ...] = (4, 2, 1)       # resolution divisor per stage
     refine_interval_scales: tuple[float, ...] = (4.0, 1.0)  # x final interval, stages 2..
-    coarse_interval_scale: float = 1.0              # multiplier on the stage-1 spacing
     final_intervals: int = 191                      # final interval = range / this
     n_channels: int = 8
     n_groups: int = 4
     smoothing_passes: int = 2
     softmax_sharpness: float = 50.0
     conf_threshold: float = 0.95
-    drop_last_source: bool = False
 
     def __post_init__(self):
         if len(self.stage_counts) != len(self.stage_scales):
             raise PlaneSweepError("stage_counts and stage_scales must align")
         if len(self.refine_interval_scales) != len(self.stage_counts) - 1:
             raise PlaneSweepError("need one refine interval scale per refinement stage")
+        if min(self.stage_counts) < 2:
+            raise PlaneSweepError("every stage needs at least 2 hypotheses")
+        if min(self.stage_scales) < 1:
+            raise PlaneSweepError("stage scales are resolution divisors, at least 1")
+        if self.final_intervals < 1:
+            raise PlaneSweepError("final_intervals must be at least 1")
+        if not 1 <= self.n_channels <= N_FEATURES:
+            raise PlaneSweepError(f"n_channels must lie in 1..{N_FEATURES}")
+        if self.n_groups < 1:
+            raise PlaneSweepError("n_groups must be at least 1")
         if self.n_channels % self.n_groups != 0:
             raise PlaneSweepError("channel count must be divisible by group count")
         if not (0.0 < self.conf_threshold < 1.0):
             raise PlaneSweepError("confidence threshold must lie in (0, 1)")
+        if not self.softmax_sharpness > 0:
+            raise PlaneSweepError("softmax_sharpness must be positive")
 
     def final_interval(self, cam: Camera) -> float:
         return (cam.depth_max - cam.depth_min) / self.final_intervals
@@ -65,7 +78,6 @@ class HypothesisSet:
 
     values: np.ndarray  # (D, h, w)
     spacing: float
-    stage: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -96,12 +108,10 @@ def build_hypotheses(cam: Camera, stage: int, cfg: SweepConfig,
     count = cfg.stage_counts[stage - 1]
     lo, hi = cam.depth_min, cam.depth_max
     if stage == 1:
-        spacing = cfg.coarse_interval_scale * (hi - lo) / (count - 1)
-        if spacing * (count - 1) > (hi - lo) + 1e-9:
-            raise PlaneSweepError("coarse_interval_scale too large for the depth range")
+        spacing = (hi - lo) / (count - 1)
         base = lo + spacing * np.arange(count)
         values = np.broadcast_to(base[:, None, None], (count, h, w)).copy()
-        return HypothesisSet(values, spacing, stage)
+        return HypothesisSet(values, spacing)
     if prev_depth is None:
         raise PlaneSweepError(f"stage {stage} requires the previous stage depth")
     spacing = cfg.refine_interval_scales[stage - 2] * cfg.final_interval(cam)
@@ -111,20 +121,11 @@ def build_hypotheses(cam: Camera, stage: int, cfg: SweepConfig,
         raise PlaneSweepError("refinement window exceeds the depth range")
     start = np.clip(center - width / 2.0, lo, hi - width)
     values = start[None, :, :] + spacing * np.arange(count)[:, None, None]
-    return HypothesisSet(values, spacing, stage)
+    return HypothesisSet(values, spacing)
 
 
-def _box_stats(gray: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    mu = uniform_filter(gray, size=size, mode="nearest")
-    var = uniform_filter(gray * gray, size=size, mode="nearest") - mu * mu
-    return mu, np.sqrt(np.clip(var, 0.0, None))
-
-
-def _gaussian_blur(arr: np.ndarray, sigma: float) -> np.ndarray:
-    if sigma <= 0:
-        return arr
-    from scipy.ndimage import gaussian_filter
-    return gaussian_filter(arr, sigma=sigma, mode="nearest")
+def _stage_size(img: Image, scale: int) -> tuple[int, int]:
+    return max(1, img.height // scale), max(1, img.width // scale)
 
 
 def extract_features(img: Image, stage: int, cfg: SweepConfig) -> np.ndarray:
@@ -140,9 +141,8 @@ def extract_features(img: Image, stage: int, cfg: SweepConfig) -> np.ndarray:
     scale = cfg.stage_scales[stage - 1]
     gray = to_grayscale(img)
     if scale > 1:
-        gray = _gaussian_blur(gray, sigma=0.5 * scale)
-    h = max(1, img.height // scale)
-    w = max(1, img.width // scale)
+        gray = gaussian_filter(gray, sigma=0.5 * scale, mode="nearest")
+    h, w = _stage_size(img, scale)
     gray = resize_bilinear(gray, h, w)
     gx, gy = forward_diff(gray)
     gd1 = np.zeros_like(gray)
@@ -150,8 +150,8 @@ def extract_features(img: Image, stage: int, cfg: SweepConfig) -> np.ndarray:
     gd2 = np.zeros_like(gray)
     gd2[:-1, 1:] = gray[1:, :-1] - gray[:-1, 1:]
     gmag = np.sqrt(gx * gx + gy * gy)
-    mu3, _ = _box_stats(gray, 3)
-    mu5, _ = _box_stats(gray, 5)
+    mu3 = uniform_filter(gray, size=3, mode="nearest")
+    mu5 = uniform_filter(gray, size=5, mode="nearest")
     gmc = gmag - uniform_filter(gmag, size=3, mode="nearest")
     feats = np.stack([gray - mu3, gx, gy, gd1, gd2, mu3 - mu5, gray - mu5, gmc],
                      axis=-1)
@@ -189,12 +189,11 @@ def build_feature_volume(src_feat: np.ndarray, hyps: HypothesisSet,
 
 
 def groupwise_correlation(ref_vol: np.ndarray, src_vols: list[np.ndarray],
-                          n_groups: int, drop_last_source: bool = False) -> np.ndarray:
+                          n_groups: int) -> np.ndarray:
     """Group-wise correlation cost, (N_G, D, h, w).
 
     Inner products over each group's channels, summed over source volumes and
-    normalized by (N-1) * N_C / N_G. drop_last_source leaves the last source
-    out of the sum while keeping the same normalizer.
+    normalized by (N-1) * N_C / N_G.
     """
     if not src_vols:
         raise PlaneSweepError("need at least one source volume")
@@ -205,13 +204,11 @@ def groupwise_correlation(ref_vol: np.ndarray, src_vols: list[np.ndarray],
         if v.shape != ref_vol.shape:
             raise PlaneSweepError("volume shapes must match")
     per_group = nc // n_groups
-    n_src = len(src_vols)
-    used = src_vols[:-1] if (drop_last_source and n_src > 1) else src_vols
     ref_g = ref_vol.reshape(n_groups, per_group, *ref_vol.shape[1:])
     acc = np.zeros((n_groups,) + ref_vol.shape[1:])
-    for v in used:
+    for v in src_vols:
         acc += (ref_g * v.reshape(n_groups, per_group, *v.shape[1:])).sum(axis=1)
-    return acc / (n_src * per_group)
+    return acc / (len(src_vols) * per_group)
 
 
 def regularize_and_softmax(cost: np.ndarray, cfg: SweepConfig) -> np.ndarray:
@@ -250,25 +247,25 @@ def probability_and_confidence(prob: np.ndarray, hyps: HypothesisSet,
     return ScalarField(pm), BinaryMask(pm > conf_threshold)
 
 
-def _stage_size(img: Image, scale: int) -> tuple[int, int]:
-    return max(1, img.height // scale), max(1, img.width // scale)
-
-
-def sweep_stage(sample: Sample, hyps: HypothesisSet, stage: int, cfg: SweepConfig,
-                feats: list[np.ndarray] | None = None) -> StageResult:
+def sweep_stage(sample: Sample, stage: int, cfg: SweepConfig,
+                prev_depth: ScalarField | None) -> StageResult:
+    """One stage at its resolution: hypotheses from the reference camera's
+    range (stage 1) or around prev_depth, features of every view warped onto
+    them, correlation, softmax, regressed depth and confidence."""
     ref = sample.reference
-    scale = cfg.stage_scales[stage - 1]
-    h, w = _stage_size(ref.image, scale)
-    if feats is None:
-        feats = [extract_features(v.image, stage, cfg) for v in [ref] + sample.sources]
-    ref_cam = ref.camera.scaled(h, w, ref.image.height, ref.image.width)
+    h, w = _stage_size(ref.image, cfg.stage_scales[stage - 1])
+
+    def camera(view):
+        return view.camera.scaled(h, w, view.image.height, view.image.width)
+
+    ref_cam = camera(ref)
+    hyps = build_hypotheses(ref_cam, stage, cfg, prev_depth, h, w)
+    feats = [extract_features(v.image, stage, cfg) for v in [ref] + sample.sources]
     ref_vol = np.broadcast_to(np.moveaxis(feats[0], -1, 0)[:, None],
                               (cfg.n_channels, hyps.count, h, w))
-    src_vols = []
-    for view, feat in zip(sample.sources, feats[1:]):
-        src_cam = view.camera.scaled(h, w, view.image.height, view.image.width)
-        src_vols.append(build_feature_volume(feat, hyps, ref_cam, src_cam, cfg.n_groups))
-    cost = groupwise_correlation(ref_vol, src_vols, cfg.n_groups, cfg.drop_last_source)
+    src_vols = [build_feature_volume(feat, hyps, ref_cam, camera(view), cfg.n_groups)
+                for view, feat in zip(sample.sources, feats[1:])]
+    cost = groupwise_correlation(ref_vol, src_vols, cfg.n_groups)
     prob = regularize_and_softmax(cost, cfg)
     depth = regress_depth(prob, hyps)
     pm, mc = probability_and_confidence(prob, hyps, depth, cfg.conf_threshold)
@@ -278,16 +275,11 @@ def sweep_stage(sample: Sample, hyps: HypothesisSet, stage: int, cfg: SweepConfi
 def cascade_infer(sample: Sample, cfg: SweepConfig | None = None) -> list[StageResult]:
     """Coarse-to-fine sweep; the final stage's depth is the inference result."""
     cfg = cfg or SweepConfig()
-    ref = sample.reference
     results: list[StageResult] = []
     prev_depth = None
     for stage in range(1, len(cfg.stage_counts) + 1):
-        h, w = _stage_size(ref.image, cfg.stage_scales[stage - 1])
-        ref_cam = ref.camera.scaled(h, w, ref.image.height, ref.image.width)
-        hyps = build_hypotheses(ref_cam, stage, cfg, prev_depth, h, w)
-        result = sweep_stage(sample, hyps, stage, cfg)
-        results.append(result)
-        prev_depth = result.depth
+        results.append(sweep_stage(sample, stage, cfg, prev_depth))
+        prev_depth = results[-1].depth
     return results
 
 
@@ -295,10 +287,6 @@ def refresh_confidence(sample: Sample, depth: ScalarField, cfg: SweepConfig
                        ) -> tuple[ScalarField, BinaryMask]:
     """Re-evaluate the final sweep stage with hypotheses centered on the given
     depth field and read the confidence off the fresh probability volume."""
-    stage = len(cfg.stage_counts)
-    ref = sample.reference
-    h, w = _stage_size(ref.image, cfg.stage_scales[stage - 1])
-    ref_cam = ref.camera.scaled(h, w, ref.image.height, ref.image.width)
-    hyps = build_hypotheses(ref_cam, stage, cfg, depth, h, w)
-    result = sweep_stage(sample, hyps, stage, cfg)
-    return probability_and_confidence(result.prob_volume, hyps, depth, cfg.conf_threshold)
+    result = sweep_stage(sample, len(cfg.stage_counts), cfg, depth)
+    return probability_and_confidence(result.prob_volume, result.hypotheses, depth,
+                                      cfg.conf_threshold)

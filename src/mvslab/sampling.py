@@ -26,7 +26,6 @@ class Sample:
     reference: CameraView
     sources: list[CameraView]
     kind: str = "regular"
-    seed: int | None = None
     occlusion_masks: list[np.ndarray] | None = None
 
     def __post_init__(self):
@@ -50,6 +49,9 @@ class Sample:
     def reference_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """ssim_reference_moments of the reference image."""
         return ssim_reference_moments(self.reference.image.data)
+
+
+MAX_OCCLUSION_RATE = 0.1  # the curriculum's occlusion rate at its last epoch
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def make_image_contrastive(regular: Sample, occlusion_rate: float, rng_seed: int
         masks.append(occ)
         sources.append(CameraView(Image(data), view.camera, view.gt_depth, view.view_id))
     return Sample(regular.reference, sources, kind="image_contrastive",
-                  seed=rng_seed, occlusion_masks=masks)
+                  occlusion_masks=masks)
 
 
 def make_scene_contrastive(scene_views: list[CameraView], reference: CameraView,
@@ -132,15 +134,15 @@ def make_scene_contrastive(scene_views: list[CameraView], reference: CameraView,
         raise SamplingError(f"scene has {len(pool)} non-reference views, need {n_views - 1}")
     rng = np.random.default_rng([rng_seed, 7349])
     idx = rng.choice(len(pool), size=n_views - 1, replace=False)
-    return Sample(reference, [pool[i] for i in idx], kind="scene_contrastive", seed=rng_seed)
+    return Sample(reference, [pool[i] for i in idx], kind="scene_contrastive")
 
 
-def curriculum(epoch: int, total_epochs: int, max_rate: float = 0.1,
-               base_weight: float = 0.01) -> Schedule:
-    """Occlusion rate rises linearly from 0 to max_rate over the run; the
-    image-consistency weight starts at base_weight and doubles every 2 epochs."""
+def curriculum(epoch: int, total_epochs: int, base_weight: float = 0.01) -> Schedule:
+    """Occlusion rate rises linearly from 0 to MAX_OCCLUSION_RATE over the run;
+    the image-consistency weight starts at base_weight and doubles every 2
+    epochs."""
     if not (0 <= epoch < total_epochs):
         raise SamplingError(f"epoch {epoch} outside [0, {total_epochs})")
-    rate = max_rate * epoch / max(total_epochs - 1, 1)
+    rate = MAX_OCCLUSION_RATE * epoch / max(total_epochs - 1, 1)
     weight = base_weight * 2.0 ** (epoch // 2)
     return Schedule(epoch, rate, weight)

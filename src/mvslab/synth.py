@@ -75,9 +75,6 @@ class SyntheticScene:
     corrupted_view: int | None = None
     occluder_masks: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def view(self, view_id: int) -> CameraView:
-        return self.views[view_id]
-
 
 _LIGHT = np.array([0.35, -0.25, 0.88])
 _LIGHT = _LIGHT / np.linalg.norm(_LIGHT)

@@ -189,10 +189,19 @@ def test_config_round_trip(tmp_path):
                                   '{"seed": null}', '{"eps_grad": [0.1]}',
                                   '{"weights": {"photo": "0.8"}}', '{"weights": 3}',
                                   '{"sweep": {"n_groups": 4.0}}',
-                                  '{"sweep": {"drop_last_source": 1}}',
                                   '{"sweep": {"stage_counts": [48, "32", 8]}}',
                                   '{"sweep": {"stage_counts": 48}}',
                                   '{"fusion": {"min_consistent_views": false}}',
+                                  '{"eps_grad": NaN}', '{"weights": {"ssim": Infinity}}',
+                                  '{"eps_grad": -Infinity}', '{"eps_grad": 1e400}',
+                                  '{"norm_exponent": 0.7}', '{"eps_grad": 0.0}',
+                                  '{"weights": {"photo": -1}}',
+                                  '{"sweep": {"n_groups": 0}}', '{"sweep": {"n_channels": 12}}',
+                                  '{"sweep": {"stage_counts": [48, 1, 8]}}',
+                                  '{"sweep": {"stage_scales": [4, 0, 1]}}',
+                                  '{"sweep": {"final_intervals": 0}}',
+                                  '{"sweep": {"softmax_sharpness": 0}}',
+                                  '{"fusion": {"min_consistent_views": 0}}',
                                   pytest.param('{"eps_grad": 1' + '0' * 400 + '}',
                                                id="eps_grad-10**400")])
 def test_bad_config_raises_file_format_error(tmp_path, capsys, text):

@@ -114,7 +114,7 @@ def test_optimize_joint_runs_and_decreases_branch_losses():
     scene, schedule, samples = opt_scene()
     state = optimize_joint(samples, schedule, SweepConfig(),
                            OptimizerConfig(iterations=8))
-    assert state.iteration == 8
+    assert len(state.history) == 8
     first, last = state.history[0], state.history[-1]
     assert last["loss_reg"] <= first["loss_reg"]
     assert last["loss_ic"] <= first["loss_ic"]
@@ -190,17 +190,6 @@ def test_detach_contract_regular_branch_invariant():
                                              weights=LossWeights(scene_consist=0.0)))
     assert np.array_equal(with_terms.depths["regular"].data,
                           without.depths["regular"].data)
-
-
-def test_symmetric_consistency_changes_regular_branch():
-    scene, schedule, samples = opt_scene(seed=9)
-    asym = optimize_joint(samples, schedule, SweepConfig(),
-                          OptimizerConfig(iterations=6, image_consist_weight=5.0))
-    sym = optimize_joint(samples, schedule, SweepConfig(),
-                         OptimizerConfig(iterations=6, image_consist_weight=5.0,
-                                         symmetric_consistency=True))
-    assert not np.array_equal(asym.depths["regular"].data,
-                              sym.depths["regular"].data)
 
 
 def test_divergence_aborts_with_snapshot():

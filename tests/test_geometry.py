@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mvslab.depthopt import _warp_sources
 from mvslab.geometry import (Camera, CameraView, GeometryError, backproject,
                              bilinear_cells, bilinear_sample, pixel_grid, project_rays,
-                             project_with_depth, warp_depth_jacobian, warp_rays)
+                             project_with_depth, ray_jacobian, warp_rays)
 from mvslab.grids import Image, ScalarField
 from mvslab.sampling import Sample
 
@@ -27,6 +27,14 @@ def warp_one(src: CameraView, depth: ScalarField, ref_cam: Camera):
     ref = CameraView(Image(np.zeros(depth.data.shape)), ref_cam)
     details = _warp_sources(Sample(ref, [src]), depth.data, with_chain=False)
     return details.warped[0], details.masks[0]
+
+
+def warp_jacobian(p, d, ref: Camera, src: Camera):
+    """(d(uv')/dd, valid) of pixel p at depth d, composed the way the
+    optimizer's chain is: warp_rays -> project_rays -> ray_jacobian."""
+    a, c = warp_rays(p, ref, src)
+    _, z, valid = project_rays(a, c, np.asarray(d, dtype=np.float64))
+    return ray_jacobian(a, c, z), valid
 
 
 def rotation(rx, ry, rz):
@@ -185,7 +193,7 @@ def test_warp_round_trip_on_rendered_plane(checker_scene):
 
 def test_jacobian_identity_pose_is_zero():
     cam = simple_camera()
-    jac, valid = warp_depth_jacobian(np.array([3.0, 4.0]), 300.0, cam, cam)
+    jac, valid = warp_jacobian(np.array([3.0, 4.0]), 300.0, cam, cam)
     assert valid
     assert np.allclose(jac, 0.0)
 
@@ -197,7 +205,7 @@ def test_jacobian_pure_translation_analytic():
     pose[0, 3] = delta
     src = Camera(np.eye(3), pose, 100.0, 1000.0)
     d = 250.0
-    jac, valid = warp_depth_jacobian(np.array([2.0, 3.0]), d, ref, src)
+    jac, valid = warp_jacobian(np.array([2.0, 3.0]), d, ref, src)
     assert valid
     assert jac[0] == pytest.approx(-delta / d ** 2)
     assert jac[1] == pytest.approx(0.0)
@@ -216,7 +224,7 @@ def test_jacobian_matches_finite_differences():
         src = Camera(k, pose, 100.0, 1000.0)
         p = rng.uniform(5, 35, 2)
         d = rng.uniform(300, 800)
-        jac, valid = warp_depth_jacobian(p, d, ref, src)
+        jac, valid = warp_jacobian(p, d, ref, src)
         assert valid
         h = 2e-3 * d
         up, _, _ = project_with_depth(p, d + h, ref, src)
@@ -230,7 +238,7 @@ def test_jacobian_zero_behind_camera():
     pose = np.eye(4)
     pose[2, 3] = -500.0
     src = Camera(np.eye(3), pose, 100.0, 1000.0)
-    jac, valid = warp_depth_jacobian(np.array([0.0, 0.0]), 100.0, ref, src)
+    jac, valid = warp_jacobian(np.array([0.0, 0.0]), 100.0, ref, src)
     assert not valid
     assert np.all(jac == 0.0)
 

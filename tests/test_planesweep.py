@@ -58,14 +58,6 @@ def test_stage2_requires_previous_depth():
         build_hypotheses(flat_camera(), 2, SweepConfig(), None, 4, 5)
 
 
-def test_coarse_interval_scale_must_fit_range():
-    cam = flat_camera()
-    hyps = build_hypotheses(cam, 1, SweepConfig(coarse_interval_scale=0.5), None, 2, 2)
-    assert hyps.values[-1, 0, 0] < 935.0
-    with pytest.raises(PlaneSweepError):
-        build_hypotheses(cam, 1, SweepConfig(coarse_interval_scale=3.0), None, 2, 2)
-
-
 def test_features_constant_image_all_zero():
     cfg = SweepConfig()
     img = Image(np.full((16, 20, 3), 0.4))
@@ -111,7 +103,7 @@ def test_feature_volume_at_gt_depth_matches_reference(checker_scene):
     ref_feat = extract_features(ref.image, 3, cfg)
     src_feat = extract_features(src.image, 3, cfg)
     h, w = ref.gt_depth.height, ref.gt_depth.width
-    hyps = HypothesisSet(ref.gt_depth.data[None, :, :], 1.0, 3)
+    hyps = HypothesisSet(ref.gt_depth.data[None, :, :], 1.0)
     vol = build_feature_volume(src_feat, hyps, ref.camera, src.camera, cfg.n_groups)
     warped = np.moveaxis(vol[:, 0], 0, -1)
     covered = np.abs(warped).sum(axis=2) > 0
@@ -175,18 +167,6 @@ def test_groupwise_correlation_matches_triple_loop_oracle():
                     assert cost[g, dd, v, u] == pytest.approx(acc / norm, abs=1e-12)
 
 
-def test_groupwise_correlation_drop_last_source():
-    rng = np.random.default_rng(3)
-    ref = rng.standard_normal((4, 2, 2, 2))
-    srcs = [rng.standard_normal((4, 2, 2, 2)) for _ in range(3)]
-    full = groupwise_correlation(ref, srcs, 2)
-    truncated = groupwise_correlation(ref, srcs, 2, drop_last_source=True)
-    # same normalizer, one fewer summand
-    manual = groupwise_correlation(ref, srcs[:-1], 2) * (2.0 / 3.0)
-    assert np.allclose(truncated, manual)
-    assert not np.allclose(truncated, full)
-
-
 def test_groupwise_correlation_group_divisibility():
     with pytest.raises(PlaneSweepError):
         groupwise_correlation(np.ones((5, 1, 2, 2)), [np.ones((5, 1, 2, 2))], 2)
@@ -221,7 +201,7 @@ def test_probability_volume_normalized(seed):
 def uniform_hyps(values, h, w):
     vals = np.broadcast_to(np.asarray(values)[:, None, None],
                            (len(values), h, w)).copy()
-    return HypothesisSet(vals, float(values[1] - values[0]), 1)
+    return HypothesisSet(vals, float(values[1] - values[0]))
 
 
 def test_regress_depth_uniform_prob_is_mean():
