@@ -68,7 +68,7 @@ def icc_trial(seed: int) -> dict:
     arms = {}
     for arm, weight in (("consistency", 400.0), ("no_consistency", 0.0)):
         opt = OptimizerConfig(iterations=60, image_consist_weight=weight)
-        state = optimize_joint(samples, schedule, SweepConfig(), opt)
+        state = optimize_joint(samples, SweepConfig(), opt)
         err = np.abs(state.depths["image_contrastive"].data - reference.gt_depth.data)
         arms[arm] = float(np.median(err[affected]))
     return _record("icc", seed, "median_abs_err_affected_mm", arms,
@@ -100,7 +100,7 @@ def scc_trial(seed: int) -> dict | None:
     for arm, weight in (("consistency", 400.0), ("no_consistency", 0.0)):
         opt = OptimizerConfig(iterations=80, image_consist_weight=0.0,
                               weights=LossWeights(scene_consist=weight))
-        state = optimize_joint(samples, curriculum(0, 16), sweep, opt)
+        state = optimize_joint(samples, sweep, opt)
         err = np.abs(state.depths["scene_contrastive"].data - reference.gt_depth.data)
         arms[arm] = float(np.median(err[affected]))
     return _record("scc", seed, "median_abs_err_affected_mm", arms,
@@ -123,7 +123,7 @@ def _contaminate_sources(sample: Sample, frac: float, seed: int) -> Sample:
             img[v0:v0 + rh, u0:u0 + rw] = rng.random((rh, rw, 3))
             covered[v0:v0 + rh, u0:u0 + rw] = True
         out.append(CameraView(Image(img), view.camera, view.gt_depth, view.view_id))
-    return Sample(sample.reference, out, kind=sample.kind)
+    return Sample(sample.reference, out)
 
 
 def norm_trial(seed: int) -> dict:
@@ -144,7 +144,7 @@ def norm_trial(seed: int) -> dict:
         opt = OptimizerConfig(iterations=60, image_consist_weight=0.0,
                               norm=NormKind(exponent),
                               weights=LossWeights(scene_consist=0.0))
-        state = optimize_joint(samples, curriculum(0, 16), SweepConfig(), opt,
+        state = optimize_joint(samples, SweepConfig(), opt,
                                init_depths={k: final.depth for k in samples})
         err = np.abs(state.depths["regular"].data - reference.gt_depth.data)
         arms[arm] = float((err[top80] <= 2.0).mean())

@@ -33,15 +33,7 @@ PRESETS = {
 }
 
 
-def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
-
-
-def cmd_gen_synth(args) -> int:
-    cfg = _load_run_config(args)
+def cmd_gen_synth(args, cfg: RunConfig) -> int:
     overrides = dict(PRESETS[args.preset])
     overrides["seed"] = cfg.seed
     if args.n_views:
@@ -56,8 +48,7 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def cmd_infer(args) -> int:
-    cfg = _load_run_config(args)
+def cmd_infer(args, cfg: RunConfig) -> int:
     scene = synth.load_scene(args.scene)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -84,8 +75,7 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def cmd_optimize(args) -> int:
-    cfg = _load_run_config(args)
+def cmd_optimize(args, cfg: RunConfig) -> int:
     scene = synth.load_scene(args.scene)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -94,16 +84,16 @@ def cmd_optimize(args) -> int:
     samples = synth.build_branch_samples(scene, args.ref, cfg.n_views,
                                          schedule.occlusion_rate, cfg.seed)
     opt_cfg = depthopt.OptimizerConfig(iterations=cfg.iterations, norm=cfg.norm(),
-                                       weights=cfg.weights)
-    state = depthopt.optimize_joint(samples, schedule, cfg.sweep, opt_cfg)
+                                       weights=cfg.weights,
+                                       image_consist_weight=schedule.image_consist_weight)
+    state = depthopt.optimize_joint(samples, cfg.sweep, opt_cfg)
     fileio.write_records(out / "loss_history.jsonl", state.history)
     for name, short in (("regular", "reg"), ("image_contrastive", "ic"),
                         ("scene_contrastive", "sc")):
         fileio.write_pfm(out / f"depth_{short}.pfm", state.depths[name])
     fileio.write_pfm(out / "conf_mask.pfm",
                      ScalarField(state.conf_mask.data.astype(np.float64)))
-    report = depthopt.eq_style_report(state, samples, opt_cfg,
-                                      schedule.image_consist_weight)
+    report = depthopt.eq_style_report(state, samples, opt_cfg)
     fileio.write_records(out / "final_report.jsonl",
                          [{"total": report.total, **{f"component_{k}": v
                             for k, v in report.components.items()}}])
@@ -111,8 +101,7 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_grad_check(args) -> int:
-    cfg = _load_run_config(args)
+def cmd_grad_check(args, cfg: RunConfig) -> int:
     records = []
     worst = {}
     for case_idx in range(args.cases):
@@ -148,8 +137,7 @@ def _load_depth_views(scene, depths_dir) -> list[fusion.DepthView]:
     return views
 
 
-def cmd_fuse(args) -> int:
-    cfg = _load_run_config(args)
+def cmd_fuse(args, cfg: RunConfig) -> int:
     scene = synth.load_scene(args.scene)
     views = _load_depth_views(scene, args.depths)
     cloud, masks = fusion.fuse_point_cloud(views, cfg.fusion)
@@ -175,7 +163,7 @@ def _gt_cloud(scene, stride: int = 2) -> fusion.PointCloud:
     return fusion.PointCloud(pts, np.full((len(pts), 3), 255, dtype=np.uint8))
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg: RunConfig) -> int:
     scene = synth.load_scene(args.scene)
     records = []
     print(f"{'view':>4} {'<=2mm':>8} {'<=4mm':>8} {'<=8mm':>8}")
@@ -205,7 +193,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args, cfg: RunConfig) -> int:
     trial = claims.TRIALS[args.claim]
     seeds = args.seeds or claims.CLAIM_SEEDS[args.claim]
     records = []
@@ -232,67 +220,63 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON run-config file")
     parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    parser.add_argument("--out", dest="global_out", default=None,
-                        help="output path (per-command --out takes precedence)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synth", help="render a synthetic scene")
     p.add_argument("--preset", choices=sorted(PRESETS), default="checker_plane")
     p.add_argument("--n-views", type=int, default=None)
     p.add_argument("--size", help="HxW, e.g. 64x80")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_gen_synth, needs_out=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=cmd_gen_synth)
 
     p = sub.add_parser("infer", help="plane-sweep depth inference")
     p.add_argument("--scene", required=True)
     p.add_argument("--ref", type=int, default=None, help="single reference view")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_infer, needs_out=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("optimize", help="three-branch joint depth optimization")
     p.add_argument("--scene", required=True)
     p.add_argument("--ref", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_optimize, needs_out=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
     p.add_argument("--cases", type=int, default=4)
     p.add_argument("--h", type=float, default=3e-4, help="FD step in mm")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_grad_check, needs_out=False)
+    p.set_defaults(fn=cmd_grad_check)
 
     p = sub.add_parser("fuse", help="filter depth maps and fuse a point cloud")
     p.add_argument("--scene", required=True)
     p.add_argument("--depths", required=True, help="directory written by infer")
-    p.add_argument("--out", default=None, help="output PLY path")
-    p.set_defaults(fn=cmd_fuse, needs_out=True)
+    p.add_argument("--out", required=True, help="output PLY path")
+    p.set_defaults(fn=cmd_fuse)
 
     p = sub.add_parser("eval", help="depth and point-cloud metrics")
     p.add_argument("--scene", required=True)
     p.add_argument("--depths", required=True)
     p.add_argument("--cloud", default=None, help="fused PLY to score")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_eval, needs_out=False)
+    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="A/B trials of the paper's three claims")
     p.add_argument("--claim", required=True, choices=sorted(claims.TRIALS))
     p.add_argument("--seeds", type=int, nargs="+", default=None,
                    help="scene seeds (default: those of the acceptance criteria)")
-    p.add_argument("--out", default=None, help="directory for ablate_<claim>.jsonl")
-    p.set_defaults(fn=cmd_ablate, needs_out=True)
+    p.add_argument("--out", required=True, help="directory for ablate_<claim>.jsonl")
+    p.set_defaults(fn=cmd_ablate)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.out is None:
-        args.out = args.global_out
-    if args.out is None and args.needs_out:
-        print(f"error: {args.command} requires --out", file=sys.stderr)
-        return 2
     try:
-        return args.fn(args)
+        cfg = load_config(args.config) if args.config else RunConfig()
+        if args.seed is not None:
+            cfg.seed = args.seed
+        return args.fn(args, cfg)
     except Exception as exc:  # surface a diagnostic, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,12 +15,12 @@ import numpy as np
 
 from .geometry import (BilinearCells, Camera, CameraView, bilinear_cells,
                        project_rays, ray_jacobian)
-from .grids import BinaryMask, Image, ScalarField
+from .grids import BinaryMask, Image, ScalarField, forward_diff
 from .losses import (LossWeights, NormKind, branch_consistency, overall_loss,
                      photometric_consistency_arrays, smoothness_loss,
                      ssim_loss_arrays)
 from .planesweep import SweepConfig, cascade_infer, refresh_confidence
-from .sampling import Sample, SamplingError, Schedule
+from .sampling import Sample, SamplingError
 
 
 class OptimizationDiverged(RuntimeError):
@@ -55,7 +55,6 @@ class WarpDetails:
     uv: list[np.ndarray]
     z: list[np.ndarray]
     cells: list[BilinearCells]
-    jacobian: list[np.ndarray] = field(default_factory=list)
     # dI_hat/dD per pixel and channel, (H, W, C); empty until _add_chain
     chain: list[np.ndarray] = field(default_factory=list)
 
@@ -80,8 +79,8 @@ def _warp_sources(sample: Sample, depth: np.ndarray, with_chain: bool) -> WarpDe
 
 
 def _add_chain(sample: Sample, details: WarpDetails) -> None:
-    """Fill details.jacobian and details.chain, if not yet there, from the
-    warp's own cells: the depth derivative of every warped image."""
+    """Fill details.chain, if not yet there, from the warp's own cells: the
+    depth derivative of every warped image."""
     if details.chain:
         return
     for i, (a, c) in enumerate(sample.rays):
@@ -89,7 +88,6 @@ def _add_chain(sample: Sample, details: WarpDetails) -> None:
         mask = details.masks[i]
         gu, gv = (g.reshape(mask.shape + (-1,)) for g in details.cells[i].grad())
         details.chain.append((gu * jac[:, :, 0:1] + gv * jac[:, :, 1:2]) * mask[:, :, None])
-        details.jacobian.append(jac * mask[:, :, None])
 
 
 def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
@@ -253,10 +251,9 @@ def _exclusion_mask(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
     excl = np.zeros(shape, dtype=bool)
     ref = sample.reference.image.data
     c = ref.shape[2]
-    from .grids import forward_diff
     gxr, gyr = forward_diff(ref)
     for i, m in enumerate(details.masks if details is not None else []):
-        jac = details.jacobian[i]
+        jac = ray_jacobian(*sample.rays[i], details.z[i])
         speed = np.abs(jac).sum(axis=-1)
         margin = 1e-3 + 2.0 * h * speed
         uv = details.uv[i]
@@ -375,7 +372,7 @@ def random_audit_case(seed: int, h: int = 32, w: int = 40) -> AuditCase:
         pose[:3, 3] = rng.uniform(-40.0, 40.0, size=3) * np.array([1, 1, 0.3])
         cams.append(Camera(k, pose, 400.0, 900.0))
     views = [CameraView(smooth_image(), cam, view_id=i) for i, cam in enumerate(cams)]
-    sample = Sample(views[0], views[1:], kind="regular")
+    sample = Sample(views[0], views[1:])
 
     depth = ScalarField(smooth_field(120.0, 600.0))
     icc_target = ScalarField(depth.data + 5.0 + smooth_field(30.0, 0.0))
@@ -389,15 +386,18 @@ def random_audit_case(seed: int, h: int = 32, w: int = 40) -> AuditCase:
 # joint three-branch optimization
 
 
+INIT_STEP_INTERVAL_SCALE = 0.5  # first step, x final hypothesis interval, in mm
+MAX_HALVINGS = 4  # backtracking halvings per step before it is refused
+
+
 @dataclass
 class OptimizerConfig:
     iterations: int = 50
-    init_step_interval_scale: float = 0.5  # x final hypothesis interval, in mm
-    max_halvings: int = 4
     refresh_every: int = 10
     norm: NormKind = NormKind()
     weights: LossWeights = field(default_factory=LossWeights)
-    image_consist_weight: float | None = None  # None: take it from the schedule
+    # the curriculum's weight at the run's epoch; this default is epoch 0's
+    image_consist_weight: float = LossWeights().image_consist_base
 
 
 @dataclass
@@ -411,19 +411,20 @@ class OptState:
 BRANCHES = ("regular", "image_contrastive", "scene_contrastive")
 
 
-def _branch_cfg(opt: OptimizerConfig, branch: str, icc_weight: float,
+def _branch_cfg(opt: OptimizerConfig, branch: str,
                 target: ScalarField | None, mask: BinaryMask | None) -> BranchLossConfig:
     w = opt.weights
     base = BranchLossConfig(norm=opt.norm, weight_photo=w.photo,
                             weight_ssim=w.ssim, weight_smooth=w.smooth)
     if branch == "regular":
         return base
-    weight = icc_weight if branch == "image_contrastive" else w.scene_consist
+    weight = (opt.image_consist_weight if branch == "image_contrastive"
+              else w.scene_consist)
     return replace(base, weight_consist=weight, consist_target=target,
                    consist_mask=mask)
 
 
-def optimize_joint(samples: dict[str, Sample], schedule: Schedule,
+def optimize_joint(samples: dict[str, Sample],
                    sweep_cfg: SweepConfig | None = None,
                    opt_cfg: OptimizerConfig | None = None,
                    init_depths: dict[str, ScalarField] | None = None) -> OptState:
@@ -442,11 +443,8 @@ def optimize_joint(samples: dict[str, Sample], schedule: Schedule,
         if samples[name].reference.view_id != ref0.view_id:
             raise SamplingError("all branches must share the reference view")
 
-    icc_weight = (opt.image_consist_weight if opt.image_consist_weight is not None
-                  else schedule.image_consist_weight)
     cam = ref0.camera
-    interval = sweep_cfg.final_interval(cam)
-    init_step = opt.init_step_interval_scale * interval
+    init_step = INIT_STEP_INTERVAL_SCALE * sweep_cfg.final_interval(cam)
 
     def initial(name: str):  # keeps no sweep volume alive
         if init_depths is not None and name in init_depths:
@@ -471,7 +469,7 @@ def optimize_joint(samples: dict[str, Sample], schedule: Schedule,
 
     def objective(branch: str, d: ScalarField, with_grad: bool,
                   details: WarpDetails | None = None):
-        cfg = _branch_cfg(opt, branch, icc_weight, depths["regular"], conf_mask)
+        cfg = _branch_cfg(opt, branch, depths["regular"], conf_mask)
         return _evaluate(samples[branch], d, cfg, with_grad, details)
 
     def descend(branch: str, it: int):
@@ -487,7 +485,7 @@ def optimize_joint(samples: dict[str, Sample], schedule: Schedule,
             return cur_val, parts, False
         direction = grad / scale
         step = steps[branch]
-        for attempt in range(opt.max_halvings + 1):
+        for attempt in range(MAX_HALVINGS + 1):
             cand = ScalarField(np.clip(depths[branch].data - step * direction,
                                        cam.depth_min, cam.depth_max))
             new_val, _, new_parts, new_warp = objective(branch, cand, False)
@@ -529,9 +527,9 @@ def optimize_joint(samples: dict[str, Sample], schedule: Schedule,
 
 
 def eq_style_report(state: OptState, samples: dict[str, Sample],
-                    opt: OptimizerConfig, icc_weight: float):
+                    opt: OptimizerConfig):
     """Assemble the five-component weighted report from the final state."""
-    cfg = _branch_cfg(opt, "regular", icc_weight, None, None)
+    cfg = _branch_cfg(opt, "regular", None, None)
     _, _, parts, _ = _evaluate(samples["regular"], state.depths["regular"], cfg, False)
     icc = branch_consistency(state.depths["regular"],
                              state.depths["image_contrastive"], state.conf_mask)
@@ -539,4 +537,4 @@ def eq_style_report(state: OptState, samples: dict[str, Sample],
                              state.depths["scene_contrastive"], state.conf_mask)
     values = {"pc": parts["photo"], "icc": icc.value, "scc": scc.value,
               "ssim": parts["ssim"], "smooth": parts["smooth"]}
-    return overall_loss(values, opt.weights, icc_weight)
+    return overall_loss(values, opt.weights, opt.image_consist_weight)

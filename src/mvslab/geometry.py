@@ -12,13 +12,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Image, ScalarField
+from .grids import GridError, Image, ScalarField
 
 EPS_Z = 1e-3  # mm; guard against points at/behind the source camera plane
 
 
 class GeometryError(ValueError):
     pass
+
+
+def _corner_aligned_coords(n_src: int, n_dst: int) -> np.ndarray:
+    """Sample positions of a corner-aligned resize from n_src to n_dst pixels:
+    the first and last pixel centers map onto each other."""
+    if n_dst == 1:
+        return np.zeros(1)
+    return np.linspace(0.0, n_src - 1.0, n_dst)
 
 
 @dataclass
@@ -61,7 +69,8 @@ class Camera:
         return -r.T @ t
 
     def scaled(self, new_h: int, new_w: int, old_h: int, old_w: int) -> "Camera":
-        """Intrinsics rescaled for a corner-aligned resize of the image grid."""
+        """Intrinsics rescaled for a corner-aligned resize of the image grid,
+        the convention of _corner_aligned_coords and resize_bilinear."""
         sx = 1.0 if old_w == 1 else (new_w - 1.0) / (old_w - 1.0)
         sy = 1.0 if old_h == 1 else (new_h - 1.0) / (old_h - 1.0)
         k = self.k.copy()
@@ -212,6 +221,21 @@ def bilinear_sample(img, uv):
     if squeeze:
         val = val[..., 0]
     return val, inb
+
+
+def resize_bilinear(field, new_h: int, new_w: int):
+    """Corner-aligned bilinear resize of an Image, ScalarField or (H, W[, C])
+    array; returns the same kind as the input."""
+    if new_h < 1 or new_w < 1:
+        raise GridError(f"resize target must be >= 1x1, got {new_h}x{new_w}")
+    wrapped = isinstance(field, (Image, ScalarField))
+    arr = field.data if wrapped else np.asarray(field, dtype=np.float64)
+    h, w = arr.shape[:2]
+    uv = np.stack(np.meshgrid(_corner_aligned_coords(w, new_w),
+                              _corner_aligned_coords(h, new_h)), axis=-1)
+    out = bilinear_cells(arr.reshape(h, w, -1), uv).value()
+    out = out.reshape((new_h, new_w) + arr.shape[2:])
+    return type(field)(out) if wrapped else out
 
 
 def pixel_grid(h: int, w: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Dense grid containers shared by the whole pipeline, plus the forward-difference
-and bilinear-resize operators the losses and the cascade rely on."""
+operator the losses and the cascade rely on."""
 
 from __future__ import annotations
 
@@ -108,45 +108,6 @@ def forward_diff(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gx[:, :-1] = arr[:, 1:] - arr[:, :-1]
     gy[:-1, :] = arr[1:, :] - arr[:-1, :]
     return gx, gy
-
-
-def _corner_aligned_coords(n_src: int, n_dst: int) -> np.ndarray:
-    if n_dst == 1:
-        return np.zeros(1)
-    return np.linspace(0.0, n_src - 1.0, n_dst)
-
-
-def _resize_array(arr: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    h, w = arr.shape[:2]
-    vs = _corner_aligned_coords(h, new_h)
-    us = _corner_aligned_coords(w, new_w)
-    v0 = np.clip(np.floor(vs).astype(int), 0, max(h - 2, 0))
-    u0 = np.clip(np.floor(us).astype(int), 0, max(w - 2, 0))
-    fv = (vs - v0)[:, None]
-    fu = (us - u0)[None, :]
-    v1 = np.minimum(v0 + 1, h - 1)
-    u1 = np.minimum(u0 + 1, w - 1)
-    if arr.ndim == 3:
-        fv = fv[:, :, None]
-        fu = fu[:, :, None]
-    a00 = arr[np.ix_(v0, u0)]
-    a01 = arr[np.ix_(v0, u1)]
-    a10 = arr[np.ix_(v1, u0)]
-    a11 = arr[np.ix_(v1, u1)]
-    top = a00 * (1.0 - fu) + a01 * fu
-    bot = a10 * (1.0 - fu) + a11 * fu
-    return top * (1.0 - fv) + bot * fv
-
-
-def resize_bilinear(field, new_h: int, new_w: int):
-    """Corner-aligned bilinear resize; returns the same kind as the input."""
-    if new_h < 1 or new_w < 1:
-        raise GridError(f"resize target must be >= 1x1, got {new_h}x{new_w}")
-    if isinstance(field, Image):
-        return Image(_resize_array(field.data, new_h, new_w))
-    if isinstance(field, ScalarField):
-        return ScalarField(_resize_array(field.data, new_h, new_w))
-    return _resize_array(np.asarray(field, dtype=np.float64), new_h, new_w)
 
 
 def to_grayscale(img: Image) -> np.ndarray:

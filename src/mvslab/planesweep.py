@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
-from .geometry import Camera, bilinear_sample, pixel_grid, project_with_depth
-from .grids import BinaryMask, Image, ScalarField, forward_diff, resize_bilinear, to_grayscale
+from .geometry import (Camera, bilinear_sample, pixel_grid, project_with_depth,
+                       resize_bilinear)
+from .grids import BinaryMask, Image, ScalarField, forward_diff, to_grayscale
 from .sampling import Sample
 
 
@@ -128,6 +129,14 @@ def _stage_size(img: Image, scale: int) -> tuple[int, int]:
     return max(1, img.height // scale), max(1, img.width // scale)
 
 
+def _normalize_groups(feats: np.ndarray, n_groups: int) -> np.ndarray:
+    """Each of n_groups equal slices of the last axis scaled to unit L2 norm;
+    all-zero groups stay zero."""
+    shaped = feats.reshape(feats.shape[:-1] + (n_groups, -1))
+    norms = np.linalg.norm(shaped, axis=-1, keepdims=True)
+    return (shaped / np.maximum(norms, 1e-8)).reshape(feats.shape)
+
+
 def extract_features(img: Image, stage: int, cfg: SweepConfig) -> np.ndarray:
     """Fixed per-pixel feature stack at the stage resolution, (h, w, N_C).
 
@@ -155,12 +164,7 @@ def extract_features(img: Image, stage: int, cfg: SweepConfig) -> np.ndarray:
     gmc = gmag - uniform_filter(gmag, size=3, mode="nearest")
     feats = np.stack([gray - mu3, gx, gy, gd1, gd2, mu3 - mu5, gray - mu5, gmc],
                      axis=-1)
-    feats = feats[:, :, :cfg.n_channels]
-    per_group = cfg.n_channels // cfg.n_groups
-    shaped = feats.reshape(h, w, cfg.n_groups, per_group)
-    norms = np.linalg.norm(shaped, axis=-1, keepdims=True)
-    shaped = shaped / np.maximum(norms, 1e-8)
-    return shaped.reshape(h, w, cfg.n_channels)
+    return _normalize_groups(feats[:, :, :cfg.n_channels], cfg.n_groups)
 
 
 def build_feature_volume(src_feat: np.ndarray, hyps: HypothesisSet,
@@ -181,10 +185,7 @@ def build_feature_volume(src_feat: np.ndarray, hyps: HypothesisSet,
     val, inb = bilinear_sample(src_feat, uv)
     val = val * (front & inb)[..., None]
     if n_groups is not None:
-        nc = val.shape[-1]
-        shaped = val.reshape(d, h, w, n_groups, nc // n_groups)
-        norms = np.linalg.norm(shaped, axis=-1, keepdims=True)
-        val = (shaped / np.maximum(norms, 1e-8)).reshape(d, h, w, nc)
+        val = _normalize_groups(val, n_groups)
     return np.moveaxis(val, -1, 0)
 
 

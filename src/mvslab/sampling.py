@@ -21,18 +21,15 @@ class SamplingError(ValueError):
 
 @dataclass
 class Sample:
-    """One reference view plus its source views, tagged by how it was built."""
+    """One reference view plus its source views."""
 
     reference: CameraView
     sources: list[CameraView]
-    kind: str = "regular"
     occlusion_masks: list[np.ndarray] | None = None
 
     def __post_init__(self):
         if len(self.sources) < 1:
             raise SamplingError("a sample needs at least one source view")
-        if self.kind not in ("regular", "image_contrastive", "scene_contrastive"):
-            raise SamplingError(f"unknown sample kind {self.kind!r}")
 
     def source_ids(self) -> list[int]:
         return [s.view_id for s in self.sources]
@@ -56,7 +53,6 @@ MAX_OCCLUSION_RATE = 0.1  # the curriculum's occlusion rate at its last epoch
 
 @dataclass(frozen=True)
 class Schedule:
-    epoch: int
     occlusion_rate: float
     image_consist_weight: float
 
@@ -89,7 +85,7 @@ def select_regular_views(reference: CameraView, candidates: list[CameraView],
         if vid not in by_id:
             raise SamplingError(f"scored view {vid} not among the candidates")
         chosen.append(by_id[vid])
-    return Sample(reference, chosen, kind="regular")
+    return Sample(reference, chosen)
 
 
 def _fluctuate(img: np.ndarray, rng: np.random.Generator, fluct: ColorFluctuation) -> np.ndarray:
@@ -120,8 +116,7 @@ def make_image_contrastive(regular: Sample, occlusion_rate: float, rng_seed: int
         data = data * (~occ[:, :, None])
         masks.append(occ)
         sources.append(CameraView(Image(data), view.camera, view.gt_depth, view.view_id))
-    return Sample(regular.reference, sources, kind="image_contrastive",
-                  occlusion_masks=masks)
+    return Sample(regular.reference, sources, occlusion_masks=masks)
 
 
 def make_scene_contrastive(scene_views: list[CameraView], reference: CameraView,
@@ -134,7 +129,7 @@ def make_scene_contrastive(scene_views: list[CameraView], reference: CameraView,
         raise SamplingError(f"scene has {len(pool)} non-reference views, need {n_views - 1}")
     rng = np.random.default_rng([rng_seed, 7349])
     idx = rng.choice(len(pool), size=n_views - 1, replace=False)
-    return Sample(reference, [pool[i] for i in idx], kind="scene_contrastive")
+    return Sample(reference, [pool[i] for i in idx])
 
 
 def curriculum(epoch: int, total_epochs: int, base_weight: float = 0.01) -> Schedule:
@@ -145,4 +140,4 @@ def curriculum(epoch: int, total_epochs: int, base_weight: float = 0.01) -> Sche
         raise SamplingError(f"epoch {epoch} outside [0, {total_epochs})")
     rate = MAX_OCCLUSION_RATE * epoch / max(total_epochs - 1, 1)
     weight = base_weight * 2.0 ** (epoch // 2)
-    return Schedule(epoch, rate, weight)
+    return Schedule(rate, weight)

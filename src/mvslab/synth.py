@@ -38,20 +38,10 @@ class SceneSpec:
     geometry: str = "textured_plane"
     texture: str = "checker"
     checker_period_mm: float = 90.0
-    checker_softness_mm: float = 8.0  # edge transition width; keeps edges band-limited
-    noise_octaves: int = 3
-    noise_scale_mm: float = 80.0
     specular_strength: float = 0.0
     n_views: int = 5
     height: int = 64
     width: int = 80
-    ring_radius_mm: float = 650.0
-    ring_jitter_mm: float = 15.0
-    ring_polar_deg: float = 24.0
-    ring_span_deg: float = 360.0  # azimuth arc the views are spread over
-    focal_scale: float = 1.6
-    depth_min_mm: float = 425.0
-    depth_max_mm: float = 935.0
     seed: int = 0
 
     def __post_init__(self):
@@ -61,8 +51,6 @@ class SceneSpec:
             raise SceneError(f"unknown texture {self.texture!r}")
         if self.n_views < 2:
             raise SceneError("need at least 2 views")
-        if not (0.0 < self.depth_min_mm < self.depth_max_mm):
-            raise SceneError("invalid depth range")
         if not (0.0 <= self.specular_strength <= 1.0):
             raise SceneError("specular_strength must be in [0, 1]")
 
@@ -86,6 +74,17 @@ _CHECKER_B = np.array([0.16, 0.22, 0.30])
 _UNIFORM_ALBEDO = np.array([0.58, 0.58, 0.58])
 _OCCLUDER_A = np.array([0.95, 0.35, 0.25])
 _OCCLUDER_B = np.array([0.15, 0.12, 0.45])
+
+_CHECKER_SOFTNESS_MM = 8.0  # edge transition width; keeps edges band-limited
+_NOISE_OCTAVES = 3
+_NOISE_SCALE_MM = 80.0
+_RING_RADIUS_MM = 650.0
+_RING_JITTER_MM = 15.0
+_RING_POLAR_DEG = 24.0
+_RING_SPAN_DEG = 360.0  # azimuth arc the views are spread over
+_FOCAL_SCALE = 1.6
+_DEPTH_MIN_MM = 425.0
+_DEPTH_MAX_MM = 935.0
 
 _CUBE_HALF = 62.0
 _SPHERE_RADIUS = 65.0
@@ -130,7 +129,7 @@ def _albedo(points: np.ndarray, spec: SceneSpec) -> np.ndarray:
         # band-limited checkerboard: smooth square waves instead of hard
         # parity flips, so edges resample consistently across views
         p = spec.checker_period_mm
-        k = p / (np.pi * max(spec.checker_softness_mm, 1e-6))
+        k = p / (np.pi * _CHECKER_SOFTNESS_MM)
         t = 1.0
         for ax in range(3):
             t = t * np.tanh(k * np.sin(2.0 * np.pi * points[..., ax] / p))
@@ -140,7 +139,7 @@ def _albedo(points: np.ndarray, spec: SceneSpec) -> np.ndarray:
         # fine-scale signal the flat squares lack
         grain = _value_noise(points, 70.0, 3, spec.seed + 13)[..., None]
         return np.clip(base + 0.25 * (grain - 0.5), 0.02, 0.98)
-    n = _value_noise(points, spec.noise_scale_mm, spec.noise_octaves, spec.seed)[..., None]
+    n = _value_noise(points, _NOISE_SCALE_MM, _NOISE_OCTAVES, spec.seed)[..., None]
     lo = np.array([0.12, 0.16, 0.22])
     hi = np.array([0.92, 0.86, 0.78])
     return lo + (hi - lo) * n
@@ -298,19 +297,16 @@ def render_view(spec: SceneSpec, cam: Camera, include_occluder: bool = False):
 
 def _ring_cameras(spec: SceneSpec) -> list[Camera]:
     rng = np.random.default_rng([spec.seed, 901])
-    f = spec.focal_scale * spec.width
+    f = _FOCAL_SCALE * spec.width
     k = np.array([[f, 0.0, (spec.width - 1) / 2.0],
                   [0.0, f, (spec.height - 1) / 2.0],
                   [0.0, 0.0, 1.0]])
     cams = []
-    span = np.deg2rad(spec.ring_span_deg)
+    span = np.deg2rad(_RING_SPAN_DEG)
     for i in range(spec.n_views):
-        radius = spec.ring_radius_mm + rng.uniform(-1.0, 1.0) * spec.ring_jitter_mm
-        polar = np.deg2rad(spec.ring_polar_deg + rng.uniform(-2.0, 2.0))
-        if spec.ring_span_deg >= 360.0:
-            az = span * i / spec.n_views + rng.uniform(-0.06, 0.06)
-        else:
-            az = span * (i / max(spec.n_views - 1, 1) - 0.5) + rng.uniform(-0.06, 0.06)
+        radius = _RING_RADIUS_MM + rng.uniform(-1.0, 1.0) * _RING_JITTER_MM
+        polar = np.deg2rad(_RING_POLAR_DEG + rng.uniform(-2.0, 2.0))
+        az = span * i / spec.n_views + rng.uniform(-0.06, 0.06)
         pos = radius * np.array([np.sin(polar) * np.cos(az),
                                  np.sin(polar) * np.sin(az),
                                  np.cos(polar)])
@@ -325,7 +321,7 @@ def _ring_cameras(spec: SceneSpec) -> list[Camera]:
         pose = np.eye(4)
         pose[:3, :3] = r
         pose[:3, 3] = -r @ pos
-        cams.append(Camera(k, pose, spec.depth_min_mm, spec.depth_max_mm))
+        cams.append(Camera(k, pose, _DEPTH_MIN_MM, _DEPTH_MAX_MM))
     return cams
 
 
@@ -360,7 +356,7 @@ def gen_scene(spec: SceneSpec) -> SyntheticScene:
     for i, cam in enumerate(cams):
         img, depth, occ = render_view(spec, cam, include_occluder=(i == corrupted))
         dmin, dmax = depth.data.min(), depth.data.max()
-        if dmin < spec.depth_min_mm or dmax > spec.depth_max_mm:
+        if dmin < _DEPTH_MIN_MM or dmax > _DEPTH_MAX_MM:
             raise SceneError(
                 f"view {i} GT depth [{dmin:.1f}, {dmax:.1f}] leaves the configured range")
         views.append(CameraView(img, cam, depth, view_id=i))
@@ -413,17 +409,23 @@ def save_scene(scene: SyntheticScene, out_dir) -> None:
 
 
 def load_scene(scene_dir) -> SyntheticScene:
+    """The scene save_scene wrote; a malformed directory raises FileFormatError."""
     root = Path(scene_dir)
-    meta = json.loads((root / "scene.json").read_text())
-    spec = SceneSpec(**meta["spec"])
-    pair_scores = fileio.read_pair_file(root / "pair.txt")
-    views = []
-    for vid in range(spec.n_views):
-        img = Image(np.load(root / "images" / f"{vid:08d}.npy"))
-        cam = fileio.read_cam(root / "cams" / f"{vid:08d}_cam.txt")
-        depth = fileio.read_pfm(root / "depths_gt" / f"{vid:08d}.pfm")
-        views.append(CameraView(img, cam, depth, view_id=vid))
-    occ = {}
-    for vid in meta["occluder_views"]:
-        occ[vid] = np.load(root / f"occluder_{vid:08d}.npy")
-    return SyntheticScene(spec, views, pair_scores, meta["corrupted_view"], occ)
+    try:
+        meta = json.loads((root / "scene.json").read_text())
+        spec = SceneSpec(**meta["spec"])
+        pair_scores = fileio.read_pair_file(root / "pair.txt")
+        views = []
+        for vid in range(spec.n_views):
+            img = Image(np.load(root / "images" / f"{vid:08d}.npy"))
+            cam = fileio.read_cam(root / "cams" / f"{vid:08d}_cam.txt")
+            depth = fileio.read_pfm(root / "depths_gt" / f"{vid:08d}.pfm")
+            views.append(CameraView(img, cam, depth, view_id=vid))
+        occ = {vid: np.load(root / f"occluder_{vid:08d}.npy")
+               for vid in meta["occluder_views"]}
+        return SyntheticScene(spec, views, pair_scores, meta["corrupted_view"], occ)
+    except fileio.FileFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError: SceneError, GeometryError, GridError, JSON and np.load
+        raise fileio.FileFormatError(f"invalid scene {root}: {exc!r}") from exc

@@ -37,7 +37,18 @@ def assert_golden(name: str, root: Path) -> None:
         f"golden digests were made with {golden['versions']}, this run has {here}"
     digests = {k: hashlib.sha256(v).hexdigest() for k, v in tree_bytes(root).items()}
     assert digests == golden["digests"].get(name), \
-        "seeded outputs changed; new digests:\n" + json.dumps({name: digests}, indent=2)
+        _golden_diff(golden["digests"].get(name) or {}, digests) \
+        + "new digests:\n" + json.dumps({name: digests}, indent=2)
+
+
+def _golden_diff(want: dict[str, str], got: dict[str, str]) -> str:
+    """The files whose digest changed, then those added and removed."""
+    lines = ["seeded outputs changed"]
+    for label, names in (("changed", [k for k in got if k in want and got[k] != want[k]]),
+                         ("added", [k for k in got if k not in want]),
+                         ("removed", [k for k in want if k not in got])):
+        lines += [f"{label}: {k}" for k in sorted(names)]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +159,25 @@ def test_unknown_flag_exits_nonzero(capsys):
     assert excinfo.value.code != 0
 
 
+def fake_trial(seed):
+    # stands in for a 60-iteration trial; odd seeds do not qualify
+    if seed % 2:
+        return None
+    return claims._record("scc", seed, "median_abs_err_affected_mm",
+                          {"consistency": 1.0, "no_consistency": 1.0 + seed}, float(seed))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-synth"], ["infer", "--scene", "s"], ["optimize", "--scene", "s"],
+    ["fuse", "--scene", "s", "--depths", "d"], ["ablate", "--claim", "icc"]],
+    ids=lambda argv: argv[0])
+def test_missing_out_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv)
+    assert excinfo.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
 def test_missing_input_exits_nonzero(capsys):
     assert run_cli("infer", "--scene", "/nonexistent/scene", "--out", "/tmp/x") == 1
     assert "error:" in capsys.readouterr().err
@@ -204,22 +234,19 @@ def test_config_round_trip(tmp_path):
                                   '{"fusion": {"min_consistent_views": 0}}',
                                   pytest.param('{"eps_grad": 1' + '0' * 400 + '}',
                                                id="eps_grad-10**400")])
-def test_bad_config_raises_file_format_error(tmp_path, capsys, text):
+def test_bad_config_raises_file_format_error(tmp_path, capsys, monkeypatch,
+                                            pipeline_dirs, text):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     with pytest.raises(FileFormatError):
         load_config(path)
-    assert run_cli("--config", str(path), "infer", "--scene", str(tmp_path),
-                   "--out", str(tmp_path / "out")) == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def fake_trial(seed):
-    # stands in for a 60-iteration trial; odd seeds do not qualify
-    if seed % 2:
-        return None
-    return claims._record("scc", seed, "median_abs_err_affected_mm",
-                          {"consistency": 1.0, "no_consistency": 1.0 + seed}, float(seed))
+    _, scene, depths = pipeline_dirs
+    monkeypatch.setitem(claims.TRIALS, "norm", fake_trial)
+    for argv in (["infer", "--scene", str(tmp_path), "--out", str(tmp_path / "out")],
+                 ["eval", "--scene", str(scene), "--depths", str(depths)],
+                 ["ablate", "--claim", "norm", "--out", str(tmp_path / "ablate")]):
+        assert run_cli("--config", str(path), *argv) == 1, argv[0]
+        assert "error:" in capsys.readouterr().err
 
 
 def test_ablate_writes_one_record_per_qualifying_seed(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,8 @@ from mvslab.losses import LossWeights, NormKind
 from mvslab.planesweep import SweepConfig
 from mvslab.sampling import Sample, SamplingError, curriculum
 
+ICC_EPOCH_8 = 0.16  # curriculum(8, 16).image_consist_weight
+
 
 def test_finite_diff_on_quadratic_toy():
     # L = sum (D - c)^2 expressed through the consistency term would be |.|;
@@ -105,15 +107,14 @@ def test_gt_depth_is_near_stationary_for_vanilla_norms():
 
 def opt_scene(seed=3):
     scene = synth.gen_scene(synth.SceneSpec(height=32, width=40, n_views=6, seed=seed))
-    schedule = curriculum(8, 16)
-    samples = synth.build_branch_samples(scene, 0, 4, schedule.occlusion_rate, 11)
-    return scene, schedule, samples
+    samples = synth.build_branch_samples(scene, 0, 4, curriculum(8, 16).occlusion_rate, 11)
+    return scene, samples
 
 
 def test_optimize_joint_runs_and_decreases_branch_losses():
-    scene, schedule, samples = opt_scene()
-    state = optimize_joint(samples, schedule, SweepConfig(),
-                           OptimizerConfig(iterations=8))
+    scene, samples = opt_scene()
+    state = optimize_joint(samples, SweepConfig(),
+                           OptimizerConfig(iterations=8, image_consist_weight=ICC_EPOCH_8))
     assert len(state.history) == 8
     first, last = state.history[0], state.history[-1]
     assert last["loss_reg"] <= first["loss_reg"]
@@ -122,9 +123,10 @@ def test_optimize_joint_runs_and_decreases_branch_losses():
 
 
 def test_accepted_steps_never_increase_branch_loss():
-    scene, schedule, samples = opt_scene()
-    state = optimize_joint(samples, schedule, SweepConfig(),
-                           OptimizerConfig(iterations=12, refresh_every=0))
+    scene, samples = opt_scene()
+    state = optimize_joint(samples, SweepConfig(),
+                           OptimizerConfig(iterations=12, refresh_every=0,
+                                           image_consist_weight=ICC_EPOCH_8))
     for short in ("reg", "ic", "sc"):
         losses = [rec[f"loss_{short}"] for rec in state.history]
         accepted = [rec[f"accepted_{short}"] for rec in state.history]
@@ -134,10 +136,10 @@ def test_accepted_steps_never_increase_branch_loss():
 
 
 def test_total_loss_monotone_without_cross_terms():
-    scene, schedule, samples = opt_scene()
+    scene, samples = opt_scene()
     opt = OptimizerConfig(iterations=10, refresh_every=0, image_consist_weight=0.0,
                           weights=LossWeights(scene_consist=0.0))
-    state = optimize_joint(samples, schedule, SweepConfig(), opt)
+    state = optimize_joint(samples, SweepConfig(), opt)
     totals = [rec["total"] for rec in state.history]
     assert all(b <= a + 1e-9 for a, b in zip(totals, totals[1:]))
 
@@ -148,12 +150,11 @@ def test_gt_initialization_is_a_fixed_point():
     # final interval of the truth (a small weak-texture tail drifts to nearby
     # spurious photometric optima)
     scene = synth.gen_scene(synth.SceneSpec(height=32, width=40, n_views=6, seed=5))
-    schedule = curriculum(0, 16)
     samples = synth.build_branch_samples(scene, 0, 4, 0.0, 11, fluctuation=None)
     gt = scene.views[0].gt_depth.data
     init = {k: ScalarField(gt.copy()) for k in samples}
     sweep = SweepConfig()
-    state = optimize_joint(samples, schedule, sweep,
+    state = optimize_joint(samples, sweep,
                            OptimizerConfig(iterations=50), init_depths=init)
     interval = sweep.final_interval(scene.views[0].camera)
     for name, depth in state.depths.items():
@@ -163,28 +164,28 @@ def test_gt_initialization_is_a_fixed_point():
 
 
 def test_branches_independent_when_consistency_off():
-    scene, schedule, samples = opt_scene(seed=7)
+    scene, samples = opt_scene(seed=7)
     opt = OptimizerConfig(iterations=6, image_consist_weight=0.0,
                           weights=LossWeights(scene_consist=0.0))
-    joint = optimize_joint(samples, schedule, SweepConfig(), opt)
+    joint = optimize_joint(samples, SweepConfig(), opt)
     # single-branch runs: replace the other two samples' depths by running the
     # same optimizer on a bundle whose branches are all the same sample
     for name in ("regular", "image_contrastive", "scene_contrastive"):
         solo_samples = {"regular": samples[name],
                         "image_contrastive": samples[name],
                         "scene_contrastive": samples[name]}
-        solo = optimize_joint(solo_samples, schedule, SweepConfig(), opt)
+        solo = optimize_joint(solo_samples, SweepConfig(), opt)
         key = {"regular": "regular", "image_contrastive": "regular",
                "scene_contrastive": "regular"}[name]
         assert np.array_equal(solo.depths[key].data, joint.depths[name].data), name
 
 
 def test_detach_contract_regular_branch_invariant():
-    scene, schedule, samples = opt_scene(seed=9)
-    with_terms = optimize_joint(samples, schedule, SweepConfig(),
+    scene, samples = opt_scene(seed=9)
+    with_terms = optimize_joint(samples, SweepConfig(),
                                 OptimizerConfig(iterations=8,
                                                 image_consist_weight=5.0))
-    without = optimize_joint(samples, schedule, SweepConfig(),
+    without = optimize_joint(samples, SweepConfig(),
                              OptimizerConfig(iterations=8,
                                              image_consist_weight=0.0,
                                              weights=LossWeights(scene_consist=0.0)))
@@ -193,27 +194,29 @@ def test_detach_contract_regular_branch_invariant():
 
 
 def test_divergence_aborts_with_snapshot():
-    scene, schedule, samples = opt_scene(seed=3)
-    bad = OptimizerConfig(iterations=3, weights=LossWeights(photo=np.nan))
+    scene, samples = opt_scene(seed=3)
+    bad = OptimizerConfig(iterations=3, weights=LossWeights(photo=np.nan),
+                          image_consist_weight=ICC_EPOCH_8)
     with pytest.raises(OptimizationDiverged) as excinfo:
-        optimize_joint(samples, schedule, SweepConfig(), bad)
+        optimize_joint(samples, SweepConfig(), bad)
     assert "iteration" in excinfo.value.snapshot
 
 
 def test_missing_branch_rejected():
-    scene, schedule, samples = opt_scene(seed=3)
+    scene, samples = opt_scene(seed=3)
     del samples["scene_contrastive"]
     with pytest.raises(SamplingError):
-        optimize_joint(samples, schedule, SweepConfig(), OptimizerConfig(iterations=1))
+        optimize_joint(samples, SweepConfig(),
+                       OptimizerConfig(iterations=1, image_consist_weight=ICC_EPOCH_8))
 
 
 def test_branches_with_different_references_rejected():
-    scene, schedule, samples = opt_scene(seed=3)
+    scene, samples = opt_scene(seed=3)
     other = synth.regular_sample(scene, 1, 4)
-    samples["scene_contrastive"] = Sample(other.reference, other.sources,
-                                          kind="scene_contrastive")
+    samples["scene_contrastive"] = Sample(other.reference, other.sources)
     with pytest.raises(SamplingError, match="reference"):
-        optimize_joint(samples, schedule, SweepConfig(), OptimizerConfig(iterations=1))
+        optimize_joint(samples, SweepConfig(),
+                       OptimizerConfig(iterations=1, image_consist_weight=ICC_EPOCH_8))
 
 
 def test_retained_warp_gives_the_fresh_evaluation(monkeypatch):
@@ -222,8 +225,7 @@ def test_retained_warp_gives_the_fresh_evaluation(monkeypatch):
     # points without a kept warp (the first, and the first after each
     # confidence refresh) warp the sources
     scene = synth.gen_scene(synth.SceneSpec(height=24, width=30, n_views=6, seed=3))
-    schedule = curriculum(8, 16)
-    samples = synth.build_branch_samples(scene, 0, 4, schedule.occlusion_rate, 11)
+    samples = synth.build_branch_samples(scene, 0, 4, curriculum(8, 16).occlusion_rate, 11)
     evaluate, warp = depthopt._evaluate, depthopt._warp_sources
     calls = {"warps": 0, "trials": 0, "fresh": 0, "reused": 0}
 
@@ -249,8 +251,9 @@ def test_retained_warp_gives_the_fresh_evaluation(monkeypatch):
 
     monkeypatch.setattr(depthopt, "_evaluate", checked_evaluate)
     monkeypatch.setattr(depthopt, "_warp_sources", counting_warp)
-    optimize_joint(samples, schedule, SweepConfig(),
-                   OptimizerConfig(iterations=3, refresh_every=2))
+    optimize_joint(samples, SweepConfig(),
+                   OptimizerConfig(iterations=3, refresh_every=2,
+                                   image_consist_weight=ICC_EPOCH_8))
     assert calls["fresh"] == 6  # 3 branches, at iteration 0 and after the refresh at 2
     assert calls["reused"] == 3
     assert calls["trials"] > 0

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvslab.geometry import resize_bilinear
 from mvslab.grids import (BinaryMask, GridError, Image, ScalarField,
-                          forward_diff, resize_bilinear, to_grayscale)
+                          forward_diff, to_grayscale)
 
 
 def test_image_shape_and_range_contract():

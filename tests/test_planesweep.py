@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvslab.geometry import Camera
-from mvslab.grids import Image, ScalarField, resize_bilinear
+from mvslab.geometry import resize_bilinear
+from mvslab.grids import Image, ScalarField
 from mvslab.planesweep import (HypothesisSet, PlaneSweepError, SweepConfig,
                                build_feature_volume, build_hypotheses,
                                cascade_infer, extract_features,

@@ -25,7 +25,6 @@ def test_select_top_k_by_score():
     scores = [(3, 9.0), (7, 8.0), (1, 2.0)]
     sample = select_regular_views(views[0], views[1:], scores, 3)
     assert sample.source_ids() == [3, 7]
-    assert sample.kind == "regular"
 
 
 def test_select_tie_break_by_ascending_id():
@@ -71,7 +70,6 @@ def test_image_contrastive_zero_rate_without_fluctuation():
     ic = make_image_contrastive(reg, 0.0, rng_seed=3, fluctuation=None)
     for a, b in zip(ic.sources, reg.sources):
         assert np.array_equal(a.image.data, b.image.data)
-    assert ic.kind == "image_contrastive"
 
 
 def test_image_contrastive_zero_rate_only_fluctuates():

@@ -1,7 +1,11 @@
+import json
+import shutil
+
 import numpy as np
 import pytest
 
 from mvslab import claims, synth
+from mvslab.fileio import FileFormatError
 from mvslab.geometry import bilinear_sample, pixel_grid, project_with_depth, backproject
 from mvslab.synth import SceneError, SceneSpec, gen_scene
 
@@ -48,9 +52,9 @@ def test_gt_depth_points_lie_on_surface():
             assert np.all(on_plane | on_sphere)
 
 
-def test_lambertian_view_invariance():
-    scene = gen_scene(SceneSpec(texture="noise", noise_scale_mm=160.0,
-                                height=32, width=40, seed=3))
+def test_lambertian_view_invariance(monkeypatch):
+    monkeypatch.setattr(synth, "_NOISE_SCALE_MM", 160.0)
+    scene = gen_scene(SceneSpec(texture="noise", height=32, width=40, seed=3))
     ref, other = scene.views[0], scene.views[2]
     grid = pixel_grid(32, 40)
     uv, _, front = project_with_depth(grid, ref.gt_depth.data, ref.camera, other.camera)
@@ -132,9 +136,10 @@ def test_occlusion_affected_mask_nonempty():
     assert not none.any()
 
 
-def test_depth_range_violation_raises():
+def test_depth_range_violation_raises(monkeypatch):
+    monkeypatch.setattr(synth, "_RING_RADIUS_MM", 470.0)
     with pytest.raises(SceneError):
-        gen_scene(SceneSpec(height=24, width=30, seed=1, ring_radius_mm=470.0))
+        gen_scene(SceneSpec(height=24, width=30, seed=1))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -150,6 +155,43 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(va.camera.pose, vb.camera.pose)
     for vid, mask in scene.occluder_masks.items():
         assert np.array_equal(mask, loaded.occluder_masks[vid])
+
+
+def _edit_meta(change):
+    def edit(root):
+        path = root / "scene.json"
+        meta = json.loads(path.read_text())
+        change(meta)
+        path.write_text(json.dumps(meta))
+    return edit
+
+
+BAD_SCENES = {
+    "unknown_spec_key": _edit_meta(lambda m: m["spec"].update(bogus=1)),
+    "no_corrupted_view": _edit_meta(lambda m: m.pop("corrupted_view")),
+    "spec_not_a_table": _edit_meta(lambda m: m.update(spec=[1])),
+    "not_json": lambda root: (root / "scene.json").write_text("{not json"),
+    "unknown_geometry": _edit_meta(lambda m: m["spec"].update(geometry="torus")),
+    "image_3x3": lambda root: np.save(root / "images" / "00000000.npy",
+                                      np.zeros((3, 3, 3))),
+    "garbage_npy": lambda root: (root / "images" / "00000001.npy").write_bytes(b"garbage"),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_scene(tmp_path_factory):
+    root = tmp_path_factory.mktemp("saved") / "scene"
+    synth.save_scene(gen_scene(SceneSpec(height=24, width=30, n_views=3, seed=2)), root)
+    return root
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SCENES))
+def test_load_scene_raises_file_format_error(saved_scene, tmp_path, bad):
+    root = tmp_path / "scene"
+    shutil.copytree(saved_scene, root)
+    BAD_SCENES[bad](root)
+    with pytest.raises(FileFormatError):
+        synth.load_scene(root)
 
 
 def test_build_branch_samples_structure(checker_scene):
