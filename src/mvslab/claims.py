@@ -1,8 +1,11 @@
 """The paper's three claims as seeded A/B trials on synthetic scenes: the
 image-level consistency pull (``icc``), the scene-level consistency pull
-(``scc``) and the square-root photometric norm (``norm``). Each trial returns
-one record with both arms' values and the margin by which the claimed arm is
-better; acceptance criteria 5/6/7 and `mvslab ablate` call the same trials."""
+(``scc``) and the square-root photometric norm (``norm``). Each trial
+optimizes only the branches it reads: ``icc`` the regular and
+image-contrastive branches, ``scc`` the regular and scene-contrastive
+branches, ``norm`` the regular branch alone. Each returns one record with
+both arms' values and the margin by which the claimed arm is better;
+acceptance criteria 5/6/7 and `mvslab ablate` call the same trials."""
 
 from __future__ import annotations
 
@@ -46,14 +49,6 @@ def _record(claim: str, seed: int, metric: str, arms: dict[str, float],
             "margin": margin, "win": margin > 0}
 
 
-def _with_inert_image_branch(regular: Sample, scene_contrastive: Sample) -> dict:
-    """Branch samples whose image-contrastive branch sees the regular sources
-    unchanged (no occlusion, no color fluctuation)."""
-    return {"regular": regular,
-            "image_contrastive": make_image_contrastive(regular, 0.0, 1, None),
-            "scene_contrastive": scene_contrastive}
-
-
 def icc_trial(seed: int) -> dict:
     """Median |D - GT| of the image-contrastive branch on occlusion-affected
     pixels, with the image-level consistency pull at weight 400 and at 0."""
@@ -61,9 +56,9 @@ def icc_trial(seed: int) -> dict:
                                             checker_period_mm=45.0))
     reference = scene.views[0]
     schedule = curriculum(15, 16)  # occlusion rate 0.1
-    samples = synth.build_branch_samples(scene, 0, 5, schedule.occlusion_rate,
-                                         seed + 400)
-    occluded = samples["image_contrastive"]
+    regular = synth.regular_sample(scene, 0, 5)
+    occluded = make_image_contrastive(regular, schedule.occlusion_rate, seed + 400)
+    samples = {"regular": regular, "image_contrastive": occluded}
     affected = affected_mask(reference, occluded.sources, occluded.occlusion_masks)
     arms = {}
     for arm, weight in (("consistency", 400.0), ("no_consistency", 0.0)):
@@ -94,12 +89,11 @@ def scc_trial(seed: int) -> dict | None:
     if sc is None:
         return None
     affected = affected_mask(reference, [scene.views[corrupted]], [footprint])
-    samples = _with_inert_image_branch(regular, sc)
+    samples = {"regular": regular, "scene_contrastive": sc}
     sweep = SweepConfig(softmax_sharpness=100.0)
     arms = {}
     for arm, weight in (("consistency", 400.0), ("no_consistency", 0.0)):
-        opt = OptimizerConfig(iterations=80, image_consist_weight=0.0,
-                              weights=LossWeights(scene_consist=weight))
+        opt = OptimizerConfig(iterations=80, weights=LossWeights(scene_consist=weight))
         state = optimize_joint(samples, sweep, opt)
         err = np.abs(state.depths["scene_contrastive"].data - reference.gt_depth.data)
         arms[arm] = float(np.median(err[affected]))
@@ -137,15 +131,11 @@ def norm_trial(seed: int) -> dict:
     final = cascade_infer(regular)[-1]
     prob = final.prob_map.data
     top80 = prob >= np.quantile(prob, 0.2)
-    samples = _with_inert_image_branch(
-        regular, make_scene_contrastive(scene.views, reference, 5, 1))
     arms = {}
     for arm, exponent in (("l0.5", 0.5), ("l1", 1.0)):
-        opt = OptimizerConfig(iterations=60, image_consist_weight=0.0,
-                              norm=NormKind(exponent),
-                              weights=LossWeights(scene_consist=0.0))
-        state = optimize_joint(samples, SweepConfig(), opt,
-                               init_depths={k: final.depth for k in samples})
+        opt = OptimizerConfig(iterations=60, norm=NormKind(exponent))
+        state = optimize_joint({"regular": regular}, SweepConfig(), opt,
+                               init_depths={"regular": final.depth})
         err = np.abs(state.depths["regular"].data - reference.gt_depth.data)
         arms[arm] = float((err[top80] <= 2.0).mean())
     return _record("norm", seed, "frac_within_2mm_confident", arms,

@@ -88,8 +88,7 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
                                        image_consist_weight=schedule.image_consist_weight)
     state = depthopt.optimize_joint(samples, cfg.sweep, opt_cfg)
     fileio.write_records(out / "loss_history.jsonl", state.history)
-    for name, short in (("regular", "reg"), ("image_contrastive", "ic"),
-                        ("scene_contrastive", "sc")):
+    for name, short in depthopt.BRANCHES.items():
         fileio.write_pfm(out / f"depth_{short}.pfm", state.depths[name])
     fileio.write_pfm(out / "conf_mask.pfm",
                      ScalarField(state.conf_mask.data.astype(np.float64)))

@@ -1,4 +1,4 @@
-"""Direct depth-field optimization: the three branch depth maps are treated as
+"""Direct depth-field optimization: the branch depth maps are treated as
 free variables and the weighted objective is minimized by normalized gradient
 descent with analytic gradients, cross-checked by a finite-difference oracle.
 
@@ -383,7 +383,7 @@ def random_audit_case(seed: int, h: int = 32, w: int = 40) -> AuditCase:
 
 
 # ---------------------------------------------------------------------------
-# joint three-branch optimization
+# joint branch optimization
 
 
 INIT_STEP_INTERVAL_SCALE = 0.5  # first step, x final hypothesis interval, in mm
@@ -408,7 +408,9 @@ class OptState:
     history: list[dict]  # one record per iteration
 
 
-BRANCHES = ("regular", "image_contrastive", "scene_contrastive")
+# branch name -> the short name of its history keys and depth files, in the
+# order optimize_joint steps the branches
+BRANCHES = {"regular": "reg", "image_contrastive": "ic", "scene_contrastive": "sc"}
 
 
 def _branch_cfg(opt: OptimizerConfig, branch: str,
@@ -428,18 +430,24 @@ def optimize_joint(samples: dict[str, Sample],
                    sweep_cfg: SweepConfig | None = None,
                    opt_cfg: OptimizerConfig | None = None,
                    init_depths: dict[str, ScalarField] | None = None) -> OptState:
-    """Alternating per-branch normalized gradient descent on the three depth
-    fields. Each iteration optionally refreshes the confidence mask by
-    re-sweeping the final stage around the current regular depth, then takes
-    one backtracking step per branch (regular first; the contrastive branches
-    see the updated regular depth as their detached consistency target)."""
+    """Alternating per-branch normalized gradient descent on the depth field
+    of each branch in samples: "regular", plus any of "image_contrastive" and
+    "scene_contrastive". Each iteration optionally refreshes the confidence
+    mask by re-sweeping the final stage around the current regular depth, then
+    takes one backtracking step per branch in BRANCHES order (regular first; a
+    contrastive branch sees the updated regular depth as its detached
+    consistency target and reads no other branch). History records carry keys
+    for the branches run only."""
     sweep_cfg = sweep_cfg or SweepConfig()
     opt = opt_cfg or OptimizerConfig()
-    for name in BRANCHES:
-        if name not in samples:
-            raise SamplingError(f"missing sample for branch {name!r}")
+    if "regular" not in samples:
+        raise SamplingError("missing sample for branch 'regular'")
+    unknown = sorted(set(samples) - set(BRANCHES))
+    if unknown:
+        raise SamplingError(f"unknown branch(es) {unknown}; known: {list(BRANCHES)}")
+    names = [name for name in BRANCHES if name in samples]
     ref0 = samples["regular"].reference
-    for name in BRANCHES:
+    for name in names:
         if samples[name].reference.view_id != ref0.view_id:
             raise SamplingError("all branches must share the reference view")
 
@@ -453,7 +461,7 @@ def optimize_joint(samples: dict[str, Sample],
         return final.depth, final.prob_map, final.conf_mask
 
     depths: dict[str, ScalarField] = {}
-    for name in BRANCHES:
+    for name in names:
         depths[name], pm, cm = initial(name)
         if name == "regular":
             prob_map, conf_mask = pm, cm
@@ -461,7 +469,7 @@ def optimize_joint(samples: dict[str, Sample],
         prob_map, conf_mask = refresh_confidence(samples["regular"],
                                                  depths["regular"], sweep_cfg)
 
-    steps = {name: init_step for name in BRANCHES}
+    steps = {name: init_step for name in names}
     history: list[dict] = []
     # Per branch, the warp of depths[branch]: the accepted trial's, else the last
     # gradient point's. None is kept across a sweep, the run's memory peak.
@@ -507,10 +515,9 @@ def optimize_joint(samples: dict[str, Sample],
             prob_map, conf_mask = refresh_confidence(samples["regular"],
                                                      depths["regular"], sweep_cfg)
         record = {"iteration": it}
-        for branch in BRANCHES:
+        for branch in names:
             cur_val, parts, accepted = descend(branch, it)
-            short = {"regular": "reg", "image_contrastive": "ic",
-                     "scene_contrastive": "sc"}[branch]
+            short = BRANCHES[branch]
             record[f"loss_{short}"] = cur_val
             record[f"step_{short}"] = steps[branch]
             record[f"accepted_{short}"] = accepted
@@ -520,7 +527,7 @@ def optimize_joint(samples: dict[str, Sample],
                 record["smooth_reg"] = parts["smooth"]
             else:
                 record[f"consist_{short}"] = parts["consist"]
-        record["total"] = record["loss_reg"] + record["loss_ic"] + record["loss_sc"]
+        record["total"] = sum(record[f"loss_{BRANCHES[name]}"] for name in names)
         record["conf_count"] = conf_mask.count()
         history.append(record)
     return OptState(depths, conf_mask, prob_map, history)

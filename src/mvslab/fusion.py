@@ -43,6 +43,14 @@ class DepthView:
     image: Image | None = None
     view_id: int = 0
 
+    def __post_init__(self):
+        shapes = [self.depth.data.shape, self.prob_map.data.shape]
+        if self.image is not None:
+            shapes.append(self.image.data.shape[:2])
+        if len(set(shapes)) > 1:
+            raise FusionError(f"view {self.view_id}: depth, prob_map and image "
+                              f"disagree in shape: {shapes}")
+
 
 @dataclass
 class PointCloud:
@@ -154,6 +162,9 @@ def depth_metrics(depth: ScalarField, gt: ScalarField, valid: BinaryMask,
                   thresholds: tuple[float, ...] = (2.0, 4.0, 8.0)) -> dict[float, float]:
     """Fraction of valid pixels with |depth - gt| <= threshold (mm)."""
     m = valid.data
+    if not depth.data.shape == gt.data.shape == m.shape:
+        raise FusionError(f"depth {depth.data.shape}, gt {gt.data.shape} and valid "
+                          f"{m.shape} disagree in shape")
     if m.sum() == 0:
         raise FusionError("depth metrics over an empty valid mask")
     err = np.abs(depth.data - gt.data)[m]

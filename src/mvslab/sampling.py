@@ -49,21 +49,16 @@ class Sample:
 
 
 MAX_OCCLUSION_RATE = 0.1  # the curriculum's occlusion rate at its last epoch
+# per-image color fluctuation ranges of the image-contrastive sources
+GAMMA_RANGE = (0.8, 1.25)
+BRIGHTNESS_RANGE = (-0.1, 0.1)
+CONTRAST_RANGE = (0.8, 1.2)
 
 
 @dataclass(frozen=True)
 class Schedule:
     occlusion_rate: float
     image_consist_weight: float
-
-
-@dataclass(frozen=True)
-class ColorFluctuation:
-    """Per-image photometric augmentation ranges (gamma, brightness, contrast)."""
-
-    gamma: tuple[float, float] = (0.8, 1.25)
-    brightness: tuple[float, float] = (-0.1, 0.1)
-    contrast: tuple[float, float] = (0.8, 1.2)
 
 
 def _check_n_views(n_views: int) -> None:
@@ -88,30 +83,27 @@ def select_regular_views(reference: CameraView, candidates: list[CameraView],
     return Sample(reference, chosen)
 
 
-def _fluctuate(img: np.ndarray, rng: np.random.Generator, fluct: ColorFluctuation) -> np.ndarray:
-    gamma = rng.uniform(*fluct.gamma)
-    brightness = rng.uniform(*fluct.brightness)
-    contrast = rng.uniform(*fluct.contrast)
+def _fluctuate(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    gamma = rng.uniform(*GAMMA_RANGE)
+    brightness = rng.uniform(*BRIGHTNESS_RANGE)
+    contrast = rng.uniform(*CONTRAST_RANGE)
     out = np.power(img, gamma)
     out = (out - 0.5) * contrast + 0.5 + brightness
     return np.clip(out, 0.0, 1.0)
 
 
-def make_image_contrastive(regular: Sample, occlusion_rate: float, rng_seed: int,
-                           fluctuation: ColorFluctuation | None = ColorFluctuation()
-                           ) -> Sample:
+def make_image_contrastive(regular: Sample, occlusion_rate: float,
+                           rng_seed: int) -> Sample:
     """Zero out each source pixel independently with the given rate (a mask
-    value of 1 means occluded), after an optional per-image color fluctuation.
-    The reference view is never touched. Deterministic given the seed."""
+    value of 1 means occluded), after a per-image color fluctuation. The
+    reference view is never touched. Deterministic given the seed."""
     if not (0.0 <= occlusion_rate <= 1.0):
         raise SamplingError("occlusion rate must lie in [0, 1]")
     sources = []
     masks = []
     for i, view in enumerate(regular.sources):
         rng = np.random.default_rng([rng_seed, i])
-        data = view.image.data
-        if fluctuation is not None:
-            data = _fluctuate(data, rng, fluctuation)
+        data = _fluctuate(view.image.data, rng)
         occ = rng.random(data.shape[:2]) < occlusion_rate
         data = data * (~occ[:, :, None])
         masks.append(occ)

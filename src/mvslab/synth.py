@@ -20,8 +20,8 @@ import numpy as np
 from . import fileio
 from .geometry import Camera, CameraView, pixel_grid, project_with_depth
 from .grids import BinaryMask, Image, ScalarField
-from .sampling import (ColorFluctuation, Sample, make_image_contrastive,
-                       make_scene_contrastive, select_regular_views)
+from .sampling import (Sample, make_image_contrastive, make_scene_contrastive,
+                       select_regular_views)
 
 GEOMETRIES = ("textured_plane", "cube", "sphere", "plane_with_occluder")
 TEXTURES = ("checker", "noise", "uniform")
@@ -374,14 +374,11 @@ def regular_sample(scene: SyntheticScene, ref_id: int, n_views: int) -> Sample:
 
 
 def build_branch_samples(scene: SyntheticScene, ref_id: int, n_views: int,
-                         occlusion_rate: float, seed: int,
-                         fluctuation: ColorFluctuation | None = ColorFluctuation()
-                         ) -> dict:
+                         occlusion_rate: float, seed: int) -> dict:
     """Regular / image-contrastive / scene-contrastive samples for one
-    reference view of a synthetic scene; fluctuation=None turns the color
-    fluctuation of the image-contrastive sources off."""
+    reference view of a synthetic scene."""
     regular = regular_sample(scene, ref_id, n_views)
-    image = make_image_contrastive(regular, occlusion_rate, seed, fluctuation)
+    image = make_image_contrastive(regular, occlusion_rate, seed)
     scene_s = make_scene_contrastive(scene.views, regular.reference, n_views, seed)
     return {"regular": regular, "image_contrastive": image,
             "scene_contrastive": scene_s}

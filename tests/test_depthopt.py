@@ -89,8 +89,7 @@ def test_gt_depth_is_near_stationary_for_vanilla_norms():
     # absolute and Euclidean norms (the square-root norm's gradient is
     # deliberately amplified at small residuals, so it is not expected here)
     scene = synth.gen_scene(synth.SceneSpec(height=24, width=30, n_views=5, seed=21))
-    samples = synth.build_branch_samples(scene, 0, 4, 0.0, 1, fluctuation=None)
-    reg = samples["regular"]
+    reg = synth.regular_sample(scene, 0, 4)
     gt = scene.views[0].gt_depth
     from mvslab.grids import forward_diff, to_grayscale
     gx, gy = forward_diff(to_grayscale(reg.reference.image))
@@ -145,12 +144,13 @@ def test_total_loss_monotone_without_cross_terms():
 
 
 def test_gt_initialization_is_a_fixed_point():
-    # noise-free inputs: with the occlusion rate at zero and fluctuation off,
-    # every branch sees clean images; the bulk of the field stays within one
+    # noise-free inputs: the image-contrastive slot holds the regular sample,
+    # so every branch sees clean images; the bulk of the field stays within one
     # final interval of the truth (a small weak-texture tail drifts to nearby
     # spurious photometric optima)
     scene = synth.gen_scene(synth.SceneSpec(height=32, width=40, n_views=6, seed=5))
-    samples = synth.build_branch_samples(scene, 0, 4, 0.0, 11, fluctuation=None)
+    samples = synth.build_branch_samples(scene, 0, 4, 0.0, 11)
+    samples["image_contrastive"] = samples["regular"]
     gt = scene.views[0].gt_depth.data
     init = {k: ScalarField(gt.copy()) for k in samples}
     sweep = SweepConfig()
@@ -168,16 +168,10 @@ def test_branches_independent_when_consistency_off():
     opt = OptimizerConfig(iterations=6, image_consist_weight=0.0,
                           weights=LossWeights(scene_consist=0.0))
     joint = optimize_joint(samples, SweepConfig(), opt)
-    # single-branch runs: replace the other two samples' depths by running the
-    # same optimizer on a bundle whose branches are all the same sample
-    for name in ("regular", "image_contrastive", "scene_contrastive"):
-        solo_samples = {"regular": samples[name],
-                        "image_contrastive": samples[name],
-                        "scene_contrastive": samples[name]}
-        solo = optimize_joint(solo_samples, SweepConfig(), opt)
-        key = {"regular": "regular", "image_contrastive": "regular",
-               "scene_contrastive": "regular"}[name]
-        assert np.array_equal(solo.depths[key].data, joint.depths[name].data), name
+    # single-branch runs: each branch's sample optimized alone as the regular one
+    for name in depthopt.BRANCHES:
+        solo = optimize_joint({"regular": samples[name]}, SweepConfig(), opt)
+        assert np.array_equal(solo.depths["regular"].data, joint.depths[name].data), name
 
 
 def test_detach_contract_regular_branch_invariant():
@@ -204,10 +198,34 @@ def test_divergence_aborts_with_snapshot():
 
 def test_missing_branch_rejected():
     scene, samples = opt_scene(seed=3)
-    del samples["scene_contrastive"]
-    with pytest.raises(SamplingError):
+    del samples["regular"]
+    with pytest.raises(SamplingError, match="regular"):
         optimize_joint(samples, SweepConfig(),
                        OptimizerConfig(iterations=1, image_consist_weight=ICC_EPOCH_8))
+
+
+def test_unknown_branch_rejected():
+    scene, samples = opt_scene(seed=3)
+    samples["depth_contrastive"] = samples["regular"]
+    with pytest.raises(SamplingError, match="depth_contrastive"):
+        optimize_joint(samples, SweepConfig(),
+                       OptimizerConfig(iterations=1, image_consist_weight=ICC_EPOCH_8))
+
+
+def test_branch_subset_matches_full_run():
+    # a contrastive branch reads only the regular depth and the confidence
+    # mask, so dropping the other contrastive branch changes neither depth
+    scene, samples = opt_scene()
+    opt = OptimizerConfig(iterations=3, refresh_every=2, image_consist_weight=ICC_EPOCH_8)
+    full = optimize_joint(samples, SweepConfig(), opt)
+    subset = {name: samples[name] for name in ("regular", "scene_contrastive")}
+    part = optimize_joint(subset, SweepConfig(), opt)
+    assert set(part.depths) == set(subset)
+    for name in subset:
+        assert np.array_equal(part.depths[name].data, full.depths[name].data), name
+    assert not any(key.endswith("_ic") for key in part.history[0])
+    assert [r["total"] for r in part.history] == [
+        r["loss_reg"] + r["loss_sc"] for r in full.history]
 
 
 def test_branches_with_different_references_rejected():

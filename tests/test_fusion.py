@@ -156,6 +156,19 @@ def test_fuse_rejects_duplicate_view_ids(gt_views):
         fuse_point_cloud([views[0], twin, *views[2:]], FusionConfig())
 
 
+def test_depth_view_rejects_shape_mismatch(gt_views):
+    scene, views = gt_views
+    v = views[2]
+    small = ScalarField(np.ones((16, 20)))
+    with pytest.raises(FusionError, match="view 2"):
+        DepthView(small, v.prob_map, v.camera, v.image, v.view_id)
+    with pytest.raises(FusionError, match="view 2"):
+        DepthView(v.depth, small, v.camera, v.image, v.view_id)
+    with pytest.raises(FusionError, match="view 2"):
+        DepthView(small, small, v.camera, v.image, v.view_id)
+    DepthView(small, small, v.camera, None, v.view_id)  # no image to disagree
+
+
 def test_fuse_evaluates_each_ordered_pair_once(cube_views, monkeypatch):
     scene, views = cube_views
     pairs = []
@@ -212,6 +225,16 @@ def test_depth_metrics_empty_mask_errors():
     gt = ScalarField(np.ones((3, 3)))
     with pytest.raises(FusionError):
         depth_metrics(gt, gt, BinaryMask(np.zeros((3, 3), dtype=bool)))
+
+
+def test_depth_metrics_shape_mismatch_errors():
+    # an 8x10 depth against a 16x20 ground truth would otherwise broadcast-fail
+    depth = ScalarField(np.full((8, 10), 600.0))
+    gt = ScalarField(np.full((16, 20), 600.0))
+    with pytest.raises(FusionError, match="disagree in shape"):
+        depth_metrics(depth, gt, BinaryMask(np.ones((16, 20), dtype=bool)))
+    with pytest.raises(FusionError, match="disagree in shape"):
+        depth_metrics(gt, gt, BinaryMask(np.ones((8, 10), dtype=bool)))
 
 
 def cloud_of(points):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mvslab.geometry import Camera, CameraView
 from mvslab.grids import Image
-from mvslab.sampling import (ColorFluctuation, SamplingError, curriculum,
+from mvslab.sampling import (SamplingError, curriculum,
                              make_image_contrastive, make_scene_contrastive,
                              select_regular_views, Sample)
 
@@ -65,13 +65,6 @@ def regular_sample():
     return select_regular_views(views[0], views[1:], scores, 5)
 
 
-def test_image_contrastive_zero_rate_without_fluctuation():
-    reg = regular_sample()
-    ic = make_image_contrastive(reg, 0.0, rng_seed=3, fluctuation=None)
-    for a, b in zip(ic.sources, reg.sources):
-        assert np.array_equal(a.image.data, b.image.data)
-
-
 def test_image_contrastive_zero_rate_only_fluctuates():
     reg = regular_sample()
     ic = make_image_contrastive(reg, 0.0, rng_seed=3)
@@ -100,7 +93,7 @@ def test_image_contrastive_preserves_reference_and_cameras():
 def test_image_contrastive_occlusion_rate_concentration():
     views = make_views(3, h=512, w=640, seed=2)
     reg = Sample(views[0], views[1:])
-    ic = make_image_contrastive(reg, 0.1, rng_seed=5, fluctuation=None)
+    ic = make_image_contrastive(reg, 0.1, rng_seed=5)
     n = 512 * 640
     sigma = np.sqrt(0.1 * 0.9 / n)
     for mask in ic.occlusion_masks:
@@ -128,10 +121,13 @@ def test_image_contrastive_rejects_bad_rate():
 
 
 def test_fluctuation_stays_in_unit_interval():
-    reg = regular_sample()
-    ic = make_image_contrastive(reg, 0.0, rng_seed=4,
-                                fluctuation=ColorFluctuation((0.5, 2.0), (-0.3, 0.3),
-                                                             (0.5, 1.5)))
+    # sources at the ends of [0, 1], which the default contrast and brightness
+    # ranges can push past either end
+    views = make_views(5, h=16, w=20, seed=1)
+    ends = np.zeros((16, 20, 3))
+    ends[:, 10:] = 1.0
+    sources = [CameraView(Image(ends), v.camera, view_id=v.view_id) for v in views[1:]]
+    ic = make_image_contrastive(Sample(views[0], sources), 0.0, rng_seed=4)
     for view in ic.sources:
         assert view.image.data.min() >= 0.0
         assert view.image.data.max() <= 1.0

@@ -202,12 +202,3 @@ def test_build_branch_samples_structure(checker_scene):
     assert samples["image_contrastive"].source_ids() == reg.source_ids()
     assert samples["scene_contrastive"].reference is reg.reference
     assert 0 not in samples["scene_contrastive"].source_ids()
-
-
-def test_build_branch_samples_without_fluctuation_keeps_sources(checker_scene):
-    # fluctuation=None turns the color fluctuation off: at occlusion rate 0 the
-    # image-contrastive sources are the regular ones
-    samples = synth.build_branch_samples(checker_scene, 0, 5, 0.0, 3, fluctuation=None)
-    pairs = zip(samples["image_contrastive"].sources, samples["regular"].sources)
-    for ic, reg in pairs:
-        assert np.array_equal(ic.image.data, reg.image.data)
