@@ -87,16 +87,14 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
                                        weights=cfg.weights,
                                        image_consist_weight=schedule.image_consist_weight)
     state = depthopt.optimize_joint(samples, cfg.sweep, opt_cfg)
+    report = depthopt.final_report(state, opt_cfg)
     fileio.write_records(out / "loss_history.jsonl", state.history)
     for name, short in depthopt.BRANCHES.items():
         fileio.write_pfm(out / f"depth_{short}.pfm", state.depths[name])
     fileio.write_pfm(out / "conf_mask.pfm",
                      ScalarField(state.conf_mask.data.astype(np.float64)))
-    report = depthopt.eq_style_report(state, samples, opt_cfg)
-    fileio.write_records(out / "final_report.jsonl",
-                         [{"total": report.total, **{f"component_{k}": v
-                            for k, v in report.components.items()}}])
-    print(f"optimized 3 branches for view {args.ref}; total={report.total:.6f}")
+    fileio.write_records(out / "final_report.jsonl", [report])
+    print(f"optimized 3 branches for view {args.ref}; total={report['total']:.6f}")
     return 0
 
 
@@ -173,10 +171,16 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             continue
         depth = fileio.read_pfm(path)
         valid = BinaryMask(np.ones(depth.data.shape, dtype=bool))
-        fr = fusion.depth_metrics(depth, view.gt_depth, valid)
+        try:
+            fr = fusion.depth_metrics(depth, view.gt_depth, valid)
+        except fusion.FusionError as exc:
+            raise fusion.FusionError(f"view {vid}, {path}: {exc}") from exc
         print(f"{vid:>4} {fr[2.0]:>8.3f} {fr[4.0]:>8.3f} {fr[8.0]:>8.3f}")
         records.append({"view": vid, "frac_2mm": fr[2.0], "frac_4mm": fr[4.0],
                         "frac_8mm": fr[8.0]})
+    if not records:
+        raise fileio.FileFormatError(f"{args.depths} holds no <view>_depth.pfm "
+                                     f"of the scene's views")
     if args.cloud:
         pts, cols = fileio.read_ply(args.cloud)
         pred = fusion.PointCloud(pts, cols)
@@ -214,6 +218,13 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mvslab",
                                      description=__doc__.splitlines()[0])
@@ -241,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
-    p.add_argument("--cases", type=int, default=4)
+    p.add_argument("--cases", type=_at_least_one, default=4)
     p.add_argument("--h", type=float, default=3e-4, help="FD step in mm")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_grad_check)

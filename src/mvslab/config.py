@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .depthopt import OptimizerConfig
 from .fileio import FileFormatError
 from .fusion import FusionConfig, FusionError
 from .losses import LossError, LossWeights, NormKind
@@ -18,12 +19,12 @@ from .planesweep import PlaneSweepError, SweepConfig
 @dataclass
 class RunConfig:
     n_views: int = 5
-    norm_exponent: float = 0.5
-    eps_grad: float = 1e-4
+    norm_exponent: float = NormKind().exponent
+    eps_grad: float = NormKind().eps_grad
     weights: LossWeights = field(default_factory=LossWeights)
     total_epochs: int = 16
     epoch: int = 0
-    iterations: int = 50
+    iterations: int = OptimizerConfig().iterations
     seed: int = 0
     sweep: SweepConfig = field(default_factory=SweepConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)

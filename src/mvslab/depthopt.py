@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import (BilinearCells, Camera, CameraView, bilinear_cells,
                        project_rays, ray_jacobian)
 from .grids import BinaryMask, Image, ScalarField, forward_diff
-from .losses import (LossWeights, NormKind, branch_consistency, overall_loss,
+from .losses import (LossError, LossWeights, NormKind, branch_consistency,
                      photometric_consistency_arrays, smoothness_loss,
                      ssim_loss_arrays)
 from .planesweep import SweepConfig, cascade_infer, refresh_confidence
@@ -31,12 +31,15 @@ class OptimizationDiverged(RuntimeError):
 
 @dataclass
 class BranchLossConfig:
-    """Which loss terms act on a single depth field, and with what weights."""
+    """Which loss terms act on a single depth field, and with what weights; a
+    term is off unless given a positive weight, except that the consistency
+    value is evaluated whenever consist_target is given, so a branch's history
+    and the final report show its distance to the target even at weight 0."""
 
     norm: NormKind = NormKind()
-    weight_photo: float = 0.8
-    weight_ssim: float = 0.2
-    weight_smooth: float = 0.0067
+    weight_photo: float = 0.0
+    weight_ssim: float = 0.0
+    weight_smooth: float = 0.0
     weight_consist: float = 0.0
     consist_target: ScalarField | None = None
     consist_mask: BinaryMask | None = None
@@ -142,10 +145,10 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
     else:
         parts["smooth"] = 0.0
 
-    if cfg.weight_consist > 0 and cfg.consist_target is not None:
+    if cfg.consist_target is not None:  # recorded even at weight 0
         res = branch_consistency(cfg.consist_target, depth, cfg.consist_mask)
         parts["consist"] = res.value
-        if with_grad:
+        if with_grad and cfg.weight_consist > 0:
             grad += cfg.weight_consist * res.grad_branch
     else:
         parts["consist"] = 0.0
@@ -156,13 +159,10 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
     return total, grad, parts, details
 
 
-def loss_grad_wrt_depth(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
-                        return_details: bool = False):
-    """Analytic total loss and per-pixel d(loss)/d(depth) in 1/mm."""
-    total, grad, parts, details = _evaluate(sample, depth, cfg, with_grad=True)
-    if return_details:
-        return total, grad, parts, details
-    return total, grad
+def loss_grad_wrt_depth(sample: Sample, depth: ScalarField, cfg: BranchLossConfig):
+    """Analytic total loss, per-pixel d(loss)/d(depth) in 1/mm, the loss parts
+    and the warp: (total, grad, parts, details)."""
+    return _evaluate(sample, depth, cfg, with_grad=True)
 
 
 def finite_diff_grad(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
@@ -306,8 +306,7 @@ def audit_case(sample: Sample, depth: ScalarField,
     fds = finite_diff_grad_multi(sample, depth, cfgs, h)
     out = {}
     for term, cfg in cfgs.items():
-        _, grad, _, details = loss_grad_wrt_depth(sample, depth, cfg,
-                                                  return_details=True)
+        _, grad, _, details = loss_grad_wrt_depth(sample, depth, cfg)
         excl = _exclusion_mask(sample, depth, cfg, details, h)
         out[term] = _compare_grads(grad, fds[term], excl, rel_tol, abs_floor)
     return out
@@ -324,16 +323,15 @@ class AuditCase:
 
     def configs(self, norm: NormKind = NormKind()) -> dict[str, BranchLossConfig]:
         """One single-term config per auditable loss term."""
-        off = dict(weight_photo=0.0, weight_ssim=0.0, weight_smooth=0.0, weight_consist=0.0)
         cfgs = {}
         for expo in (0.5, 1.0, 2.0):
             cfgs[f"photo_l{expo:g}"] = BranchLossConfig(
-                norm=NormKind(expo, norm.eps_grad), **{**off, "weight_photo": 1.0})
-        cfgs["ssim"] = BranchLossConfig(norm=norm, **{**off, "weight_ssim": 1.0})
-        cfgs["smooth"] = BranchLossConfig(norm=norm, **{**off, "weight_smooth": 1.0})
+                norm=NormKind(expo, norm.eps_grad), weight_photo=1.0)
+        cfgs["ssim"] = BranchLossConfig(norm=norm, weight_ssim=1.0)
+        cfgs["smooth"] = BranchLossConfig(norm=norm, weight_smooth=1.0)
         for name, target, mask in (("image_consist", self.icc_target, self.icc_mask),
                                    ("scene_consist", self.scc_target, self.scc_mask)):
-            cfgs[name] = BranchLossConfig(norm=norm, **{**off, "weight_consist": 1.0},
+            cfgs[name] = BranchLossConfig(norm=norm, weight_consist=1.0,
                                           consist_target=target, consist_mask=mask)
         return cfgs
 
@@ -533,15 +531,22 @@ def optimize_joint(samples: dict[str, Sample],
     return OptState(depths, conf_mask, prob_map, history)
 
 
-def eq_style_report(state: OptState, samples: dict[str, Sample],
-                    opt: OptimizerConfig):
-    """Assemble the five-component weighted report from the final state."""
-    cfg = _branch_cfg(opt, "regular", None, None)
-    _, _, parts, _ = _evaluate(samples["regular"], state.depths["regular"], cfg, False)
-    icc = branch_consistency(state.depths["regular"],
-                             state.depths["image_contrastive"], state.conf_mask)
-    scc = branch_consistency(state.depths["regular"],
-                             state.depths["scene_contrastive"], state.conf_mask)
-    values = {"pc": parts["photo"], "icc": icc.value, "scc": scc.value,
-              "ssim": parts["ssim"], "smooth": parts["smooth"]}
-    return overall_loss(values, opt.weights, opt.image_consist_weight)
+def final_report(state: OptState, opt: OptimizerConfig) -> dict[str, float]:
+    """The weighted five-component objective at the run's last iteration, read
+    from its history record: {"total", "component_pc", "component_icc",
+    "component_scc", "component_ssim", "component_smooth"}. Raises LossError
+    when there is no record, or it lacks a component because a branch was not
+    run."""
+    if not state.history:
+        raise LossError("no iteration to report: the loss history is empty")
+    last = state.history[-1]
+    w = opt.weights
+    # component -> (history key, weight), in the order of the sum
+    terms = {"pc": ("photo_reg", w.photo), "icc": ("consist_ic", opt.image_consist_weight),
+             "scc": ("consist_sc", w.scene_consist), "ssim": ("ssim_reg", w.ssim),
+             "smooth": ("smooth_reg", w.smooth)}
+    missing = [key for key, _ in terms.values() if key not in last]
+    if missing:
+        raise LossError(f"the last history record lacks loss components {missing}")
+    return {"total": sum(weight * last[key] for key, weight in terms.values()),
+            **{f"component_{name}": last[key] for name, (key, _) in terms.items()}}

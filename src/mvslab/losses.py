@@ -1,7 +1,7 @@
 """The loss stack: square-root / absolute / Euclidean norm residual machinery
 with analytic gradients, photometric consistency over warped sources, SSIM,
-edge-aware depth smoothness, masked branch consistency, and the weighted
-overall objective.
+edge-aware depth smoothness, masked branch consistency, and the weights of
+the overall objective.
 
 Every loss here returns its analytic gradient alongside the value so a
 finite-difference audit can cross-check the whole chain.
@@ -260,30 +260,3 @@ class LossWeights:
         for name in ("photo", "image_consist_base", "scene_consist", "ssim", "smooth"):
             if getattr(self, name) < 0:
                 raise LossError(f"weight {name} must be non-negative")
-
-
-COMPONENTS = ("pc", "icc", "scc", "ssim", "smooth")
-
-
-@dataclass
-class LossReport:
-    total: float
-    components: dict[str, float]
-
-
-def overall_loss(parts: dict[str, float], weights: LossWeights,
-                 image_consist_weight: float) -> LossReport:
-    """Weighted sum of the five components; the icc weight comes from the
-    curriculum schedule."""
-    missing = [k for k in COMPONENTS if k not in parts]
-    if missing:
-        raise LossError(f"missing loss components: {missing}")
-    w = {
-        "pc": weights.photo,
-        "icc": image_consist_weight,
-        "scc": weights.scene_consist,
-        "ssim": weights.ssim,
-        "smooth": weights.smooth,
-    }
-    total = sum(w[k] * parts[k] for k in COMPONENTS)
-    return LossReport(total, {k: float(parts[k]) for k in COMPONENTS})

@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import CameraView, pixel_grid, warp_rays
 from .grids import Image
-from .losses import ssim_reference_moments
+from .losses import LossWeights, ssim_reference_moments
 
 
 class SamplingError(ValueError):
@@ -124,7 +124,8 @@ def make_scene_contrastive(scene_views: list[CameraView], reference: CameraView,
     return Sample(reference, [pool[i] for i in idx])
 
 
-def curriculum(epoch: int, total_epochs: int, base_weight: float = 0.01) -> Schedule:
+def curriculum(epoch: int, total_epochs: int,
+               base_weight: float = LossWeights().image_consist_base) -> Schedule:
     """Occlusion rate rises linearly from 0 to MAX_OCCLUSION_RATE over the run;
     the image-consistency weight starts at base_weight and doubles every 2
     epochs."""

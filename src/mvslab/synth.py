@@ -20,8 +20,8 @@ import numpy as np
 from . import fileio
 from .geometry import Camera, CameraView, pixel_grid, project_with_depth
 from .grids import BinaryMask, Image, ScalarField
-from .sampling import (Sample, make_image_contrastive, make_scene_contrastive,
-                       select_regular_views)
+from .sampling import (Sample, SamplingError, make_image_contrastive,
+                       make_scene_contrastive, select_regular_views)
 
 GEOMETRIES = ("textured_plane", "cube", "sphere", "plane_with_occluder")
 TEXTURES = ("checker", "noise", "uniform")
@@ -367,6 +367,9 @@ def gen_scene(spec: SceneSpec) -> SyntheticScene:
 
 def regular_sample(scene: SyntheticScene, ref_id: int, n_views: int) -> Sample:
     """Reference view ref_id with its top-scored N-1 source views."""
+    ids = [v.view_id for v in scene.views]
+    if ref_id not in ids:
+        raise SamplingError(f"reference view {ref_id} is not among the scene's views {ids}")
     reference = scene.views[ref_id]
     candidates = [v for v in scene.views if v.view_id != ref_id]
     return select_regular_views(reference, candidates, scene.pair_scores[ref_id],

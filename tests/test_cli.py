@@ -1,6 +1,8 @@
 import hashlib
 import json
 import platform
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,11 @@ import pytest
 import scipy
 
 from mvslab import claims, fileio
-from mvslab.cli import EVAL_CAVEAT, main
+from mvslab.cli import EVAL_CAVEAT, build_parser, main
 from mvslab.config import RunConfig, load_config
 from mvslab.fileio import FileFormatError
+from mvslab.fusion import FusionError
+from mvslab.grids import ScalarField
 
 
 def run_cli(*argv):
@@ -91,6 +95,31 @@ def test_eval_prints_table_and_caveat(pipeline_dirs, capsys):
     assert "<=2mm" in out
 
 
+def run_eval_command(scene, depths):
+    """cmd_eval on parsed arguments, so a failure shows its exception type."""
+    args = build_parser().parse_args(["eval", "--scene", str(scene), "--depths", str(depths)])
+    return args.fn(args, RunConfig())
+
+
+def test_eval_without_depth_maps_names_the_directory(pipeline_dirs, tmp_path, capsys):
+    _, scene, _ = pipeline_dirs
+    for depths in (tmp_path, tmp_path / "missing"):
+        with pytest.raises(FileFormatError, match=re.escape(str(depths))):
+            run_eval_command(scene, depths)
+        assert run_cli("eval", "--scene", str(scene), "--depths", str(depths)) == 1
+        assert str(depths) in capsys.readouterr().err
+
+
+def test_eval_shape_mismatch_names_view_and_file(pipeline_dirs, tmp_path):
+    _, scene, depths = pipeline_dirs
+    bad = tmp_path / "depths"
+    shutil.copytree(depths, bad)
+    path = bad / "00000002_depth.pfm"
+    fileio.write_pfm(path, ScalarField(np.full((8, 10), 500.0)))
+    with pytest.raises(FusionError, match=rf"view 2, {re.escape(str(path))}: .*\(8, 10\)"):
+        run_eval_command(scene, bad)
+
+
 def test_fuse_and_eval_cloud(pipeline_dirs, capsys):
     root, scene, depths = pipeline_dirs
     ply = root / "fused.ply"
@@ -125,6 +154,27 @@ def test_optimize_emits_history_and_depths(tmp_path):
     report = fileio.read_records(out / "final_report.jsonl")[0]
     assert "total" in report and "component_pc" in report
     assert_golden("optimize", tmp_path)
+
+
+def test_optimize_without_iterations_fails_and_writes_no_report(tmp_path, capsys):
+    scene = tmp_path / "scene"
+    out = tmp_path / "opt"
+    assert run_cli("--seed", "4", "gen-synth", "--preset", "checker_plane",
+                   "--size", "16x20", "--n-views", "5", "--out", str(scene)) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"iterations": 0}))
+    assert run_cli("--config", str(cfg_path), "optimize", "--scene", str(scene),
+                   "--out", str(out)) == 1
+    assert "history is empty" in capsys.readouterr().err
+    assert not (out / "final_report.jsonl").exists()
+
+
+@pytest.mark.parametrize("cases", ["0", "-2"])
+def test_grad_check_rejects_fewer_than_one_case(capsys, cases):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("grad-check", "--cases", cases)
+    assert excinfo.value.code == 2
+    assert "--cases" in capsys.readouterr().err
 
 
 def test_grad_check_passes_quickly(tmp_path, capsys):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from mvslab import depthopt, synth
-from mvslab.depthopt import (BranchLossConfig, OptimizationDiverged,
-                             OptimizerConfig, audit_case, finite_diff_grad, loss_grad_wrt_depth,
-                             optimize_joint, random_audit_case)
+from mvslab.depthopt import (BranchLossConfig, OptimizationDiverged, OptimizerConfig,
+                             OptState, audit_case, final_report, finite_diff_grad,
+                             loss_grad_wrt_depth, optimize_joint, random_audit_case)
 from mvslab.geometry import Camera, CameraView
 from mvslab.grids import BinaryMask, Image, ScalarField
-from mvslab.losses import LossWeights, NormKind
+from mvslab.losses import LossError, LossWeights, NormKind, branch_consistency
 from mvslab.planesweep import SweepConfig
 from mvslab.sampling import Sample, SamplingError, curriculum
 
@@ -22,9 +22,7 @@ def test_finite_diff_on_quadratic_toy():
     depth = ScalarField(np.full((4, 5), 507.5))
     mask = BinaryMask(np.ones((4, 5), dtype=bool))
     case = random_audit_case(0, 4, 5)
-    cfg = BranchLossConfig(weight_photo=0.0, weight_ssim=0.0, weight_smooth=0.0,
-                           weight_consist=1.0, consist_target=target,
-                           consist_mask=mask)
+    cfg = BranchLossConfig(weight_consist=1.0, consist_target=target, consist_mask=mask)
     fd = finite_diff_grad(case.sample, depth, cfg, h=1e-3)
     assert np.allclose(fd, 1.0 / 20.0, atol=1e-9)  # d|D-c| / dD = +1 / ||M||
 
@@ -38,16 +36,15 @@ def test_identity_source_pose_zero_photometric_gradient():
     src = CameraView(Image(rng.random((h, w, 3))), cam, view_id=1)
     sample = Sample(ref, [src])
     depth = ScalarField(np.full((h, w), 400.0))
-    cfg = BranchLossConfig(weight_photo=1.0, weight_ssim=0.0, weight_smooth=0.0)
-    total, grad = loss_grad_wrt_depth(sample, depth, cfg)
+    cfg = BranchLossConfig(weight_photo=1.0)
+    total, grad, _, _ = loss_grad_wrt_depth(sample, depth, cfg)
     assert total > 0  # images differ
     assert np.allclose(grad, 0.0)  # but the warp is depth-independent
 
 
 def test_gradient_matches_fd_every_norm():
     case = random_audit_case(1)
-    cfgs = {f"photo_{expo}": BranchLossConfig(norm=NormKind(expo), weight_photo=1.0,
-                                              weight_ssim=0.0, weight_smooth=0.0)
+    cfgs = {f"photo_{expo}": BranchLossConfig(norm=NormKind(expo), weight_photo=1.0)
             for expo in (0.5, 1.0, 2.0)}
     reports = audit_case(case.sample, case.depth, cfgs)
     assert reports.keys() == cfgs.keys()
@@ -61,10 +58,8 @@ def test_fd_convergence_order():
     # real curvature), the FD error falls quadratically in h and then climbs
     # back up on the round-off flank
     case = random_audit_case(2, 12, 14)
-    cfg = BranchLossConfig(norm=NormKind(0.5), weight_photo=1.0,
-                           weight_ssim=0.0, weight_smooth=0.0)
-    _, grad, _, details = loss_grad_wrt_depth(case.sample, case.depth, cfg,
-                                              return_details=True)
+    cfg = BranchLossConfig(norm=NormKind(0.5), weight_photo=1.0)
+    _, grad, _, details = loss_grad_wrt_depth(case.sample, case.depth, cfg)
     excl = depthopt._exclusion_mask(case.sample, case.depth, cfg, details, 2.7e-1)
     errs = []
     for h in (2.7e-1, 2.7e-2, 2.7e-4):
@@ -98,8 +93,7 @@ def test_gt_depth_is_near_stationary_for_vanilla_norms():
     strong[:3] = strong[-3:] = False
     strong[:, :3] = strong[:, -3:] = False
     for expo in (1.0, 2.0):
-        cfg = BranchLossConfig(norm=NormKind(expo), weight_photo=1.0,
-                               weight_ssim=0.0, weight_smooth=0.0)
+        cfg = BranchLossConfig(norm=NormKind(expo), weight_photo=1.0)
         fd = finite_diff_grad(reg, gt, cfg, h=1e-3)
         assert np.median(np.abs(fd[strong])) < 1e-3, expo
 
@@ -276,3 +270,93 @@ def test_retained_warp_gives_the_fresh_evaluation(monkeypatch):
     assert calls["reused"] == 3
     assert calls["trials"] > 0
     assert calls["warps"] == calls["trials"] + calls["fresh"]
+
+
+def one_record_state(components: dict[str, float]) -> OptState:
+    """An OptState whose one history record holds the given report components,
+    keyed as optimize_joint keys them."""
+    keys = {"pc": "photo_reg", "icc": "consist_ic", "scc": "consist_sc",
+            "ssim": "ssim_reg", "smooth": "smooth_reg"}
+    record = {keys[k]: v for k, v in components.items()}
+    blank = np.zeros((2, 2))
+    return OptState({}, BinaryMask(blank > 0), ScalarField(blank), [record])
+
+
+def test_final_report_weighted_sum_at_epoch_zero():
+    state = one_record_state({k: 1.0 for k in ("pc", "icc", "scc", "ssim", "smooth")})
+    report = final_report(state, OptimizerConfig(image_consist_weight=0.01))
+    assert report["total"] == pytest.approx(1.0267)
+
+
+def test_final_report_zero_components():
+    state = one_record_state({k: 0.0 for k in ("pc", "icc", "scc", "ssim", "smooth")})
+    report = final_report(state, OptimizerConfig(image_consist_weight=0.01))
+    assert report["total"] == 0.0
+
+
+def test_final_report_scheduled_weight_epoch_two():
+    parts = {k: 0.0 for k in ("pc", "icc", "scc", "ssim", "smooth")}
+    parts["icc"] = 1.0
+    report = final_report(one_record_state(parts), OptimizerConfig(image_consist_weight=0.02))
+    assert report["total"] == pytest.approx(0.02)
+
+
+def test_final_report_total_reconstruction():
+    rng = np.random.default_rng(9)
+    parts = {k: float(rng.random()) for k in ("pc", "icc", "scc", "ssim", "smooth")}
+    w = LossWeights()
+    report = final_report(one_record_state(parts), OptimizerConfig(image_consist_weight=0.04))
+    weights = {"pc": w.photo, "icc": 0.04, "scc": w.scene_consist, "ssim": w.ssim,
+               "smooth": w.smooth}
+    assert list(report) == ["total"] + [f"component_{k}" for k in weights]
+    recon = sum(weights[k] * report[f"component_{k}"] for k in weights)
+    assert abs(report["total"] - recon) < 1e-9
+
+
+def test_final_report_missing_component_errors():
+    opt = OptimizerConfig(image_consist_weight=0.01)
+    with pytest.raises(LossError, match="consist_ic"):
+        final_report(one_record_state({"pc": 1.0}), opt)
+    empty = one_record_state({})
+    empty.history.clear()
+    with pytest.raises(LossError, match="empty"):
+        final_report(empty, opt)
+
+
+def test_final_report_equals_a_fresh_evaluation_of_the_final_state():
+    # the report reads the last history record; it must hold what evaluating
+    # the final depths afresh gives, also when the run ends on the iteration
+    # right after a confidence refresh
+    scene, samples = opt_scene()
+    opt = OptimizerConfig(iterations=11, refresh_every=10, image_consist_weight=ICC_EPOCH_8)
+    state = optimize_joint(samples, SweepConfig(), opt)
+    report = final_report(state, opt)
+    _, _, parts, _ = depthopt._evaluate(samples["regular"], state.depths["regular"],
+                                        depthopt._branch_cfg(opt, "regular", None, None),
+                                        False)
+    icc, scc = (branch_consistency(state.depths["regular"], state.depths[name],
+                                   state.conf_mask).value
+                for name in ("image_contrastive", "scene_contrastive"))
+    assert report["component_pc"] == parts["photo"]
+    assert report["component_ssim"] == parts["ssim"]
+    assert report["component_smooth"] == parts["smooth"]
+    assert report["component_icc"] == icc
+    assert report["component_scc"] == scc
+    w = opt.weights
+    assert report["total"] == (w.photo * parts["photo"] + opt.image_consist_weight * icc
+                               + w.scene_consist * scc + w.ssim * parts["ssim"]
+                               + w.smooth * parts["smooth"])
+
+
+def test_final_report_shows_consistency_at_zero_weight():
+    # a branch with no pull toward the regular depth still records, and the
+    # report still shows, how far it sits from it
+    scene, samples = opt_scene()
+    opt = OptimizerConfig(iterations=2, image_consist_weight=0.0,
+                          weights=LossWeights(scene_consist=0.0))
+    state = optimize_joint(samples, SweepConfig(), opt)
+    report = final_report(state, opt)
+    for component, name in (("icc", "image_contrastive"), ("scc", "scene_contrastive")):
+        expected = branch_consistency(state.depths["regular"], state.depths[name],
+                                      state.conf_mask).value
+        assert report[f"component_{component}"] == expected > 0, component

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mvslab.grids import BinaryMask, Image, ScalarField
-from mvslab.losses import (LossError, LossWeights, NormKind, branch_consistency,
-                           norm_value_grad, overall_loss,
+from mvslab.losses import (LossError, NormKind, branch_consistency, norm_value_grad,
                            photometric_consistency_arrays, smoothness_loss,
                            ssim_loss_arrays)
 
@@ -256,38 +255,3 @@ def test_branch_consistency_empty_mask_flagged():
     assert res.value == 0.0
     assert res.grad_branch.shape == (3, 3)
     assert not res.grad_branch.any()
-
-
-def test_overall_loss_weighted_sum_at_epoch_zero():
-    parts = {k: 1.0 for k in ("pc", "icc", "scc", "ssim", "smooth")}
-    report = overall_loss(parts, LossWeights(), image_consist_weight=0.01)
-    assert report.total == pytest.approx(1.0267)
-
-
-def test_overall_loss_zero_components():
-    parts = {k: 0.0 for k in ("pc", "icc", "scc", "ssim", "smooth")}
-    report = overall_loss(parts, LossWeights(), image_consist_weight=0.01)
-    assert report.total == 0.0
-
-
-def test_overall_loss_scheduled_weight_epoch_two():
-    parts = {k: 0.0 for k in ("pc", "icc", "scc", "ssim", "smooth")}
-    parts["icc"] = 1.0
-    report = overall_loss(parts, LossWeights(), image_consist_weight=0.02)
-    assert report.total == pytest.approx(0.02)
-
-
-def test_overall_loss_total_reconstruction():
-    rng = np.random.default_rng(9)
-    parts = {k: float(rng.random()) for k in ("pc", "icc", "scc", "ssim", "smooth")}
-    w = LossWeights()
-    report = overall_loss(parts, w, image_consist_weight=0.04)
-    weights = {"pc": w.photo, "icc": 0.04, "scc": w.scene_consist, "ssim": w.ssim,
-               "smooth": w.smooth}
-    recon = sum(weights[k] * report.components[k] for k in report.components)
-    assert abs(report.total - recon) < 1e-9
-
-
-def test_overall_loss_missing_component_errors():
-    with pytest.raises(LossError):
-        overall_loss({"pc": 1.0}, LossWeights(), image_consist_weight=0.01)

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from mvslab import claims, synth
 from mvslab.fileio import FileFormatError
+from mvslab.sampling import SamplingError
 from mvslab.geometry import bilinear_sample, pixel_grid, project_with_depth, backproject
 from mvslab.synth import SceneError, SceneSpec, gen_scene
 
@@ -202,3 +204,12 @@ def test_build_branch_samples_structure(checker_scene):
     assert samples["image_contrastive"].source_ids() == reg.source_ids()
     assert samples["scene_contrastive"].reference is reg.reference
     assert 0 not in samples["scene_contrastive"].source_ids()
+
+
+@pytest.mark.parametrize("ref_id", [99, -1])
+def test_unknown_reference_view_rejected(checker_scene, ref_id):
+    ids = str([v.view_id for v in checker_scene.views])
+    for build in (lambda: synth.regular_sample(checker_scene, ref_id, 5),
+                  lambda: synth.build_branch_samples(checker_scene, ref_id, 5, 0.05, 3)):
+        with pytest.raises(SamplingError, match=rf"view {ref_id} .*{re.escape(ids)}"):
+            build()
