@@ -9,6 +9,7 @@ produce byte-identical output trees.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -76,18 +77,18 @@ def cmd_infer(args, cfg: RunConfig) -> int:
 
 
 def cmd_optimize(args, cfg: RunConfig) -> int:
-    scene = synth.load_scene(args.scene)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     schedule = sampling.curriculum(cfg.epoch, cfg.total_epochs,
                                    base_weight=cfg.weights.image_consist_base)
-    samples = synth.build_branch_samples(scene, args.ref, cfg.n_views,
-                                         schedule.occlusion_rate, cfg.seed)
     opt_cfg = depthopt.OptimizerConfig(iterations=cfg.iterations, norm=cfg.norm(),
                                        weights=cfg.weights,
                                        image_consist_weight=schedule.image_consist_weight)
+    scene = synth.load_scene(args.scene)
+    samples = synth.build_branch_samples(scene, args.ref, cfg.n_views,
+                                         schedule.occlusion_rate, cfg.seed)
     state = depthopt.optimize_joint(samples, cfg.sweep, opt_cfg)
     report = depthopt.final_report(state, opt_cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     fileio.write_records(out / "loss_history.jsonl", state.history)
     for name, short in depthopt.BRANCHES.items():
         fileio.write_pfm(out / f"depth_{short}.pfm", state.depths[name])
@@ -225,6 +226,13 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mvslab",
                                      description=__doc__.splitlines()[0])
@@ -253,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
     p.add_argument("--cases", type=_at_least_one, default=4)
-    p.add_argument("--h", type=float, default=3e-4, help="FD step in mm")
+    p.add_argument("--h", type=_positive_finite, default=3e-4, help="FD step in mm")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_grad_check)
 

@@ -9,6 +9,7 @@ SSIM, smoothness and branch-consistency contributions when enabled.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,11 +17,15 @@ import numpy as np
 from .geometry import (BilinearCells, Camera, CameraView, bilinear_cells,
                        project_rays, ray_jacobian)
 from .grids import BinaryMask, Image, ScalarField, forward_diff
-from .losses import (LossError, LossWeights, NormKind, branch_consistency,
-                     photometric_consistency_arrays, smoothness_loss,
-                     ssim_loss_arrays)
+from .losses import (LossError, LossWeights, NormKind, PhotometricResidual,
+                     branch_consistency, photometric_consistency_arrays,
+                     photometric_residual, smoothness_loss, ssim_loss_arrays)
 from .planesweep import SweepConfig, cascade_infer, refresh_confidence
 from .sampling import Sample, SamplingError
+
+
+class OptimizerConfigError(ValueError):
+    pass
 
 
 class OptimizationDiverged(RuntimeError):
@@ -62,16 +67,25 @@ class WarpDetails:
     chain: list[np.ndarray] = field(default_factory=list)
 
 
+def _warp_source(a: np.ndarray, c: np.ndarray, image: np.ndarray,
+                 safe_d: np.ndarray, positive: np.ndarray):
+    """One source's warp at the depths safe_d, valid where positive, of the
+    pixels whose rays are a: (warped, mask, uv, z, cells). Elementwise, so a
+    block of pixels warps to the same bytes as it does within the whole image."""
+    uv, z, front = project_rays(a, c, safe_d)
+    cells = bilinear_cells(image, uv)
+    mask = cells.inb.reshape(safe_d.shape) & front & positive
+    warped = cells.value().reshape(safe_d.shape + (-1,)) * mask[:, :, None]
+    return warped, mask, uv, z, cells
+
+
 def _warp_sources(sample: Sample, depth: np.ndarray, with_chain: bool) -> WarpDetails:
     positive = depth > 0.0
     safe_d = np.where(positive, depth, 1.0)
     details = WarpDetails([], [], [], [], [])
     for (a, c), view in zip(sample.rays, sample.sources):
-        uv, z, front = project_rays(a, c, safe_d)
-        cells = bilinear_cells(view.image.data, uv)
-        mask = cells.inb.reshape(depth.shape) & front & positive
-        val = cells.value().reshape(depth.shape + (-1,))
-        details.warped.append(val * mask[:, :, None])
+        warped, mask, uv, z, cells = _warp_source(a, c, view.image.data, safe_d, positive)
+        details.warped.append(warped)
         details.masks.append(mask)
         details.uv.append(uv)
         details.z.append(z)
@@ -79,6 +93,14 @@ def _warp_sources(sample: Sample, depth: np.ndarray, with_chain: bool) -> WarpDe
     if with_chain:
         _add_chain(sample, details)
     return details
+
+
+def _photo_residuals(sample: Sample, details: WarpDetails) -> Iterator[PhotometricResidual]:
+    """The photometric_residual of each source of the warp, one at a time, so
+    a single evaluation holds one source's residuals at once."""
+    ref = sample.reference.image.data
+    return (photometric_residual(rec, m, ref, sample.reference_diffs)
+            for rec, m in zip(details.warped, details.masks))
 
 
 def _add_chain(sample: Sample, details: WarpDetails) -> None:
@@ -94,10 +116,12 @@ def _add_chain(sample: Sample, details: WarpDetails) -> None:
 
 
 def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
-              with_grad: bool, details: WarpDetails | None = None):
+              with_grad: bool, details: WarpDetails | None = None,
+              residuals: list[PhotometricResidual] | None = None):
     """The one loss evaluator; with_grad=False is the cheap path the FD oracle
     uses. Warps the sources unless a warp of this depth is given as details,
-    to which a gradient evaluation adds the chain."""
+    to which a gradient evaluation adds the chain. residuals, the photometric
+    residuals of that warp, are computed here when not given."""
     d = depth.data
     if cfg.weight_photo > 0 or cfg.weight_ssim > 0:
         if details is None:
@@ -108,9 +132,8 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
     grad = np.zeros_like(d) if with_grad else None
 
     if cfg.weight_photo > 0:
-        photo = photometric_consistency_arrays(details.warped, details.masks,
-                                               sample.reference.image.data,
-                                               cfg.norm, need_grads=with_grad)
+        photo = photometric_consistency_arrays(
+            residuals or _photo_residuals(sample, details), cfg.norm, need_grads=with_grad)
         parts["photo"] = photo.value
         if with_grad:
             g = np.zeros_like(d)
@@ -138,7 +161,7 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
         parts["ssim"] = 0.0
 
     if cfg.weight_smooth > 0:
-        value, g_smooth = smoothness_loss(depth, sample.reference.image)
+        value, g_smooth = smoothness_loss(depth, sample.smoothness_weights)
         parts["smooth"] = value
         if with_grad:
             grad += cfg.weight_smooth * g_smooth
@@ -165,11 +188,16 @@ def loss_grad_wrt_depth(sample: Sample, depth: ScalarField, cfg: BranchLossConfi
     return _evaluate(sample, depth, cfg, with_grad=True)
 
 
+def _check_step(h: float) -> None:
+    if not (np.isfinite(h) and h > 0):
+        raise LossError(f"finite difference step must be positive and finite, got {h}")
+
+
 def finite_diff_grad(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
                      h: float) -> np.ndarray:
-    """Central finite difference of the total loss, one pixel at a time."""
-    if h <= 0:
-        raise ValueError("finite difference step must be positive")
+    """Central finite difference of the total loss, one pixel at a time: the
+    black-box reference, with a full evaluation per perturbation."""
+    _check_step(h)
     base = depth.data
     grad = np.zeros_like(base)
     work = base.copy()
@@ -185,33 +213,67 @@ def finite_diff_grad(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
     return grad
 
 
+def _rewarp_pixel(sample: Sample, details: WarpDetails, depth: np.ndarray,
+                  v: int, u: int) -> None:
+    """Overwrite pixel (v, u) of details.warped and details.masks with its warp
+    at depth[v, u]: a pixel's warp reads its own depth and no other."""
+    d = depth[v:v + 1, u:u + 1]
+    positive = d > 0.0
+    safe_d = np.where(positive, d, 1.0)
+    for (a, c), view, warped, mask in zip(sample.rays, sample.sources,
+                                          details.warped, details.masks):
+        pixel, inside = _warp_source(a[v:v + 1, u:u + 1], c, view.image.data,
+                                     safe_d, positive)[:2]
+        warped[v, u] = pixel[0, 0]
+        mask[v, u] = inside[0, 0]
+
+
 def _multi_values(sample: Sample, depth_arr: np.ndarray,
-                  cfgs: dict[str, BranchLossConfig]) -> dict[str, float]:
-    """Loss values of several configs at one depth field, sharing one warp."""
+                  cfgs: dict[str, BranchLossConfig],
+                  details: WarpDetails | None) -> dict[str, float]:
+    """Loss values of several configs at one depth field whose warp is details
+    (None when no config reads a warp), computing the photometric residuals
+    once for every norm."""
     depth = ScalarField(depth_arr)
-    needs_warp = any(c.weight_photo > 0 or c.weight_ssim > 0 for c in cfgs.values())
-    details = _warp_sources(sample, depth_arr, with_chain=False) if needs_warp else None
-    return {name: _evaluate(sample, depth, cfg, False, details)[0]
+    residuals = (list(_photo_residuals(sample, details))
+                 if any(c.weight_photo > 0 for c in cfgs.values()) else None)
+    return {name: _evaluate(sample, depth, cfg, False, details, residuals)[0]
             for name, cfg in cfgs.items()}
 
 
 def finite_diff_grad_multi(sample: Sample, depth: ScalarField,
                            cfgs: dict[str, BranchLossConfig], h: float
                            ) -> dict[str, np.ndarray]:
-    """Central finite differences for several configs in one pixel sweep."""
-    if h <= 0:
-        raise ValueError("finite difference step must be positive")
+    """Central finite differences for several configs in one pixel sweep, equal
+    bit for bit to finite_diff_grad per config. The sources are warped once;
+    each perturbation re-warps only the moved pixel, which is restored from
+    the base warp afterwards."""
+    _check_step(h)
     base = depth.data
+    base_warp = None
+    warp = None
+    if any(c.weight_photo > 0 or c.weight_ssim > 0 for c in cfgs.values()):
+        base_warp = _warp_sources(sample, base, with_chain=False)
+        # the patched copy carries what the value path reads
+        warp = WarpDetails([w.copy() for w in base_warp.warped],
+                           [m.copy() for m in base_warp.masks], [], [], [])
     grads = {name: np.zeros_like(base) for name in cfgs}
     work = base.copy()
     for v in range(base.shape[0]):
         for u in range(base.shape[1]):
             d0 = work[v, u]
-            work[v, u] = d0 + h
-            plus = _multi_values(sample, work, cfgs)
-            work[v, u] = d0 - h
-            minus = _multi_values(sample, work, cfgs)
+            values = []
+            for d in (d0 + h, d0 - h):
+                work[v, u] = d
+                if warp is not None:
+                    _rewarp_pixel(sample, warp, work, v, u)
+                values.append(_multi_values(sample, work, cfgs, warp))
             work[v, u] = d0
+            if warp is not None:
+                for i in range(len(warp.warped)):
+                    warp.warped[i][v, u] = base_warp.warped[i][v, u]
+                    warp.masks[i][v, u] = base_warp.masks[i][v, u]
+            plus, minus = values
             for name in cfgs:
                 grads[name][v, u] = (plus[name] - minus[name]) / (2.0 * h)
     return grads
@@ -251,7 +313,6 @@ def _exclusion_mask(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
     excl = np.zeros(shape, dtype=bool)
     ref = sample.reference.image.data
     c = ref.shape[2]
-    gxr, gyr = forward_diff(ref)
     for i, m in enumerate(details.masks if details is not None else []):
         jac = ray_jacobian(*sample.rays[i], details.z[i])
         speed = np.abs(jac).sum(axis=-1)
@@ -261,16 +322,14 @@ def _exclusion_mask(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
         dv = np.abs(uv[..., 1] - np.round(uv[..., 1]))
         excl |= m & ((du < margin) | (dv < margin))
         if cfg.weight_photo > 0:
-            rec = details.warped[i]
+            res = photometric_residual(details.warped[i], m, ref, sample.reference_diffs)
             slack = 6.0 * h * np.abs(details.chain[i]).max(axis=2)
-            diff_img = np.abs(rec - ref).min(axis=2)
+            diff_img = np.abs(res.diff).min(axis=2)
             excl |= m & (diff_img < np.maximum(slack, 10.0 * cfg.norm.eps_grad / c))
-            gxw, gyw = forward_diff(rec)
-            dg = np.minimum(np.abs(gxw - gxr).min(axis=2), np.abs(gyw - gyr).min(axis=2))
+            dg = np.minimum(np.abs(res.dgx).min(axis=2), np.abs(res.dgy).min(axis=2))
             involved = _shift_min(np.where(m, dg, np.inf))
             excl |= np.isfinite(involved) & (involved < np.maximum(slack, 10.0 * cfg.norm.eps_grad / c))
-            r_img = np.abs(rec - ref).mean(axis=2)
-            excl |= m & (r_img < 10.0 * cfg.norm.eps_grad)
+            excl |= m & (res.r_img < 10.0 * cfg.norm.eps_grad)
     if cfg.weight_smooth > 0:
         dn = depth.data / depth.data.mean()
         gx, gy = forward_diff(dn)
@@ -396,6 +455,10 @@ class OptimizerConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     # the curriculum's weight at the run's epoch; this default is epoch 0's
     image_consist_weight: float = LossWeights().image_consist_base
+
+    def __post_init__(self):
+        if self.iterations < 1:  # a run without iterations has nothing to report
+            raise OptimizerConfigError(f"iterations must be at least 1, got {self.iterations}")
 
 
 @dataclass

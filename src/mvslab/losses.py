@@ -9,12 +9,13 @@ finite-difference audit can cross-check the whole chain.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .grids import BinaryMask, Image, ScalarField, forward_diff
+from .grids import BinaryMask, ScalarField, forward_diff
 
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
@@ -70,51 +71,75 @@ class PhotometricResult:
     image_grads: list[np.ndarray]       # dL/d(warped image), (H, W, C) per source
 
 
-def photometric_consistency_arrays(warped: list[np.ndarray], masks: list[np.ndarray],
-                                   ref: np.ndarray, kind: NormKind,
+@dataclass
+class PhotometricResidual:
+    """One warped source against the reference: the signed residuals the
+    gradient reads, the image residual map the audit's exclusions read, and
+    the residuals at the mask's pixels that the norms read."""
+
+    mask: np.ndarray
+    msum: float           # the mask's pixel count
+    diff: np.ndarray      # warped - reference, (H, W, C)
+    dgx: np.ndarray       # forward-difference residuals along u and v, (H, W, C)
+    dgy: np.ndarray
+    r_img: np.ndarray     # channel mean of |diff|, (H, W)
+    img_sel: np.ndarray   # r_img[mask]
+    grad_sel: np.ndarray  # channel mean of |dgx| and |dgy|, at the mask's pixels
+
+
+def photometric_residual(rec: np.ndarray, mask: np.ndarray, ref: np.ndarray,
+                         ref_diffs: tuple[np.ndarray, np.ndarray]) -> PhotometricResidual:
+    """The residuals of a reconstructed (H, W, C) image against the reference;
+    ref_diffs is forward_diff(ref)."""
+    gxr, gyr = ref_diffs
+    c = ref.shape[2]
+    diff = rec - ref
+    r_img = np.abs(diff).mean(axis=2)
+    gxw, gyw = forward_diff(rec)
+    dgx = gxw - gxr
+    dgy = gyw - gyr
+    r_grad = (np.abs(dgx).sum(axis=2) + np.abs(dgy).sum(axis=2)) / (2 * c)
+    return PhotometricResidual(mask, float(mask.sum()), diff, dgx, dgy, r_img,
+                               r_img[mask], r_grad[mask])
+
+
+def photometric_consistency_arrays(residuals: Iterable[PhotometricResidual], kind: NormKind,
                                    need_grads: bool = True) -> PhotometricResult:
     """Masked norm of the per-pixel residuals of each reconstructed (H, W, C)
     image and of its forward-difference gradient against the reference, each
-    normalized by the mask area, summed over sources.
+    normalized by the mask area, summed over sources. residuals yields the
+    photometric_residual of each source; several norms at one warp share a
+    list of them.
 
     The returned image_grads hold dL/d(warped_i), including the adjoint of the
     forward-difference operator for the gradient term. need_grads=False skips
     assembling them, which roughly halves the cost of a value-only evaluation
     inside the finite-difference oracle."""
-    if not warped:
-        raise LossError("need at least one warped source")
-    gxr, gyr = forward_diff(ref)
-    c = ref.shape[2]
     total = 0.0
     grads = []
     any_valid = False
-    for rec_arr, mask in zip(warped, masks):
-        msum = float(mask.sum())
+    for res in residuals:
+        mask, msum = res.mask, res.msum
+        c = res.diff.shape[2]
         if msum == 0:
-            grads.append(np.zeros_like(ref))
+            grads.append(np.zeros_like(res.diff))
             continue
         any_valid = True
-        diff = rec_arr - ref
-        r_img = np.abs(diff).mean(axis=2)
-        gxw, gyw = forward_diff(rec_arr)
-        dgx = gxw - gxr
-        dgy = gyw - gyr
-        r_grad = (np.abs(dgx).sum(axis=2) + np.abs(dgy).sum(axis=2)) / (2 * c)
-        v_img, g_img = norm_value_grad(r_img[mask], kind)
-        v_grad, g_grad = norm_value_grad(r_grad[mask], kind)
+        v_img, g_img = norm_value_grad(res.img_sel, kind)
+        v_grad, g_grad = norm_value_grad(res.grad_sel, kind)
         total += (v_img + v_grad) / msum
         if not need_grads:
             grads.append(None)
             continue
 
-        w_img = np.zeros(ref.shape[:2])
+        w_img = np.zeros(mask.shape)
         w_img[mask] = g_img / msum
-        grad = w_img[:, :, None] * np.sign(diff) / c
+        grad = w_img[:, :, None] * np.sign(res.diff) / c
 
-        w_grad = np.zeros(ref.shape[:2])
+        w_grad = np.zeros(mask.shape)
         w_grad[mask] = g_grad / msum
-        sx = w_grad[:, :, None] * np.sign(dgx) / (2 * c)
-        sy = w_grad[:, :, None] * np.sign(dgy) / (2 * c)
+        sx = w_grad[:, :, None] * np.sign(res.dgx) / (2 * c)
+        sy = w_grad[:, :, None] * np.sign(res.dgy) / (2 * c)
         # adjoint of the forward difference: gx(p) = I(p+ex) - I(p)
         grad -= sx
         grad[:, 1:] += sx[:, :-1]
@@ -123,7 +148,7 @@ def photometric_consistency_arrays(warped: list[np.ndarray], masks: list[np.ndar
 
         grads.append(grad)
     if not any_valid:
-        raise LossError("all source masks are empty; no photometric signal")
+        raise LossError("no source, or all source masks empty; no photometric signal")
     return PhotometricResult(total, grads)
 
 
@@ -194,20 +219,26 @@ def ssim_loss_arrays(x_all: np.ndarray, y_all: np.ndarray, m: np.ndarray,
     return value, grad
 
 
-def smoothness_loss(depth: ScalarField, reference: Image
+def edge_weights(ref_diffs: tuple[np.ndarray, np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The smoothness weights exp(-|image gradient|) along u and v, from
+    forward_diff of the (H, W, C) reference image."""
+    gx_i, gy_i = ref_diffs
+    return np.exp(-np.abs(gx_i).mean(axis=2)), np.exp(-np.abs(gy_i).mean(axis=2))
+
+
+def smoothness_loss(depth: ScalarField, weights: tuple[np.ndarray, np.ndarray]
                     ) -> tuple[float, np.ndarray]:
     """Edge-aware first-order smoothness of the mean-normalized depth, weighted
-    by exp(-|image gradient|). Returns the value and dL/d(depth), including the
-    coupling through the normalizing mean."""
+    by the reference's edge_weights. Returns the value and dL/d(depth),
+    including the coupling through the normalizing mean."""
     d = depth.data
     mean_d = d.mean()
     if mean_d <= 0:
         raise LossError("smoothness requires a positive mean depth")
     dn = d / mean_d
     gx_d, gy_d = forward_diff(dn)
-    gx_i, gy_i = forward_diff(reference.data)
-    wx = np.exp(-np.abs(gx_i).mean(axis=2))
-    wy = np.exp(-np.abs(gy_i).mean(axis=2))
+    wx, wy = weights
     n = d.size
     value = float((np.abs(gx_d) * wx + np.abs(gy_d) * wy).mean())
     # dF/d(normalized depth) via the forward-difference adjoint

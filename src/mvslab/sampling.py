@@ -11,8 +11,8 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import CameraView, pixel_grid, warp_rays
-from .grids import Image
-from .losses import LossWeights, ssim_reference_moments
+from .grids import Image, forward_diff
+from .losses import LossWeights, edge_weights, ssim_reference_moments
 
 
 class SamplingError(ValueError):
@@ -46,6 +46,17 @@ class Sample:
     def reference_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """ssim_reference_moments of the reference image."""
         return ssim_reference_moments(self.reference.image.data)
+
+    @cached_property
+    def reference_diffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """forward_diff of the reference image: what the photometric residuals,
+        the smoothness weights and the audit's exclusions compare against."""
+        return forward_diff(self.reference.image.data)
+
+    @cached_property
+    def smoothness_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """edge_weights of the reference image, which weight the smoothness term."""
+        return edge_weights(self.reference_diffs)
 
 
 MAX_OCCLUSION_RATE = 0.1  # the curriculum's occlusion rate at its last epoch

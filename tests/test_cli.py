@@ -165,8 +165,9 @@ def test_optimize_without_iterations_fails_and_writes_no_report(tmp_path, capsys
     cfg_path.write_text(json.dumps({"iterations": 0}))
     assert run_cli("--config", str(cfg_path), "optimize", "--scene", str(scene),
                    "--out", str(out)) == 1
-    assert "history is empty" in capsys.readouterr().err
+    assert "iterations must be at least 1" in capsys.readouterr().err
     assert not (out / "final_report.jsonl").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cases", ["0", "-2"])
@@ -175,6 +176,14 @@ def test_grad_check_rejects_fewer_than_one_case(capsys, cases):
         run_cli("grad-check", "--cases", cases)
     assert excinfo.value.code == 2
     assert "--cases" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", ["0", "-0.5", "nan", "inf"])
+def test_grad_check_rejects_a_step_that_is_not_positive_and_finite(capsys, h):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("grad-check", "--h", h)
+    assert excinfo.value.code == 2
+    assert "--h" in capsys.readouterr().err
 
 
 def test_grad_check_passes_quickly(tmp_path, capsys):

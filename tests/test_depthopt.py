@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvslab import depthopt, synth
+from mvslab import depthopt, losses, synth
 from mvslab.depthopt import (BranchLossConfig, OptimizationDiverged, OptimizerConfig,
                              OptState, audit_case, final_report, finite_diff_grad,
                              loss_grad_wrt_depth, optimize_joint, random_audit_case)
@@ -76,6 +76,67 @@ def test_batched_fd_equals_per_config_fd():
     for term, cfg in cfgs.items():
         single = finite_diff_grad(case.sample, case.depth, cfg, 3e-4)
         assert np.array_equal(single, multi[term])
+
+
+def assert_local_warp_fd_is_exact(case: depthopt.AuditCase, h: float):
+    """The local-warp oracle equals, bit for bit, the per-config black-box
+    one, and itself when called again on the same inputs."""
+    cfgs = case.configs()
+    multi = depthopt.finite_diff_grad_multi(case.sample, case.depth, cfgs, h)
+    again = depthopt.finite_diff_grad_multi(case.sample, case.depth, cfgs, h)
+    for term, cfg in cfgs.items():
+        single = finite_diff_grad(case.sample, case.depth, cfg, h)
+        assert np.array_equal(single, multi[term]), term
+        assert np.array_equal(again[term], multi[term]), term
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_local_warp_fd_equals_per_config_fd(seed):
+    assert_local_warp_fd_is_exact(random_audit_case(seed, 12, 15), 3e-4)
+
+
+def test_local_warp_fd_is_exact_where_a_step_flips_a_mask():
+    # a 10 mm step moves some pixels' warps across a source's border, so the
+    # re-warped pixel changes its mask and the mask areas the norms divide by
+    case, h = random_audit_case(0, 12, 15), 10.0
+    d = case.depth.data
+    plus = depthopt._warp_sources(case.sample, d + h, with_chain=False).masks
+    minus = depthopt._warp_sources(case.sample, d - h, with_chain=False).masks
+    assert any((p != m).any() for p, m in zip(plus, minus))
+    assert_local_warp_fd_is_exact(case, h)
+
+
+def test_fd_oracle_warps_once_and_shares_residuals(monkeypatch):
+    # one whole-image warp per sweep, one value evaluation per perturbation,
+    # and the photometric residuals once per source per perturbation for all
+    # three norms: a return to whole-image re-warps or per-norm residuals fails
+    case = random_audit_case(4, 5, 6)
+    calls = {"_warp_sources": 0, "_multi_values": 0, "photometric_residual": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(depthopt, name, counting(name, getattr(depthopt, name)))
+    monkeypatch.setattr(losses, "photometric_residual",
+                        counting("photometric_residual", losses.photometric_residual))
+    depthopt.finite_diff_grad_multi(case.sample, case.depth, case.configs(), 3e-4)
+    perturbations = 2 * 5 * 6
+    assert calls == {"_warp_sources": 1, "_multi_values": perturbations,
+                     "photometric_residual": perturbations * len(case.sample.sources)}
+
+
+@pytest.mark.parametrize("h", [0.0, -3e-4, np.nan, np.inf])
+def test_fd_oracles_reject_a_step_that_is_not_positive_and_finite(h):
+    case = random_audit_case(0, 3, 4)
+    cfgs = case.configs()
+    with pytest.raises(LossError, match="positive and finite"):
+        finite_diff_grad(case.sample, case.depth, cfgs["smooth"], h)
+    with pytest.raises(LossError, match="positive and finite"):
+        depthopt.finite_diff_grad_multi(case.sample, case.depth, cfgs, h)
 
 
 def test_gt_depth_is_near_stationary_for_vanilla_norms():
