@@ -14,7 +14,7 @@ from scipy.ndimage import binary_dilation
 
 from . import synth
 from .depthopt import OptimizerConfig, optimize_joint
-from .geometry import CameraView, pixel_grid, project_with_depth
+from .geometry import CameraView, nearest_pixel, pixel_grid, project_with_depth
 from .grids import Image
 from .losses import LossWeights, NormKind
 from .planesweep import SweepConfig, cascade_infer
@@ -35,11 +35,8 @@ def affected_mask(reference: CameraView, sources: list[CameraView],
     for view, footprint in zip(sources, footprints):
         uv, _, front = project_with_depth(grid, gt, reference.camera, view.camera)
         fat = binary_dilation(footprint, iterations=1)
-        h, w = fat.shape
-        u = np.round(uv[..., 0]).astype(int)
-        v = np.round(uv[..., 1]).astype(int)
-        inb = front & (u >= 0) & (u < w) & (v >= 0) & (v < h)
-        affected |= inb & fat[np.clip(v, 0, h - 1), np.clip(u, 0, w - 1)]
+        u, v, inside = nearest_pixel(uv, *fat.shape)
+        affected |= front & inside & fat[v, u]
     return affected
 
 
@@ -128,7 +125,7 @@ def norm_trial(seed: int) -> dict:
     scene = synth.gen_scene(synth.SceneSpec(height=48, width=64, n_views=7, seed=seed))
     reference = scene.views[0]
     regular = _contaminate_sources(synth.regular_sample(scene, 0, 5), 0.20, seed + 600)
-    final = cascade_infer(regular)[-1]
+    final = cascade_infer(regular)
     prob = final.prob_map.data
     top80 = prob >= np.quantile(prob, 0.2)
     arms = {}

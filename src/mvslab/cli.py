@@ -57,8 +57,7 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     records = []
     for ref_id in refs:
         sample = synth.regular_sample(scene, ref_id, cfg.n_views)
-        stages = planesweep.cascade_infer(sample, cfg.sweep)
-        final = stages[-1]
+        final = planesweep.cascade_infer(sample, cfg.sweep)
         fileio.write_pfm(out / f"{ref_id:08d}_depth.pfm", final.depth)
         fileio.write_pfm(out / f"{ref_id:08d}_prob.pfm", final.prob_map)
         fileio.write_pfm(out / f"{ref_id:08d}_conf.pfm",

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import (BilinearCells, Camera, CameraView, bilinear_cells,
-                       project_rays, ray_jacobian)
+from .geometry import BilinearCells, Camera, CameraView, ray_jacobian, warp_image
 from .grids import BinaryMask, Image, ScalarField, forward_diff
 from .losses import (LossError, LossWeights, NormKind, PhotometricResidual,
                      branch_consistency, photometric_consistency_arrays,
@@ -67,29 +66,10 @@ class WarpDetails:
     chain: list[np.ndarray] = field(default_factory=list)
 
 
-def _warp_source(a: np.ndarray, c: np.ndarray, image: np.ndarray,
-                 safe_d: np.ndarray, positive: np.ndarray):
-    """One source's warp at the depths safe_d, valid where positive, of the
-    pixels whose rays are a: (warped, mask, uv, z, cells). Elementwise, so a
-    block of pixels warps to the same bytes as it does within the whole image."""
-    uv, z, front = project_rays(a, c, safe_d)
-    cells = bilinear_cells(image, uv)
-    mask = cells.inb.reshape(safe_d.shape) & front & positive
-    warped = cells.value().reshape(safe_d.shape + (-1,)) * mask[:, :, None]
-    return warped, mask, uv, z, cells
-
-
 def _warp_sources(sample: Sample, depth: np.ndarray, with_chain: bool) -> WarpDetails:
-    positive = depth > 0.0
-    safe_d = np.where(positive, depth, 1.0)
-    details = WarpDetails([], [], [], [], [])
-    for (a, c), view in zip(sample.rays, sample.sources):
-        warped, mask, uv, z, cells = _warp_source(a, c, view.image.data, safe_d, positive)
-        details.warped.append(warped)
-        details.masks.append(mask)
-        details.uv.append(uv)
-        details.z.append(z)
-        details.cells.append(cells)
+    warps = [warp_image(a, c, view.image.data, depth)
+             for (a, c), view in zip(sample.rays, sample.sources)]
+    details = WarpDetails(*map(list, zip(*warps)))  # one list per field, one entry per source
     if with_chain:
         _add_chain(sample, details)
     return details
@@ -150,7 +130,7 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
             if not m.any():
                 continue
             value, img_grad = ssim_loss_arrays(rec, sample.reference.image.data, m,
-                                               with_grad, sample.reference_moments)
+                                               sample.reference_moments, with_grad)
             vals.append(value)
             if with_grad:
                 g_ssim += (img_grad * details.chain[i]).sum(axis=2)
@@ -218,12 +198,9 @@ def _rewarp_pixel(sample: Sample, details: WarpDetails, depth: np.ndarray,
     """Overwrite pixel (v, u) of details.warped and details.masks with its warp
     at depth[v, u]: a pixel's warp reads its own depth and no other."""
     d = depth[v:v + 1, u:u + 1]
-    positive = d > 0.0
-    safe_d = np.where(positive, d, 1.0)
     for (a, c), view, warped, mask in zip(sample.rays, sample.sources,
                                           details.warped, details.masks):
-        pixel, inside = _warp_source(a[v:v + 1, u:u + 1], c, view.image.data,
-                                     safe_d, positive)[:2]
+        pixel, inside = warp_image(a[v:v + 1, u:u + 1], c, view.image.data, d)[:2]
         warped[v, u] = pixel[0, 0]
         mask[v, u] = inside[0, 0]
 
@@ -515,10 +492,10 @@ def optimize_joint(samples: dict[str, Sample],
     cam = ref0.camera
     init_step = INIT_STEP_INTERVAL_SCALE * sweep_cfg.final_interval(cam)
 
-    def initial(name: str):  # keeps no sweep volume alive
+    def initial(name: str):
         if init_depths is not None and name in init_depths:
             return ScalarField(init_depths[name].data.copy()), None, None
-        final = cascade_infer(samples[name], sweep_cfg)[-1]
+        final = cascade_infer(samples[name], sweep_cfg)
         return final.depth, final.prob_map, final.conf_mask
 
     depths: dict[str, ScalarField] = {}

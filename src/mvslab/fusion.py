@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Camera, backproject, pixel_grid, project_with_depth
+from .geometry import Camera, backproject, nearest_pixel, pixel_grid, project_with_depth
 from .grids import BinaryMask, Image, ScalarField
 
 
@@ -85,11 +85,8 @@ def _pairwise_consistency(ref: DepthView, other: DepthView, cfg: FusionConfig):
     pos = d_ref > 0
     uv, _, front = project_with_depth(grid, np.where(pos, d_ref, 1.0),
                                       ref.camera, other.camera)
-    oh, ow = other.depth.height, other.depth.width
-    u = np.round(uv[..., 0]).astype(int)
-    v = np.round(uv[..., 1]).astype(int)
-    inb = front & pos & (u >= 0) & (u < ow) & (v >= 0) & (v < oh)
-    uc, vc = np.clip(u, 0, ow - 1), np.clip(v, 0, oh - 1)
+    uc, vc, inside = nearest_pixel(uv, other.depth.height, other.depth.width)
+    inb = front & pos & inside
     d_other = other.depth.data[vc, uc]
     pix_other = np.stack([uc, vc], axis=-1).astype(np.float64)
     world = backproject(other.camera, pix_other, d_other)

@@ -1,5 +1,6 @@
-"""Pinhole camera model, per-pixel inverse warping, differentiable bilinear
-sampling, and the depth derivative of the warp used by the analytic gradients.
+"""Pinhole camera model, the one inverse warp of the plane sweep and the loss
+terms, differentiable bilinear sampling, and the depth derivative of the warp
+used by the analytic gradients.
 
 Conventions: pixel coordinate p = (u, v) with u along width; poses are 4x4
 world-to-camera rigid transforms; depth is the camera-frame z in mm.
@@ -204,23 +205,27 @@ def bilinear_cells(arr: np.ndarray, uv: np.ndarray) -> BilinearCells:
                          w if h > 1 else 0, (uc - u0)[:, None], (vc - v0)[:, None], inb)
 
 
-def bilinear_sample(img, uv):
-    """4-neighbor bilinear interpolation with an in-bounds flag.
+def warp_image(a: np.ndarray, c: np.ndarray, image: np.ndarray, depth: np.ndarray):
+    """Inverse-warp the (H, W, C) image along the rays a, c of warp_rays at
+    depth, an (h, w) field or a (D, h, w) stack of planes: (warped, mask, uv,
+    z, cells), warped 0 where the depth is <= 0, the point at/behind the source
+    camera or the sample out of the image. Elementwise, so a block of pixels
+    warps to the same bytes as it does within the whole image."""
+    positive = depth > 0.0
+    uv, z, front = project_rays(a, c, np.where(positive, depth, 1.0))
+    cells = bilinear_cells(image, uv)
+    mask = cells.inb.reshape(z.shape) & front & positive
+    warped = cells.value().reshape(z.shape + (-1,)) * mask[..., None]
+    return warped, mask, uv, z, cells
 
-    img may be an Image or an (H, W[, C]) array. uv is (..., 2) continuous
-    pixel coordinates. Out-of-bounds points return value 0 with flag False.
-    """
-    arr = img.data if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
-    squeeze = arr.ndim == 2
-    if squeeze:
-        arr = arr[:, :, None]
-    uv = np.asarray(uv, dtype=np.float64)
-    cells = bilinear_cells(arr, uv)
-    val = cells.value().reshape(uv.shape[:-1] + (arr.shape[2],))
-    inb = cells.inb.reshape(uv.shape[:-1])
-    if squeeze:
-        val = val[..., 0]
-    return val, inb
+
+def nearest_pixel(uv: np.ndarray, h: int, w: int):
+    """Nearest pixel of each point uv (..., 2) in an h x w view: (u, v) clipped
+    into the view, and whether the rounded pixel lies inside it."""
+    u = np.round(uv[..., 0]).astype(int)
+    v = np.round(uv[..., 1]).astype(int)
+    inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    return np.clip(u, 0, w - 1), np.clip(v, 0, h - 1), inside
 
 
 def resize_bilinear(field, new_h: int, new_w: int):

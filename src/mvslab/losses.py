@@ -168,14 +168,12 @@ def ssim_reference_moments(y_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ssim_loss_arrays(x_all: np.ndarray, y_all: np.ndarray, m: np.ndarray,
-                     need_grad: bool = True,
-                     y_moments: tuple[np.ndarray, np.ndarray] | None = None
+                     y_moments: tuple[np.ndarray, np.ndarray], need_grad: bool = True
                      ) -> tuple[float, np.ndarray | None]:
     """Mean over the mask m of (1 - SSIM)/2 between the (H, W, C) arrays x_all
     (warped) and y_all (reference), with 3x3 uniform windows, computed per
-    channel and averaged. y_moments is ssim_reference_moments(y_all), pooled
-    here when not given. Returns the value and dL/d(x_all), or None for it
-    when need_grad is False."""
+    channel and averaged. y_moments is ssim_reference_moments(y_all). Returns
+    the value and dL/d(x_all), or None for it when need_grad is False."""
     msum = float(m.sum())
     if msum == 0:
         raise LossError("SSIM over an empty mask")
@@ -184,7 +182,7 @@ def ssim_loss_arrays(x_all: np.ndarray, y_all: np.ndarray, m: np.ndarray,
     grad = np.zeros_like(x_all) if need_grad else None
     dl_ds = -m.astype(np.float64) / (2.0 * c * msum)
     mu_x_all = _pool3(x_all)
-    mu_y_all, yy_all = y_moments or ssim_reference_moments(y_all)
+    mu_y_all, yy_all = y_moments
     xx_all = _pool3(x_all * x_all)
     xy_all = _pool3(x_all * y_all)
     for ch in range(c):

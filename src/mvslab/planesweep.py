@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
-from .geometry import (Camera, bilinear_sample, pixel_grid, project_with_depth,
-                       resize_bilinear)
+from .geometry import Camera, pixel_grid, resize_bilinear, warp_image, warp_rays
 from .grids import BinaryMask, Image, ScalarField, forward_diff, to_grayscale
 from .sampling import Sample
 
@@ -97,8 +96,6 @@ class StageResult:
     depth: ScalarField
     prob_map: ScalarField
     conf_mask: BinaryMask
-    hypotheses: HypothesisSet
-    prob_volume: np.ndarray
 
 
 def build_hypotheses(cam: Camera, stage: int, cfg: SweepConfig,
@@ -126,7 +123,11 @@ def build_hypotheses(cam: Camera, stage: int, cfg: SweepConfig,
 
 
 def _stage_size(img: Image, scale: int) -> tuple[int, int]:
-    return max(1, img.height // scale), max(1, img.width // scale)
+    h, w = img.height // scale, img.width // scale
+    if scale > 1 and min(h, w) < 2:  # a side resized onto 1 pixel has no focal length
+        raise PlaneSweepError(f"a {img.height}x{img.width} image is too small for stage "
+                              f"divisor {scale}: each side needs at least {2 * scale} pixels")
+    return h, w
 
 
 def _normalize_groups(feats: np.ndarray, n_groups: int) -> np.ndarray:
@@ -168,25 +169,19 @@ def extract_features(img: Image, stage: int, cfg: SweepConfig) -> np.ndarray:
 
 
 def build_feature_volume(src_feat: np.ndarray, hyps: HypothesisSet,
-                         ref_cam: Camera, src_cam: Camera,
-                         n_groups: int | None = None) -> np.ndarray:
+                         ref_cam: Camera, src_cam: Camera, n_groups: int) -> np.ndarray:
     """Warp source features to every hypothesis plane: (N_C, D, h, w).
 
-    When n_groups is given, each sampled group vector is re-normalized:
-    bilinear interpolation attenuates feature energy as a function of the
-    fractional sampling phase, which would otherwise drag the correlation
-    peak toward integer alignments (pixel locking)."""
-    d, h, w = hyps.values.shape
+    The rays of the (h, w) grid are computed once and broadcast over the D
+    planes. Each sampled group vector is re-normalized: bilinear interpolation
+    attenuates feature energy as a function of the fractional sampling phase,
+    which would otherwise drag the correlation peak toward integer alignments
+    (pixel locking)."""
     if src_feat.ndim != 3:
         raise PlaneSweepError("features must be (h, w, C)")
-    grid = pixel_grid(h, w)
-    grids = np.broadcast_to(grid, (d, h, w, 2))
-    uv, z, front = project_with_depth(grids, hyps.values, ref_cam, src_cam)
-    val, inb = bilinear_sample(src_feat, uv)
-    val = val * (front & inb)[..., None]
-    if n_groups is not None:
-        val = _normalize_groups(val, n_groups)
-    return np.moveaxis(val, -1, 0)
+    a, c = warp_rays(pixel_grid(*hyps.values.shape[1:]), ref_cam, src_cam)
+    val = warp_image(a, c, src_feat, hyps.values)[0]
+    return np.moveaxis(_normalize_groups(val, n_groups), -1, 0)
 
 
 def groupwise_correlation(ref_vol: np.ndarray, src_vols: list[np.ndarray],
@@ -248,11 +243,11 @@ def probability_and_confidence(prob: np.ndarray, hyps: HypothesisSet,
     return ScalarField(pm), BinaryMask(pm > conf_threshold)
 
 
-def sweep_stage(sample: Sample, stage: int, cfg: SweepConfig,
-                prev_depth: ScalarField | None) -> StageResult:
+def _stage_volume(sample: Sample, stage: int, cfg: SweepConfig,
+                  prev_depth: ScalarField | None) -> tuple[np.ndarray, HypothesisSet]:
     """One stage at its resolution: hypotheses from the reference camera's
     range (stage 1) or around prev_depth, features of every view warped onto
-    them, correlation, softmax, regressed depth and confidence."""
+    them, correlation and softmax. Returns (probability volume, hypotheses)."""
     ref = sample.reference
     h, w = _stage_size(ref.image, cfg.stage_scales[stage - 1])
 
@@ -267,27 +262,31 @@ def sweep_stage(sample: Sample, stage: int, cfg: SweepConfig,
     src_vols = [build_feature_volume(feat, hyps, ref_cam, camera(view), cfg.n_groups)
                 for view, feat in zip(sample.sources, feats[1:])]
     cost = groupwise_correlation(ref_vol, src_vols, cfg.n_groups)
-    prob = regularize_and_softmax(cost, cfg)
+    return regularize_and_softmax(cost, cfg), hyps
+
+
+def sweep_stage(sample: Sample, stage: int, cfg: SweepConfig,
+                prev_depth: ScalarField | None) -> StageResult:
+    """One stage's regressed depth and confidence."""
+    prob, hyps = _stage_volume(sample, stage, cfg, prev_depth)
     depth = regress_depth(prob, hyps)
     pm, mc = probability_and_confidence(prob, hyps, depth, cfg.conf_threshold)
-    return StageResult(depth, pm, mc, hyps, prob)
+    return StageResult(depth, pm, mc)
 
 
-def cascade_infer(sample: Sample, cfg: SweepConfig | None = None) -> list[StageResult]:
-    """Coarse-to-fine sweep; the final stage's depth is the inference result."""
+def cascade_infer(sample: Sample, cfg: SweepConfig | None = None) -> StageResult:
+    """Coarse-to-fine sweep; returns the final stage, the inference result."""
     cfg = cfg or SweepConfig()
-    results: list[StageResult] = []
-    prev_depth = None
+    depth = None
     for stage in range(1, len(cfg.stage_counts) + 1):
-        results.append(sweep_stage(sample, stage, cfg, prev_depth))
-        prev_depth = results[-1].depth
-    return results
+        result = sweep_stage(sample, stage, cfg, depth)
+        depth = result.depth
+    return result
 
 
 def refresh_confidence(sample: Sample, depth: ScalarField, cfg: SweepConfig
                        ) -> tuple[ScalarField, BinaryMask]:
     """Re-evaluate the final sweep stage with hypotheses centered on the given
     depth field and read the confidence off the fresh probability volume."""
-    result = sweep_stage(sample, len(cfg.stage_counts), cfg, depth)
-    return probability_and_confidence(result.prob_volume, result.hypotheses, depth,
-                                      cfg.conf_threshold)
+    prob, hyps = _stage_volume(sample, len(cfg.stage_counts), cfg, depth)
+    return probability_and_confidence(prob, hyps, depth, cfg.conf_threshold)

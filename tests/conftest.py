@@ -17,7 +17,13 @@ def checker_samples(checker_scene):
 
 @pytest.fixture(scope="session")
 def checker_cascade(checker_samples):
-    return planesweep.cascade_infer(checker_samples["regular"])
+    """Every stage of the cascade on the checker plane, coarse to fine."""
+    cfg = planesweep.SweepConfig()
+    stages, depth = [], None
+    for stage in range(1, len(cfg.stage_counts) + 1):
+        stages.append(planesweep.sweep_stage(checker_samples["regular"], stage, cfg, depth))
+        depth = stages[-1].depth
+    return stages
 
 
 @pytest.fixture(scope="session")

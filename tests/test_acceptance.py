@@ -150,8 +150,8 @@ def test_criterion_8_fusion_integrity():
                                             height=64, width=80, n_views=7, seed=9))
     views = []
     for ref in scene.views:
-        stages = cascade_infer(synth.regular_sample(scene, ref.view_id, 5))
-        views.append(fusion.DepthView(stages[-1].depth, stages[-1].prob_map,
+        final = cascade_infer(synth.regular_sample(scene, ref.view_id, 5))
+        views.append(fusion.DepthView(final.depth, final.prob_map,
                                       ref.camera, ref.image, ref.view_id))
     cfg = fusion.FusionConfig(reproj_px=0.5, rel_depth=0.005, min_consistent_views=4)
     cloud, masks = fusion.fuse_point_cloud(views, cfg)

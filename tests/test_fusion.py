@@ -17,8 +17,8 @@ def cube_views():
                                             height=48, width=64, n_views=7, seed=9))
     views = []
     for ref in scene.views:
-        stages = cascade_infer(synth.regular_sample(scene, ref.view_id, 5))
-        views.append(DepthView(stages[-1].depth, stages[-1].prob_map, ref.camera,
+        final = cascade_infer(synth.regular_sample(scene, ref.view_id, 5))
+        views.append(DepthView(final.depth, final.prob_map, ref.camera,
                                ref.image, ref.view_id))
     return scene, views
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mvslab.depthopt import _warp_sources
 from mvslab.geometry import (Camera, CameraView, GeometryError, backproject,
-                             bilinear_cells, bilinear_sample, pixel_grid, project_rays,
-                             project_with_depth, ray_jacobian, warp_rays)
+                             bilinear_cells, nearest_pixel, pixel_grid, project_rays,
+                             project_with_depth, ray_jacobian, warp_image, warp_rays)
 from mvslab.grids import Image, ScalarField
 from mvslab.sampling import Sample
 
@@ -109,22 +109,22 @@ def test_project_matches_homogeneous_chain_oracle():
 def test_bilinear_sample_at_lattice_points():
     rng = np.random.default_rng(5)
     img = Image(rng.random((4, 5, 3)))
-    val, inb = bilinear_sample(img, np.array([3.0, 2.0]))
-    assert inb
-    assert np.allclose(val, img.data[2, 3])
+    cells = bilinear_cells(img.data, np.array([3.0, 2.0]))
+    assert cells.inb[0]
+    assert np.allclose(cells.value()[0], img.data[2, 3])
 
 
 def test_bilinear_sample_center_of_2x2():
-    img = np.array([[0.0, 1.0], [2.0, 3.0]])
-    val, inb = bilinear_sample(img, np.array([0.5, 0.5]))
-    assert inb and val == pytest.approx(1.5)
+    img = np.array([[0.0, 1.0], [2.0, 3.0]])[:, :, None]
+    cells = bilinear_cells(img, np.array([0.5, 0.5]))
+    assert cells.inb[0] and cells.value()[0, 0] == pytest.approx(1.5)
 
 
 def test_bilinear_sample_out_of_bounds():
     img = Image(np.ones((3, 3, 1)))
-    val, inb = bilinear_sample(img, np.array([-1.0, -1.0]))
-    assert not inb
-    assert np.all(val == 0.0)
+    cells = bilinear_cells(img.data, np.array([-1.0, -1.0]))
+    assert not cells.inb[0]
+    assert np.all(cells.value() == 0.0)
 
 
 @settings(deadline=None, max_examples=50)
@@ -133,8 +133,9 @@ def test_bilinear_sample_is_convex_combination(seed):
     rng = np.random.default_rng(seed)
     img = rng.random((5, 6))
     uv = rng.uniform([0, 0], [5.0, 4.0], size=2)
-    val, inb = bilinear_sample(img, uv)
-    assert inb
+    cells = bilinear_cells(img[:, :, None], uv)
+    assert cells.inb[0]
+    val = cells.value()[0, 0]
     u0, v0 = int(uv[0]), int(uv[1])
     patch = img[v0:v0 + 2, u0:u0 + 2]
     assert patch.min() - 1e-12 <= val <= patch.max() + 1e-12
@@ -274,8 +275,8 @@ def test_bilinear_sample_grad_matches_fd():
         for axis in range(2):
             up = uv.copy(); up[axis] += eps
             dn = uv.copy(); dn[axis] -= eps
-            vu, _ = bilinear_sample(img, up)
-            vd, _ = bilinear_sample(img, dn)
+            vu = bilinear_cells(img, up).value()[0]
+            vd = bilinear_cells(img, dn).value()[0]
             fd = (vu - vd) / (2 * eps)
             assert np.allclose(g[:, axis], fd, atol=1e-6)
 
@@ -315,15 +316,48 @@ def test_bilinear_cells_equal_slow_reference_exactly(shape):
                      [0.0, h + 3.0], [-7.0, -7.0]])]
     uv = np.concatenate(pts)[None]
     cells = bilinear_cells(img, uv)
-    val, inb = bilinear_sample(img, uv)
+    val, inb = cells.value(), cells.inb
     gu, gv = cells.grad()
-    assert np.array_equal(cells.value().reshape(val.shape), val)
-    assert np.array_equal(cells.inb.reshape(inb.shape), inb)
+    # the leading axes of uv do not change what is sampled
+    flat = bilinear_cells(img, uv.reshape(-1, 2))
+    assert np.array_equal(flat.value(), val)
+    assert np.array_equal(flat.inb, inb)
     assert not inb.all() and inb.any()
     slow = np.array([_slow_bilinear(img, u, v) for u, v in uv.reshape(-1, 2)])
     assert np.array_equal(val.reshape(-1, shape[2]), slow[:, 0])
     assert np.array_equal(gu, slow[:, 1])
     assert np.array_equal(gv, slow[:, 2])
+
+
+def test_warp_image_of_a_depth_stack_equals_each_plane():
+    # the plane sweep warps its (D, h, w) hypothesis planes in one call
+    rng = np.random.default_rng(21)
+    h, w = 16, 20
+    k = np.array([[30.0, 0.0, 9.5], [0.0, 30.0, 7.5], [0.0, 0.0, 1.0]])
+    pose = np.eye(4)
+    pose[:3, :3] = rotation(0.02, -0.03, 0.01)
+    pose[:3, 3] = [25.0, -10.0, 5.0]
+    a, c = warp_rays(pixel_grid(h, w), simple_camera(k), simple_camera(k, pose))
+    image = rng.random((h, w, 3))
+    depths = rng.uniform(50.0, 900.0, (5, h, w))
+    depths[1, 3, 4] = 0.0
+    depths[2, 5, 6] = -3.0
+    warped, mask = warp_image(a, c, image, depths)[:2]
+    assert warped.shape == (5, h, w, 3) and mask.shape == (5, h, w)
+    assert mask.any() and not mask.all()
+    assert not mask[1, 3, 4] and not mask[2, 5, 6]
+    for i, plane in enumerate(depths):
+        plane_warped, plane_mask = warp_image(a, c, image, plane)[:2]
+        assert np.array_equal(warped[i], plane_warped)
+        assert np.array_equal(mask[i], plane_mask)
+
+
+def test_nearest_pixel_rounds_and_clips():
+    uv = np.array([[0.4, 0.6], [-0.6, 1.0], [4.49, 1.51], [4.5, 0.0], [2.0, -3.0]])
+    u, v, inside = nearest_pixel(uv, 3, 5)
+    assert u.tolist() == [0, 0, 4, 4, 2]
+    assert v.tolist() == [1, 1, 2, 0, 0]
+    assert inside.tolist() == [True, False, True, True, False]
 
 
 def test_ray_projection_matches_explicit_reprojection():

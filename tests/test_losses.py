@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 from mvslab.grids import BinaryMask, Image, ScalarField, forward_diff
 from mvslab.losses import (LossError, NormKind, branch_consistency, edge_weights,
                            norm_value_grad, photometric_consistency_arrays,
-                           photometric_residual, smoothness_loss, ssim_loss_arrays)
+                           photometric_residual, smoothness_loss, ssim_loss_arrays,
+                           ssim_reference_moments)
 
 L05 = NormKind(0.5)
 L1 = NormKind(1.0)
@@ -166,7 +167,8 @@ def test_photometric_skips_empty_source_but_keeps_valid_one():
 
 def test_ssim_identical_images_zero():
     img = Image(np.random.default_rng(5).random((8, 9, 3)))
-    value, grad = ssim_loss_arrays(img.data, img.data, full_mask(8, 9).data)
+    value, grad = ssim_loss_arrays(img.data, img.data, full_mask(8, 9).data,
+                                   ssim_reference_moments(img.data))
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(grad, 0.0, atol=1e-12)
 
@@ -177,7 +179,8 @@ def test_ssim_negated_structure_exceeds_midpoint():
     rng = np.random.default_rng(6)
     x = 0.5 + 0.45 * np.sign(rng.standard_normal((12, 12, 1)))
     y = np.clip(2 * 0.5 - x, 0, 1)
-    value, _ = ssim_loss_arrays(Image(x).data, Image(y).data, full_mask(12, 12).data)
+    value, _ = ssim_loss_arrays(Image(x).data, Image(y).data, full_mask(12, 12).data,
+                                ssim_reference_moments(Image(y).data))
     assert 0.5 < value <= 1.0
     assert value > 0.8
 
@@ -188,14 +191,16 @@ def test_ssim_within_unit_interval(seed):
     rng = np.random.default_rng(seed)
     x = Image(rng.random((6, 6, 3)))
     y = Image(rng.random((6, 6, 3)))
-    value, _ = ssim_loss_arrays(x.data, y.data, full_mask(6, 6).data)
+    value, _ = ssim_loss_arrays(x.data, y.data, full_mask(6, 6).data,
+                                ssim_reference_moments(y.data))
     assert 0.0 <= value <= 1.0
 
 
 def test_ssim_empty_mask_errors():
     img = Image(np.zeros((4, 4, 3)))
     with pytest.raises(LossError):
-        ssim_loss_arrays(img.data, img.data, np.zeros((4, 4), dtype=bool))
+        ssim_loss_arrays(img.data, img.data, np.zeros((4, 4), dtype=bool),
+                         ssim_reference_moments(img.data))
 
 
 def test_smoothness_constant_depth_zero():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvslab.geometry import Camera
+from mvslab.geometry import Camera, pixel_grid, warp_image, warp_rays
 from mvslab.geometry import resize_bilinear
 from mvslab.grids import Image, ScalarField
 from mvslab.planesweep import (HypothesisSet, PlaneSweepError, SweepConfig,
@@ -92,9 +92,17 @@ def test_feature_volume_identity_camera():
     img = Image(np.random.default_rng(1).random((64, 80, 3)))
     feats = extract_features(img, 3, cfg)
     hyps = build_hypotheses(cam, 1, cfg, None, 64, 80)
-    vol = build_feature_volume(feats, hyps, cam, cam)
+    vol = build_feature_volume(feats, hyps, cam, cam, cfg.n_groups)
+    # the warp itself, before build_feature_volume re-normalizes each group
+    warped = warp_image(*warp_rays(pixel_grid(64, 80), cam, cam), feats, hyps.values)[0]
+    # re-normalization divides a group that is exactly 0 in feats by its 1e-8
+    # floor, so float residue of the warp there (7e-15 at the bottom-right
+    # pixel of plane 44) grows to 7e-7; every other group of feats is unit-norm
+    group_norms = np.linalg.norm(feats.reshape(64, 80, cfg.n_groups, -1), axis=-1)
+    unit = np.repeat(group_norms > 0.5, cfg.n_channels // cfg.n_groups, axis=-1)
     for d in range(0, 48, 11):
-        assert np.allclose(vol[:, d], np.moveaxis(feats, -1, 0), atol=1e-9)
+        assert np.allclose(warped[d], feats, atol=1e-9)
+        assert np.allclose(np.moveaxis(vol[:, d], 0, -1)[unit], feats[unit], atol=1e-9)
 
 
 def test_feature_volume_at_gt_depth_matches_reference(checker_scene):
@@ -124,8 +132,8 @@ def test_feature_volume_out_of_frustum_zero():
     pose[0, 3] = 1e5  # pushes every projection far outside
     src = Camera(cam.k, pose, 425.0, 935.0)
     feats = np.ones((8, 10, 8))
-    hyps = build_hypotheses(cam, 1, SweepConfig(), None, 8, 10)
-    vol = build_feature_volume(feats, hyps, cam, src)
+    hyps = build_hypotheses(cam, 1, cfg, None, 8, 10)
+    vol = build_feature_volume(feats, hyps, cam, src, cfg.n_groups)
     assert np.all(vol == 0)
 
 
@@ -281,6 +289,9 @@ def test_cascade_stage1_recovers_plane(checker_scene, checker_samples, checker_c
     gt = checker_scene.views[0].gt_depth.data
     st1 = checker_cascade[0]
     h, w = st1.depth.data.shape
+    ref = checker_samples["regular"].reference
+    cam = ref.camera.scaled(h, w, ref.image.height, ref.image.width)
+    spacing = (cam.depth_max - cam.depth_min) / (SweepConfig().stage_counts[0] - 1)
     gt_s = resize_bilinear(ScalarField(gt), h, w).data
     valid = mutual_visibility(checker_samples["regular"], gt, crop=4)
     valid_s = resize_bilinear(ScalarField(valid.astype(float)), h, w).data > 0.99
@@ -289,7 +300,7 @@ def test_cascade_stage1_recovers_plane(checker_scene, checker_samples, checker_c
     valid_s[:3, :] = valid_s[-3:, :] = False
     valid_s[:, :3] = valid_s[:, -3:] = False
     err = np.abs(st1.depth.data - gt_s)
-    assert (err[valid_s] <= st1.hypotheses.spacing).mean() >= 0.95
+    assert (err[valid_s] <= spacing).mean() >= 0.95
 
 
 def test_cascade_final_stage_accuracy(checker_scene, checker_samples, checker_cascade):
@@ -314,11 +325,28 @@ def test_cascade_median_error_never_increases(checker_scene, checker_samples,
     assert medians[2] <= medians[1] + 1e-9
 
 
+def test_cascade_infer_returns_the_last_stage(checker_samples, checker_cascade):
+    final = cascade_infer(checker_samples["regular"])
+    last = checker_cascade[-1]
+    assert np.array_equal(final.depth.data, last.depth.data)
+    assert np.array_equal(final.prob_map.data, last.prob_map.data)
+    assert np.array_equal(final.conf_mask.data, last.conf_mask.data)
+
+
+@pytest.mark.parametrize("size", [(3, 3), (4, 5), (2, 8)], ids=["3x3", "4x5", "2x8"])
+def test_image_too_small_for_stage_divisor_raises(size):
+    # the default coarsest divisor is 4; a 4x5 image would sweep a 1x1 stage
+    h, w = size
+    scene = synth.gen_scene(synth.SceneSpec(height=h, width=w, n_views=3, seed=0))
+    with pytest.raises(PlaneSweepError, match=f"{h}x{w} image .* divisor 4"):
+        cascade_infer(synth.regular_sample(scene, 0, 2))
+
+
 def test_textureless_scene_has_no_confidence():
     scene = synth.gen_scene(synth.SceneSpec(texture="uniform", height=32, width=40, seed=4))
     samples = synth.build_branch_samples(scene, 0, 5, 0.0, 7)
-    stages = cascade_infer(samples["regular"])
-    assert stages[-1].conf_mask.data.mean() < 0.05
+    final = cascade_infer(samples["regular"])
+    assert final.conf_mask.data.mean() < 0.05
 
 
 def test_refresh_confidence_centers_on_given_depth(checker_scene, checker_samples,

@@ -8,7 +8,7 @@ import pytest
 from mvslab import claims, synth
 from mvslab.fileio import FileFormatError
 from mvslab.sampling import SamplingError
-from mvslab.geometry import bilinear_sample, pixel_grid, project_with_depth, backproject
+from mvslab.geometry import bilinear_cells, pixel_grid, project_with_depth, backproject
 from mvslab.synth import SceneError, SceneSpec, gen_scene
 
 
@@ -60,8 +60,9 @@ def test_lambertian_view_invariance(monkeypatch):
     ref, other = scene.views[0], scene.views[2]
     grid = pixel_grid(32, 40)
     uv, _, front = project_with_depth(grid, ref.gt_depth.data, ref.camera, other.camera)
-    val, inb = bilinear_sample(other.image, uv)
-    m = inb & front
+    cells = bilinear_cells(other.image.data, uv)
+    val = cells.value().reshape(uv.shape[:-1] + (3,))
+    m = cells.inb.reshape(uv.shape[:-1]) & front
     m[:3] = m[-3:] = False
     m[:, :3] = m[:, -3:] = False
     diff = np.abs(val - ref.image.data).max(axis=2)
@@ -78,8 +79,9 @@ def test_specular_breaks_view_invariance():
         grid = pixel_grid(32, 40)
         uv, _, front = project_with_depth(grid, ref.gt_depth.data, ref.camera,
                                           other.camera)
-        val, inb = bilinear_sample(other.image, uv)
-        m = inb & front
+        cells = bilinear_cells(other.image.data, uv)
+        val = cells.value().reshape(uv.shape[:-1] + (3,))
+        m = cells.inb.reshape(uv.shape[:-1]) & front
         return np.abs(val - ref.image.data).max(axis=2)[m].mean()
 
     assert cross_view_residual(shiny) > 10 * cross_view_residual(flat)
