@@ -17,7 +17,7 @@ import numpy as np
 
 from . import claims, depthopt, fileio, fusion, planesweep, sampling, synth
 from .config import RunConfig, load_config
-from .grids import BinaryMask, ScalarField
+from .grids import ScalarField
 
 EVAL_CAVEAT = ("note: published benchmark tables for this method come from "
                "networks trained on full-scale DTU; this desk-scale synthetic "
@@ -37,11 +37,10 @@ PRESETS = {
 def cmd_gen_synth(args, cfg: RunConfig) -> int:
     overrides = dict(PRESETS[args.preset])
     overrides["seed"] = cfg.seed
-    if args.n_views:
+    if args.n_views is not None:
         overrides["n_views"] = args.n_views
     if args.size:
-        h, w = (int(t) for t in args.size.split("x"))
-        overrides.update(height=h, width=w)
+        overrides.update(height=args.size[0], width=args.size[1])
     spec = synth.SceneSpec(**overrides)
     scene = synth.gen_scene(spec)
     synth.save_scene(scene, args.out)
@@ -170,9 +169,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         if not path.exists():
             continue
         depth = fileio.read_pfm(path)
-        valid = BinaryMask(np.ones(depth.data.shape, dtype=bool))
         try:
-            fr = fusion.depth_metrics(depth, view.gt_depth, valid)
+            fr = fusion.depth_metrics(depth, view.gt_depth)
         except fusion.FusionError as exc:
             raise fusion.FusionError(f"view {vid}, {path}: {exc}") from exc
         print(f"{vid:>4} {fr[2.0]:>8.3f} {fr[4.0]:>8.3f} {fr[8.0]:>8.3f}")
@@ -225,6 +223,16 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _size(text: str) -> tuple[int, int]:
+    try:
+        h, w = (int(t) for t in text.split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be HxW, e.g. 64x80, got {text!r}") from None
+    if min(h, w) < 1:
+        raise argparse.ArgumentTypeError(f"both sides must be at least 1, got {text!r}")
+    return h, w
+
+
 def _positive_finite(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -242,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-synth", help="render a synthetic scene")
     p.add_argument("--preset", choices=sorted(PRESETS), default="checker_plane")
     p.add_argument("--n-views", type=int, default=None)
-    p.add_argument("--size", help="HxW, e.g. 64x80")
+    p.add_argument("--size", type=_size, help="HxW, e.g. 64x80")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_synth)
 

@@ -41,11 +41,8 @@ _COUNTS = ("n_views", "total_epochs", "epoch", "iterations")
 
 def _typed(name: str, value, default):
     """value, checked against the type of the field's default: an int field
-    takes neither a bool nor a float, a float field takes a finite float or an
-    int as a float, and a tuple field takes a list of its first element's
-    type."""
-    if isinstance(default, tuple) and isinstance(value, list):
-        return tuple(_typed(name, v, default[0]) for v in value)
+    takes neither a bool nor a float, and a float field takes a finite float or
+    an int as a float."""
     if isinstance(default, float) and type(value) is int and abs(value) < 1e308:
         value = float(value)
     if type(value) is not type(default):

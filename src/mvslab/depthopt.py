@@ -19,7 +19,7 @@ from .grids import BinaryMask, Image, ScalarField, forward_diff
 from .losses import (LossError, LossWeights, NormKind, PhotometricResidual,
                      branch_consistency, photometric_consistency_arrays,
                      photometric_residual, smoothness_loss, ssim_loss_arrays)
-from .planesweep import SweepConfig, cascade_infer, refresh_confidence
+from .planesweep import SweepConfig, cascade_infer, final_interval, refresh_confidence
 from .sampling import Sample, SamplingError
 
 
@@ -442,7 +442,6 @@ class OptimizerConfig:
 class OptState:
     depths: dict[str, ScalarField]
     conf_mask: BinaryMask
-    prob_map: ScalarField
     history: list[dict]  # one record per iteration
 
 
@@ -490,22 +489,20 @@ def optimize_joint(samples: dict[str, Sample],
             raise SamplingError("all branches must share the reference view")
 
     cam = ref0.camera
-    init_step = INIT_STEP_INTERVAL_SCALE * sweep_cfg.final_interval(cam)
-
-    def initial(name: str):
-        if init_depths is not None and name in init_depths:
-            return ScalarField(init_depths[name].data.copy()), None, None
-        final = cascade_infer(samples[name], sweep_cfg)
-        return final.depth, final.prob_map, final.conf_mask
+    init_step = INIT_STEP_INTERVAL_SCALE * final_interval(cam)
 
     depths: dict[str, ScalarField] = {}
+    conf_mask = None  # the regular branch's sweep mask, else a refresh at its depth
     for name in names:
-        depths[name], pm, cm = initial(name)
+        if init_depths is not None and name in init_depths:
+            depths[name] = ScalarField(init_depths[name].data.copy())
+            continue
+        final = cascade_infer(samples[name], sweep_cfg)
+        depths[name] = final.depth
         if name == "regular":
-            prob_map, conf_mask = pm, cm
+            conf_mask = final.conf_mask
     if conf_mask is None:
-        prob_map, conf_mask = refresh_confidence(samples["regular"],
-                                                 depths["regular"], sweep_cfg)
+        _, conf_mask = refresh_confidence(samples["regular"], depths["regular"], sweep_cfg)
 
     steps = {name: init_step for name in names}
     history: list[dict] = []
@@ -550,8 +547,8 @@ def optimize_joint(samples: dict[str, Sample],
     for it in range(opt.iterations):
         if opt.refresh_every > 0 and it > 0 and it % opt.refresh_every == 0:
             warps.clear()
-            prob_map, conf_mask = refresh_confidence(samples["regular"],
-                                                     depths["regular"], sweep_cfg)
+            _, conf_mask = refresh_confidence(samples["regular"], depths["regular"],
+                                              sweep_cfg)
         record = {"iteration": it}
         for branch in names:
             cur_val, parts, accepted = descend(branch, it)
@@ -568,7 +565,7 @@ def optimize_joint(samples: dict[str, Sample],
         record["total"] = sum(record[f"loss_{BRANCHES[name]}"] for name in names)
         record["conf_count"] = conf_mask.count()
         history.append(record)
-    return OptState(depths, conf_mask, prob_map, history)
+    return OptState(depths, conf_mask, history)
 
 
 def final_report(state: OptState, opt: OptimizerConfig) -> dict[str, float]:

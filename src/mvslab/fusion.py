@@ -40,13 +40,12 @@ class DepthView:
     depth: ScalarField
     prob_map: ScalarField
     camera: Camera
-    image: Image | None = None
+    image: Image
     view_id: int = 0
 
     def __post_init__(self):
-        shapes = [self.depth.data.shape, self.prob_map.data.shape]
-        if self.image is not None:
-            shapes.append(self.image.data.shape[:2])
+        shapes = [self.depth.data.shape, self.prob_map.data.shape,
+                  self.image.data.shape[:2]]
         if len(set(shapes)) > 1:
             raise FusionError(f"view {self.view_id}: depth, prob_map and image "
                               f"disagree in shape: {shapes}")
@@ -137,10 +136,7 @@ def fuse_point_cloud(views: list[DepthView], cfg: FusionConfig
             mv = pix_other[..., 1].astype(int)[match]
             consumed[j][mv, mu] = True
         pts = acc[alive] / n_acc[alive][:, None]
-        if ref.image is not None:
-            cols = np.clip(ref.image.data[alive] * 255.0, 0, 255).astype(np.uint8)
-        else:
-            cols = np.full((int(alive.sum()), 3), 200, dtype=np.uint8)
+        cols = np.clip(ref.image.data[alive] * 255.0, 0, 255).astype(np.uint8)
         vs, us = np.nonzero(alive)
         prov = np.stack([np.full(len(vs), ref.view_id), vs, us], axis=-1)
         all_pts.append(pts)
@@ -155,16 +151,13 @@ def fuse_point_cloud(views: list[DepthView], cfg: FusionConfig
     return cloud, masks
 
 
-def depth_metrics(depth: ScalarField, gt: ScalarField, valid: BinaryMask,
+def depth_metrics(depth: ScalarField, gt: ScalarField,
                   thresholds: tuple[float, ...] = (2.0, 4.0, 8.0)) -> dict[float, float]:
-    """Fraction of valid pixels with |depth - gt| <= threshold (mm)."""
-    m = valid.data
-    if not depth.data.shape == gt.data.shape == m.shape:
-        raise FusionError(f"depth {depth.data.shape}, gt {gt.data.shape} and valid "
-                          f"{m.shape} disagree in shape")
-    if m.sum() == 0:
-        raise FusionError("depth metrics over an empty valid mask")
-    err = np.abs(depth.data - gt.data)[m]
+    """Fraction of pixels with |depth - gt| <= threshold (mm)."""
+    if depth.data.shape != gt.data.shape:
+        raise FusionError(f"depth {depth.data.shape} and gt {gt.data.shape} "
+                          f"disagree in shape")
+    err = np.abs(depth.data - gt.data)
     return {float(t): float((err <= t).mean()) for t in thresholds}
 
 

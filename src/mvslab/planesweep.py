@@ -24,44 +24,23 @@ class PlaneSweepError(ValueError):
 
 
 N_FEATURES = 8  # channels extract_features builds
+N_GROUPS = 4    # correlation groups of N_FEATURES / N_GROUPS channels each
+# The fixed three-stage cascade of CasMVSNet (Gu et al., CVPR 2020).
+STAGE_COUNTS = (48, 32, 8)          # hypotheses per stage
+STAGE_SCALES = (4, 2, 1)            # resolution divisor per stage
+REFINE_INTERVAL_SCALES = (4.0, 1.0)  # x final interval, stages 2..
+FINAL_INTERVALS = 191               # final interval = range / this
+SMOOTHING_PASSES = 2
+CONF_THRESHOLD = 0.95
 
 
 @dataclass
 class SweepConfig:
-    stage_counts: tuple[int, ...] = (48, 32, 8)
-    stage_scales: tuple[int, ...] = (4, 2, 1)       # resolution divisor per stage
-    refine_interval_scales: tuple[float, ...] = (4.0, 1.0)  # x final interval, stages 2..
-    final_intervals: int = 191                      # final interval = range / this
-    n_channels: int = 8
-    n_groups: int = 4
-    smoothing_passes: int = 2
     softmax_sharpness: float = 50.0
-    conf_threshold: float = 0.95
 
     def __post_init__(self):
-        if len(self.stage_counts) != len(self.stage_scales):
-            raise PlaneSweepError("stage_counts and stage_scales must align")
-        if len(self.refine_interval_scales) != len(self.stage_counts) - 1:
-            raise PlaneSweepError("need one refine interval scale per refinement stage")
-        if min(self.stage_counts) < 2:
-            raise PlaneSweepError("every stage needs at least 2 hypotheses")
-        if min(self.stage_scales) < 1:
-            raise PlaneSweepError("stage scales are resolution divisors, at least 1")
-        if self.final_intervals < 1:
-            raise PlaneSweepError("final_intervals must be at least 1")
-        if not 1 <= self.n_channels <= N_FEATURES:
-            raise PlaneSweepError(f"n_channels must lie in 1..{N_FEATURES}")
-        if self.n_groups < 1:
-            raise PlaneSweepError("n_groups must be at least 1")
-        if self.n_channels % self.n_groups != 0:
-            raise PlaneSweepError("channel count must be divisible by group count")
-        if not (0.0 < self.conf_threshold < 1.0):
-            raise PlaneSweepError("confidence threshold must lie in (0, 1)")
         if not self.softmax_sharpness > 0:
             raise PlaneSweepError("softmax_sharpness must be positive")
-
-    def final_interval(self, cam: Camera) -> float:
-        return (cam.depth_max - cam.depth_min) / self.final_intervals
 
     @property
     def temperature(self) -> float:
@@ -69,7 +48,11 @@ class SweepConfig:
         scale alone leaves the bounded correlation scores nearly uniform after
         the softmax, so a sharpness gain calibrated on synthetic scenes is
         applied on top."""
-        return 1.0 / (self.softmax_sharpness * np.sqrt(self.n_channels / self.n_groups))
+        return 1.0 / (self.softmax_sharpness * np.sqrt(N_FEATURES / N_GROUPS))
+
+
+def final_interval(cam: Camera) -> float:
+    return (cam.depth_max - cam.depth_min) / FINAL_INTERVALS
 
 
 @dataclass
@@ -98,12 +81,12 @@ class StageResult:
     conf_mask: BinaryMask
 
 
-def build_hypotheses(cam: Camera, stage: int, cfg: SweepConfig,
-                     prev_depth: ScalarField | None, h: int, w: int) -> HypothesisSet:
+def build_hypotheses(cam: Camera, stage: int, prev_depth: ScalarField | None,
+                     h: int, w: int) -> HypothesisSet:
     """Stage-1: uniform sweep of the camera depth range. Later stages: a
     fixed-count window centered on the upsampled previous depth, shifted (not
     clipped) back into the valid range so spacing stays strictly increasing."""
-    count = cfg.stage_counts[stage - 1]
+    count = STAGE_COUNTS[stage - 1]
     lo, hi = cam.depth_min, cam.depth_max
     if stage == 1:
         spacing = (hi - lo) / (count - 1)
@@ -112,11 +95,9 @@ def build_hypotheses(cam: Camera, stage: int, cfg: SweepConfig,
         return HypothesisSet(values, spacing)
     if prev_depth is None:
         raise PlaneSweepError(f"stage {stage} requires the previous stage depth")
-    spacing = cfg.refine_interval_scales[stage - 2] * cfg.final_interval(cam)
+    spacing = REFINE_INTERVAL_SCALES[stage - 2] * final_interval(cam)
     center = resize_bilinear(prev_depth, h, w).data
-    width = spacing * (count - 1)
-    if width > (hi - lo):
-        raise PlaneSweepError("refinement window exceeds the depth range")
+    width = spacing * (count - 1)  # at most 124/191 of the range, so it fits
     start = np.clip(center - width / 2.0, lo, hi - width)
     values = start[None, :, :] + spacing * np.arange(count)[:, None, None]
     return HypothesisSet(values, spacing)
@@ -130,15 +111,15 @@ def _stage_size(img: Image, scale: int) -> tuple[int, int]:
     return h, w
 
 
-def _normalize_groups(feats: np.ndarray, n_groups: int) -> np.ndarray:
-    """Each of n_groups equal slices of the last axis scaled to unit L2 norm;
+def _normalize_groups(feats: np.ndarray) -> np.ndarray:
+    """Each of N_GROUPS equal slices of the last axis scaled to unit L2 norm;
     all-zero groups stay zero."""
-    shaped = feats.reshape(feats.shape[:-1] + (n_groups, -1))
+    shaped = feats.reshape(feats.shape[:-1] + (N_GROUPS, -1))
     norms = np.linalg.norm(shaped, axis=-1, keepdims=True)
     return (shaped / np.maximum(norms, 1e-8)).reshape(feats.shape)
 
 
-def extract_features(img: Image, stage: int, cfg: SweepConfig) -> np.ndarray:
+def extract_features(img: Image, stage: int) -> np.ndarray:
     """Fixed per-pixel feature stack at the stage resolution, (h, w, N_C).
 
     All channels are local-contrast signals (gradients, diagonal differences,
@@ -148,7 +129,7 @@ def extract_features(img: Image, stage: int, cfg: SweepConfig) -> np.ndarray:
     Constant images produce all-zero features, so textureless regions yield a
     flat cost curve instead of a spurious match.
     """
-    scale = cfg.stage_scales[stage - 1]
+    scale = STAGE_SCALES[stage - 1]
     gray = to_grayscale(img)
     if scale > 1:
         gray = gaussian_filter(gray, sigma=0.5 * scale, mode="nearest")
@@ -165,11 +146,11 @@ def extract_features(img: Image, stage: int, cfg: SweepConfig) -> np.ndarray:
     gmc = gmag - uniform_filter(gmag, size=3, mode="nearest")
     feats = np.stack([gray - mu3, gx, gy, gd1, gd2, mu3 - mu5, gray - mu5, gmc],
                      axis=-1)
-    return _normalize_groups(feats[:, :, :cfg.n_channels], cfg.n_groups)
+    return _normalize_groups(feats)
 
 
 def build_feature_volume(src_feat: np.ndarray, hyps: HypothesisSet,
-                         ref_cam: Camera, src_cam: Camera, n_groups: int) -> np.ndarray:
+                         ref_cam: Camera, src_cam: Camera) -> np.ndarray:
     """Warp source features to every hypothesis plane: (N_C, D, h, w).
 
     The rays of the (h, w) grid are computed once and broadcast over the D
@@ -181,7 +162,7 @@ def build_feature_volume(src_feat: np.ndarray, hyps: HypothesisSet,
         raise PlaneSweepError("features must be (h, w, C)")
     a, c = warp_rays(pixel_grid(*hyps.values.shape[1:]), ref_cam, src_cam)
     val = warp_image(a, c, src_feat, hyps.values)[0]
-    return np.moveaxis(_normalize_groups(val, n_groups), -1, 0)
+    return np.moveaxis(_normalize_groups(val), -1, 0)
 
 
 def groupwise_correlation(ref_vol: np.ndarray, src_vols: list[np.ndarray],
@@ -209,9 +190,9 @@ def groupwise_correlation(ref_vol: np.ndarray, src_vols: list[np.ndarray],
 
 def regularize_and_softmax(cost: np.ndarray, cfg: SweepConfig) -> np.ndarray:
     """Group-average, separable 3-tap box smoothing over (d, h, w) repeated
-    smoothing_passes times, then a temperature softmax over hypotheses."""
+    SMOOTHING_PASSES times, then a temperature softmax over hypotheses."""
     score = cost.mean(axis=0)
-    for _ in range(cfg.smoothing_passes):
+    for _ in range(SMOOTHING_PASSES):
         score = uniform_filter(score, size=3, mode="nearest")
     score = score / cfg.temperature
     score = score - score.max(axis=0, keepdims=True)
@@ -249,19 +230,19 @@ def _stage_volume(sample: Sample, stage: int, cfg: SweepConfig,
     range (stage 1) or around prev_depth, features of every view warped onto
     them, correlation and softmax. Returns (probability volume, hypotheses)."""
     ref = sample.reference
-    h, w = _stage_size(ref.image, cfg.stage_scales[stage - 1])
+    h, w = _stage_size(ref.image, STAGE_SCALES[stage - 1])
 
     def camera(view):
         return view.camera.scaled(h, w, view.image.height, view.image.width)
 
     ref_cam = camera(ref)
-    hyps = build_hypotheses(ref_cam, stage, cfg, prev_depth, h, w)
-    feats = [extract_features(v.image, stage, cfg) for v in [ref] + sample.sources]
+    hyps = build_hypotheses(ref_cam, stage, prev_depth, h, w)
+    feats = [extract_features(v.image, stage) for v in [ref] + sample.sources]
     ref_vol = np.broadcast_to(np.moveaxis(feats[0], -1, 0)[:, None],
-                              (cfg.n_channels, hyps.count, h, w))
-    src_vols = [build_feature_volume(feat, hyps, ref_cam, camera(view), cfg.n_groups)
+                              (N_FEATURES, hyps.count, h, w))
+    src_vols = [build_feature_volume(feat, hyps, ref_cam, camera(view))
                 for view, feat in zip(sample.sources, feats[1:])]
-    cost = groupwise_correlation(ref_vol, src_vols, cfg.n_groups)
+    cost = groupwise_correlation(ref_vol, src_vols, N_GROUPS)
     return regularize_and_softmax(cost, cfg), hyps
 
 
@@ -270,7 +251,7 @@ def sweep_stage(sample: Sample, stage: int, cfg: SweepConfig,
     """One stage's regressed depth and confidence."""
     prob, hyps = _stage_volume(sample, stage, cfg, prev_depth)
     depth = regress_depth(prob, hyps)
-    pm, mc = probability_and_confidence(prob, hyps, depth, cfg.conf_threshold)
+    pm, mc = probability_and_confidence(prob, hyps, depth, CONF_THRESHOLD)
     return StageResult(depth, pm, mc)
 
 
@@ -278,7 +259,7 @@ def cascade_infer(sample: Sample, cfg: SweepConfig | None = None) -> StageResult
     """Coarse-to-fine sweep; returns the final stage, the inference result."""
     cfg = cfg or SweepConfig()
     depth = None
-    for stage in range(1, len(cfg.stage_counts) + 1):
+    for stage in range(1, len(STAGE_COUNTS) + 1):
         result = sweep_stage(sample, stage, cfg, depth)
         depth = result.depth
     return result
@@ -288,5 +269,5 @@ def refresh_confidence(sample: Sample, depth: ScalarField, cfg: SweepConfig
                        ) -> tuple[ScalarField, BinaryMask]:
     """Re-evaluate the final sweep stage with hypotheses centered on the given
     depth field and read the confidence off the fresh probability volume."""
-    prob, hyps = _stage_volume(sample, len(cfg.stage_counts), cfg, depth)
-    return probability_and_confidence(prob, hyps, depth, cfg.conf_threshold)
+    prob, hyps = _stage_volume(sample, len(STAGE_COUNTS), cfg, depth)
+    return probability_and_confidence(prob, hyps, depth, CONF_THRESHOLD)

@@ -20,7 +20,7 @@ def checker_cascade(checker_samples):
     """Every stage of the cascade on the checker plane, coarse to fine."""
     cfg = planesweep.SweepConfig()
     stages, depth = [], None
-    for stage in range(1, len(cfg.stage_counts) + 1):
+    for stage in range(1, len(planesweep.STAGE_COUNTS) + 1):
         stages.append(planesweep.sweep_stage(checker_samples["regular"], stage, cfg, depth))
         depth = stages[-1].depth
     return stages

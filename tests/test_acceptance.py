@@ -15,7 +15,7 @@ import numpy as np
 
 from mvslab import claims, depthopt, fileio, fusion, synth
 from mvslab.cli import EVAL_CAVEAT, main as cli_main
-from mvslab.grids import BinaryMask, ScalarField
+from mvslab.grids import ScalarField
 from mvslab.losses import NormKind, norm_value_grad
 from mvslab.planesweep import cascade_infer, groupwise_correlation
 
@@ -94,8 +94,7 @@ def test_criterion_4_plane_sweep_fidelity(checker_scene, checker_samples,
     err = np.abs(checker_cascade[-1].depth.data - gt)
     frac = (err[valid] <= 2.0).mean()
     gt_field = checker_scene.views[0].gt_depth
-    perfect = fusion.depth_metrics(gt_field, gt_field,
-                                   BinaryMask(np.ones(gt.shape, dtype=bool)))
+    perfect = fusion.depth_metrics(gt_field, gt_field)
     elapsed = time.time() - start
     ok = frac >= 0.90 and perfect == {2.0: 1.0, 4.0: 1.0, 8.0: 1.0} and elapsed < 120
     report("criterion 4 (plane-sweep fidelity)", ok,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import platform
@@ -170,6 +171,21 @@ def test_optimize_without_iterations_fails_and_writes_no_report(tmp_path, capsys
     assert not out.exists()
 
 
+def test_gen_synth_rejects_zero_views(tmp_path, capsys):
+    out = tmp_path / "scene"
+    assert run_cli("gen-synth", "--n-views", "0", "--out", str(out)) == 1
+    assert "at least 2 views" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", ["16x20x3", "ax20", "16", "0x20", "16x-1"])
+def test_gen_synth_rejects_a_malformed_size(tmp_path, capsys, size):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("gen-synth", "--size", size, "--out", str(tmp_path / "scene"))
+    assert excinfo.value.code == 2
+    assert "--size" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cases", ["0", "-2"])
 def test_grad_check_rejects_fewer_than_one_case(capsys, cases):
     with pytest.raises(SystemExit) as excinfo:
@@ -248,25 +264,75 @@ def test_config_round_trip(tmp_path):
     assert cfg.weights.scene_consist == 0.01
     assert cfg.weights.ssim == 0.2
     assert cfg.weights.smooth == 0.0067
-    assert cfg.sweep.conf_threshold == 0.95
+    assert cfg.sweep.softmax_sharpness == 50.0
+    assert cfg.fusion.conf_threshold == 0.95
     assert cfg.n_views == 5
-    assert cfg.sweep.stage_counts == (48, 32, 8)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_views": 4, "weights": {"photo": 0.5},
-                                "sweep": {"stage_counts": [32, 16, 8]}}))
+                                "sweep": {"softmax_sharpness": 100.0},
+                                "fusion": {"min_consistent_views": 2}}))
     loaded = load_config(path)
     assert loaded.n_views == 4
     assert loaded.weights.photo == 0.5
-    assert loaded.sweep.stage_counts == (32, 16, 8)
+    assert loaded.sweep.softmax_sharpness == 100.0
+    assert loaded.fusion.min_consistent_views == 2
     # float fields take ints, as floats
     path.write_text(json.dumps({"norm_exponent": 1, "weights": {"photo": 1},
-                                "sweep": {"refine_interval_scales": [4, 1]}}))
+                                "sweep": {"softmax_sharpness": 100}}))
     loaded = load_config(path)
     assert loaded.norm_exponent == 1.0 and isinstance(loaded.norm_exponent, float)
     assert isinstance(loaded.weights.photo, float)
-    assert loaded.sweep.refine_interval_scales == (4.0, 1.0)
+    assert loaded.sweep.softmax_sharpness == 100.0
+    assert isinstance(loaded.sweep.softmax_sharpness, float)
     with pytest.raises(FileFormatError):
         path.write_text(json.dumps({"bogus": 1}))
+        load_config(path)
+
+
+# Every key a config file may set. A new knob has to be added here.
+CONFIG_KEYS = [
+    "n_views", "norm_exponent", "eps_grad",
+    "weights.photo", "weights.image_consist_base", "weights.scene_consist",
+    "weights.ssim", "weights.smooth",
+    "total_epochs", "epoch", "iterations", "seed",
+    "sweep.softmax_sharpness",
+    "fusion.conf_threshold", "fusion.reproj_px", "fusion.rel_depth",
+    "fusion.min_consistent_views",
+]
+
+
+def test_config_keys_are_listed(tmp_path):
+    def dotted(obj, prefix=""):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from dotted(value, f"{f.name}.")
+            else:
+                yield prefix + f.name, value
+
+    keys = dict(dotted(RunConfig()))
+    assert list(keys) == CONFIG_KEYS
+    path = tmp_path / "cfg.json"
+    for key in CONFIG_KEYS:  # each loads alone, at its default
+        table, _, leaf = key.rpartition(".")
+        path.write_text(json.dumps({table: {leaf: keys[key]}} if table
+                                   else {leaf: keys[key]}))
+        assert load_config(path) == RunConfig(), key
+
+
+# The sweep settings that became planesweep constants, at their old defaults.
+REMOVED_SWEEP_SETTINGS = {
+    "stage_counts": [48, 32, 8], "stage_scales": [4, 2, 1],
+    "refine_interval_scales": [4.0, 1.0], "final_intervals": 191,
+    "n_channels": 8, "n_groups": 4, "smoothing_passes": 2, "conf_threshold": 0.95,
+}
+
+
+@pytest.mark.parametrize("key", list(REMOVED_SWEEP_SETTINGS))
+def test_removed_sweep_settings_are_unknown_keys(tmp_path, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sweep": {key: REMOVED_SWEEP_SETTINGS[key]}}))
+    with pytest.raises(FileFormatError, match=f"unknown config key '{key}'"):
         load_config(path)
 
 

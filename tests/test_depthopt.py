@@ -8,7 +8,7 @@ from mvslab.depthopt import (BranchLossConfig, OptimizationDiverged, OptimizerCo
 from mvslab.geometry import Camera, CameraView
 from mvslab.grids import BinaryMask, Image, ScalarField
 from mvslab.losses import LossError, LossWeights, NormKind, branch_consistency
-from mvslab.planesweep import SweepConfig
+from mvslab.planesweep import SweepConfig, final_interval
 from mvslab.sampling import Sample, SamplingError, curriculum
 
 ICC_EPOCH_8 = 0.16  # curriculum(8, 16).image_consist_weight
@@ -208,10 +208,9 @@ def test_gt_initialization_is_a_fixed_point():
     samples["image_contrastive"] = samples["regular"]
     gt = scene.views[0].gt_depth.data
     init = {k: ScalarField(gt.copy()) for k in samples}
-    sweep = SweepConfig()
-    state = optimize_joint(samples, sweep,
+    state = optimize_joint(samples, SweepConfig(),
                            OptimizerConfig(iterations=50), init_depths=init)
-    interval = sweep.final_interval(scene.views[0].camera)
+    interval = final_interval(scene.views[0].camera)
     for name, depth in state.depths.items():
         drift = np.abs(depth.data - gt)
         assert (drift <= interval).mean() > 0.94, name
@@ -340,7 +339,7 @@ def one_record_state(components: dict[str, float]) -> OptState:
             "ssim": "ssim_reg", "smooth": "smooth_reg"}
     record = {keys[k]: v for k, v in components.items()}
     blank = np.zeros((2, 2))
-    return OptState({}, BinaryMask(blank > 0), ScalarField(blank), [record])
+    return OptState({}, BinaryMask(blank > 0), [record])
 
 
 def test_final_report_weighted_sum_at_epoch_zero():

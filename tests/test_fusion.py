@@ -7,7 +7,7 @@ from mvslab import fusion, synth
 from mvslab.fusion import (DepthView, FusionConfig, FusionError, PointCloud,
                            cloud_metrics, depth_metrics, fuse_point_cloud)
 from mvslab.geometry import Camera, backproject, pixel_grid
-from mvslab.grids import BinaryMask, ScalarField
+from mvslab.grids import ScalarField
 from mvslab.planesweep import cascade_infer
 
 
@@ -166,7 +166,6 @@ def test_depth_view_rejects_shape_mismatch(gt_views):
         DepthView(v.depth, small, v.camera, v.image, v.view_id)
     with pytest.raises(FusionError, match="view 2"):
         DepthView(small, small, v.camera, v.image, v.view_id)
-    DepthView(small, small, v.camera, None, v.view_id)  # no image to disagree
 
 
 def test_fuse_evaluates_each_ordered_pair_once(cube_views, monkeypatch):
@@ -187,15 +186,14 @@ def test_fuse_evaluates_each_ordered_pair_once(cube_views, monkeypatch):
 
 def test_depth_metrics_exact():
     gt = ScalarField(np.full((6, 6), 600.0))
-    valid = BinaryMask(np.ones((6, 6), dtype=bool))
-    fr = depth_metrics(gt, gt, valid)
+    fr = depth_metrics(gt, gt)
     assert (fr[2.0], fr[4.0], fr[8.0]) == (1.0, 1.0, 1.0)
 
 
 def test_depth_metrics_uniform_offset():
     gt = ScalarField(np.full((6, 6), 600.0))
     off = ScalarField(gt.data + 3.0)
-    fr = depth_metrics(off, gt, BinaryMask(np.ones((6, 6), dtype=bool)))
+    fr = depth_metrics(off, gt)
     assert (fr[2.0], fr[4.0], fr[8.0]) == (0.0, 1.0, 1.0)
 
 
@@ -205,7 +203,7 @@ def test_depth_metrics_sampled_uniform_errors():
     gt = ScalarField(np.full((200, 200), 600.0))
     errors = rng.uniform(0, 10, (200, 200))
     noisy = ScalarField(gt.data + errors)
-    fr = depth_metrics(noisy, gt, BinaryMask(np.ones((200, 200), dtype=bool)))
+    fr = depth_metrics(noisy, gt)
     for tau, expect in ((2.0, 0.2), (4.0, 0.4), (8.0, 0.8)):
         sigma = np.sqrt(expect * (1 - expect) / n)
         assert abs(fr[tau] - expect) < 5 * sigma
@@ -215,16 +213,9 @@ def test_depth_metrics_monotone_in_threshold():
     rng = np.random.default_rng(4)
     gt = ScalarField(np.full((20, 20), 600.0))
     noisy = ScalarField(gt.data + rng.normal(0, 4, (20, 20)))
-    fr = depth_metrics(noisy, gt, BinaryMask(np.ones((20, 20), dtype=bool)),
-                       thresholds=(1.0, 2.0, 4.0, 8.0, 16.0))
+    fr = depth_metrics(noisy, gt, thresholds=(1.0, 2.0, 4.0, 8.0, 16.0))
     vals = [fr[t] for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_depth_metrics_empty_mask_errors():
-    gt = ScalarField(np.ones((3, 3)))
-    with pytest.raises(FusionError):
-        depth_metrics(gt, gt, BinaryMask(np.zeros((3, 3), dtype=bool)))
 
 
 def test_depth_metrics_shape_mismatch_errors():
@@ -232,9 +223,9 @@ def test_depth_metrics_shape_mismatch_errors():
     depth = ScalarField(np.full((8, 10), 600.0))
     gt = ScalarField(np.full((16, 20), 600.0))
     with pytest.raises(FusionError, match="disagree in shape"):
-        depth_metrics(depth, gt, BinaryMask(np.ones((16, 20), dtype=bool)))
+        depth_metrics(depth, gt)
     with pytest.raises(FusionError, match="disagree in shape"):
-        depth_metrics(gt, gt, BinaryMask(np.ones((8, 10), dtype=bool)))
+        depth_metrics(gt, depth)
 
 
 def cloud_of(points):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from mvslab.geometry import Camera, pixel_grid, warp_image, warp_rays
 from mvslab.geometry import resize_bilinear
 from mvslab.grids import Image, ScalarField
-from mvslab.planesweep import (HypothesisSet, PlaneSweepError, SweepConfig,
+from mvslab.planesweep import (N_FEATURES, N_GROUPS, STAGE_COUNTS, HypothesisSet,
+                               PlaneSweepError, SweepConfig,
                                build_feature_volume, build_hypotheses,
                                cascade_infer, extract_features,
                                groupwise_correlation, probability_and_confidence,
@@ -23,8 +24,7 @@ def flat_camera(dmin=425.0, dmax=935.0):
 
 def test_stage1_hypotheses_span_range():
     cam = flat_camera()
-    cfg = SweepConfig()
-    hyps = build_hypotheses(cam, 1, cfg, None, 4, 5)
+    hyps = build_hypotheses(cam, 1, None, 4, 5)
     assert hyps.count == 48
     assert hyps.values[0, 0, 0] == pytest.approx(425.0)
     assert hyps.values[-1, 0, 0] == pytest.approx(935.0)
@@ -34,12 +34,11 @@ def test_stage1_hypotheses_span_range():
 
 def test_stage2_window_arithmetic():
     cam = flat_camera()
-    cfg = SweepConfig(refine_interval_scales=(4.0, 1.0))
     # stage-2 interval = 4 x final interval; a 191mm range makes the final
     # interval exactly 1mm, and the range is placed so the window fits
     cam_1mm = Camera(cam.k, cam.pose, 480.0, 480.0 + 191.0)
     prev = ScalarField(np.full((4, 5), 600.0))
-    hyps = build_hypotheses(cam_1mm, 2, cfg, prev, 4, 5)
+    hyps = build_hypotheses(cam_1mm, 2, prev, 4, 5)
     assert hyps.count == 32
     assert hyps.values[0, 0, 0] == pytest.approx(600.0 - 62.0)
     assert hyps.values[-1, 0, 0] == pytest.approx(600.0 + 62.0)
@@ -47,73 +46,67 @@ def test_stage2_window_arithmetic():
 
 def test_hypothesis_clamp_shifts_window_into_range():
     cam = flat_camera()
-    cfg = SweepConfig()
     prev = ScalarField(np.full((3, 3), 430.0))
-    hyps = build_hypotheses(cam, 2, cfg, prev, 3, 3)
+    hyps = build_hypotheses(cam, 2, prev, 3, 3)
     assert hyps.values.min() >= 425.0
     assert np.all(np.diff(hyps.values, axis=0) > 0)  # still strictly increasing
 
 
 def test_stage2_requires_previous_depth():
     with pytest.raises(PlaneSweepError):
-        build_hypotheses(flat_camera(), 2, SweepConfig(), None, 4, 5)
+        build_hypotheses(flat_camera(), 2, None, 4, 5)
 
 
 def test_features_constant_image_all_zero():
-    cfg = SweepConfig()
     img = Image(np.full((16, 20, 3), 0.4))
     for stage in (1, 2, 3):
-        feats = extract_features(img, stage, cfg)
+        feats = extract_features(img, stage)
         assert np.allclose(feats, 0.0, atol=1e-6)
 
 
 def test_feature_stage_resolutions():
-    cfg = SweepConfig()
     img = Image(np.random.default_rng(0).random((64, 80, 3)))
-    assert extract_features(img, 1, cfg).shape == (16, 20, 8)
-    assert extract_features(img, 2, cfg).shape == (32, 40, 8)
-    assert extract_features(img, 3, cfg).shape == (64, 80, 8)
+    assert extract_features(img, 1).shape == (16, 20, 8)
+    assert extract_features(img, 2).shape == (32, 40, 8)
+    assert extract_features(img, 3).shape == (64, 80, 8)
 
 
 @settings(deadline=None, max_examples=100)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_features_finite_and_bounded(seed):
-    cfg = SweepConfig()
     img = Image(np.random.default_rng(seed).random((12, 14, 3)))
-    feats = extract_features(img, 3, cfg)
+    feats = extract_features(img, 3)
     assert np.all(np.isfinite(feats))
     # per-group L2 normalization bounds every channel by 1
     assert np.abs(feats).max() <= 1.0 + 1e-9
 
 
 def test_feature_volume_identity_camera():
-    cfg = SweepConfig()
     cam = flat_camera()
     img = Image(np.random.default_rng(1).random((64, 80, 3)))
-    feats = extract_features(img, 3, cfg)
-    hyps = build_hypotheses(cam, 1, cfg, None, 64, 80)
-    vol = build_feature_volume(feats, hyps, cam, cam, cfg.n_groups)
+    feats = extract_features(img, 3)
+    hyps = build_hypotheses(cam, 1, None, 64, 80)
+    vol = build_feature_volume(feats, hyps, cam, cam)
     # the warp itself, before build_feature_volume re-normalizes each group
     warped = warp_image(*warp_rays(pixel_grid(64, 80), cam, cam), feats, hyps.values)[0]
     # re-normalization divides a group that is exactly 0 in feats by its 1e-8
     # floor, so float residue of the warp there (7e-15 at the bottom-right
     # pixel of plane 44) grows to 7e-7; every other group of feats is unit-norm
-    group_norms = np.linalg.norm(feats.reshape(64, 80, cfg.n_groups, -1), axis=-1)
-    unit = np.repeat(group_norms > 0.5, cfg.n_channels // cfg.n_groups, axis=-1)
+    group_norms = np.linalg.norm(feats.reshape(64, 80, N_GROUPS, -1), axis=-1)
+    unit = np.repeat(group_norms > 0.5, N_FEATURES // N_GROUPS, axis=-1)
     for d in range(0, 48, 11):
         assert np.allclose(warped[d], feats, atol=1e-9)
         assert np.allclose(np.moveaxis(vol[:, d], 0, -1)[unit], feats[unit], atol=1e-9)
 
 
 def test_feature_volume_at_gt_depth_matches_reference(checker_scene):
-    cfg = SweepConfig()
     ref = checker_scene.views[0]
     src = checker_scene.views[1]
-    ref_feat = extract_features(ref.image, 3, cfg)
-    src_feat = extract_features(src.image, 3, cfg)
+    ref_feat = extract_features(ref.image, 3)
+    src_feat = extract_features(src.image, 3)
     h, w = ref.gt_depth.height, ref.gt_depth.width
     hyps = HypothesisSet(ref.gt_depth.data[None, :, :], 1.0)
-    vol = build_feature_volume(src_feat, hyps, ref.camera, src.camera, cfg.n_groups)
+    vol = build_feature_volume(src_feat, hyps, ref.camera, src.camera)
     warped = np.moveaxis(vol[:, 0], 0, -1)
     covered = np.abs(warped).sum(axis=2) > 0
     covered[:4] = covered[-4:] = False
@@ -121,19 +114,18 @@ def test_feature_volume_at_gt_depth_matches_reference(checker_scene):
     # unit-normalized group vectors agree closely where the warp is in frame
     diff = np.abs(warped - ref_feat).max(axis=2)
     assert np.median(diff[covered]) < 0.25
-    agree = (warped * ref_feat).reshape(h, w, cfg.n_groups, -1).sum(axis=3)
+    agree = (warped * ref_feat).reshape(h, w, N_GROUPS, -1).sum(axis=3)
     assert np.median(agree[covered].mean(axis=-1)) > 0.9  # cosine near 1
 
 
 def test_feature_volume_out_of_frustum_zero():
-    cfg = SweepConfig()
     cam = flat_camera()
     pose = np.eye(4)
     pose[0, 3] = 1e5  # pushes every projection far outside
     src = Camera(cam.k, pose, 425.0, 935.0)
     feats = np.ones((8, 10, 8))
-    hyps = build_hypotheses(cam, 1, cfg, None, 8, 10)
-    vol = build_feature_volume(feats, hyps, cam, src, cfg.n_groups)
+    hyps = build_hypotheses(cam, 1, None, 8, 10)
+    vol = build_feature_volume(feats, hyps, cam, src)
     assert np.all(vol == 0)
 
 
@@ -291,7 +283,7 @@ def test_cascade_stage1_recovers_plane(checker_scene, checker_samples, checker_c
     h, w = st1.depth.data.shape
     ref = checker_samples["regular"].reference
     cam = ref.camera.scaled(h, w, ref.image.height, ref.image.width)
-    spacing = (cam.depth_max - cam.depth_min) / (SweepConfig().stage_counts[0] - 1)
+    spacing = (cam.depth_max - cam.depth_min) / (STAGE_COUNTS[0] - 1)
     gt_s = resize_bilinear(ScalarField(gt), h, w).data
     valid = mutual_visibility(checker_samples["regular"], gt, crop=4)
     valid_s = resize_bilinear(ScalarField(valid.astype(float)), h, w).data > 0.99
