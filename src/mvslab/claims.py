@@ -52,7 +52,7 @@ def icc_trial(seed: int) -> dict:
     scene = synth.gen_scene(synth.SceneSpec(height=48, width=64, n_views=7, seed=seed,
                                             checker_period_mm=45.0))
     reference = scene.views[0]
-    schedule = curriculum(15, 16)  # occlusion rate 0.1
+    schedule = curriculum(15)  # occlusion rate 0.1
     regular = synth.regular_sample(scene, 0, 5)
     occluded = make_image_contrastive(regular, schedule.occlusion_rate, seed + 400)
     samples = {"regular": regular, "image_contrastive": occluded}

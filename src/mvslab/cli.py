@@ -33,10 +33,12 @@ PRESETS = {
     "occluder": dict(geometry="plane_with_occluder", texture="checker"),
 }
 
+N_VIEWS = 5  # a reference and four sources per sample
+
 
 def cmd_gen_synth(args, cfg: RunConfig) -> int:
     overrides = dict(PRESETS[args.preset])
-    overrides["seed"] = cfg.seed
+    overrides["seed"] = args.seed
     if args.n_views is not None:
         overrides["n_views"] = args.n_views
     if args.size:
@@ -55,8 +57,8 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     refs = [args.ref] if args.ref is not None else list(range(len(scene.views)))
     records = []
     for ref_id in refs:
-        sample = synth.regular_sample(scene, ref_id, cfg.n_views)
-        final = planesweep.cascade_infer(sample, cfg.sweep)
+        sample = synth.regular_sample(scene, ref_id, N_VIEWS)
+        final = planesweep.cascade_infer(sample)
         fileio.write_pfm(out / f"{ref_id:08d}_depth.pfm", final.depth)
         fileio.write_pfm(out / f"{ref_id:08d}_prob.pfm", final.prob_map)
         fileio.write_pfm(out / f"{ref_id:08d}_conf.pfm",
@@ -75,15 +77,13 @@ def cmd_infer(args, cfg: RunConfig) -> int:
 
 
 def cmd_optimize(args, cfg: RunConfig) -> int:
-    schedule = sampling.curriculum(cfg.epoch, cfg.total_epochs,
-                                   base_weight=cfg.weights.image_consist_base)
-    opt_cfg = depthopt.OptimizerConfig(iterations=cfg.iterations, norm=cfg.norm(),
-                                       weights=cfg.weights,
+    schedule = sampling.curriculum(cfg.epoch)
+    opt_cfg = depthopt.OptimizerConfig(iterations=cfg.iterations,
                                        image_consist_weight=schedule.image_consist_weight)
     scene = synth.load_scene(args.scene)
-    samples = synth.build_branch_samples(scene, args.ref, cfg.n_views,
-                                         schedule.occlusion_rate, cfg.seed)
-    state = depthopt.optimize_joint(samples, cfg.sweep, opt_cfg)
+    samples = synth.build_branch_samples(scene, args.ref, N_VIEWS,
+                                         schedule.occlusion_rate, args.seed)
+    state = depthopt.optimize_joint(samples, opt_cfg=opt_cfg)
     report = depthopt.final_report(state, opt_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -101,9 +101,8 @@ def cmd_grad_check(args, cfg: RunConfig) -> int:
     records = []
     worst = {}
     for case_idx in range(args.cases):
-        case = depthopt.random_audit_case(cfg.seed + case_idx)
-        reports = depthopt.audit_case(case.sample, case.depth,
-                                      case.configs(cfg.norm()), h=args.h)
+        case = depthopt.random_audit_case(args.seed + case_idx)
+        reports = depthopt.audit_case(case.sample, case.depth, case.configs(), h=args.h)
         for term, rep in reports.items():
             records.append({"case": case_idx, "term": term, "checked": rep.n_checked,
                             "passed": rep.n_passed, "frac": rep.frac_passed,
@@ -136,7 +135,7 @@ def _load_depth_views(scene, depths_dir) -> list[fusion.DepthView]:
 def cmd_fuse(args, cfg: RunConfig) -> int:
     scene = synth.load_scene(args.scene)
     views = _load_depth_views(scene, args.depths)
-    cloud, masks = fusion.fuse_point_cloud(views, cfg.fusion)
+    cloud, masks = fusion.fuse_point_cloud(views, fusion.FusionConfig())
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_ply(out, cloud.points, cloud.colors)
@@ -181,12 +180,15 @@ def cmd_eval(args, cfg: RunConfig) -> int:
                                      f"of the scene's views")
     if args.cloud:
         pts, cols = fileio.read_ply(args.cloud)
-        pred = fusion.PointCloud(pts, cols)
-        gt = _gt_cloud(scene)
-        acc, comp, overall = fusion.cloud_metrics(pred, gt)
-        print(f"cloud: acc={acc:.3f}mm comp={comp:.3f}mm overall={overall:.3f}mm")
-        records.append({"cloud_acc_mm": acc, "cloud_comp_mm": comp,
-                        "cloud_overall_mm": overall})
+        if len(pts) == 0:  # nothing survived fusion: no distance to measure
+            print("cloud: 0 points")
+            records.append({"cloud_points": 0})
+        else:
+            pred = fusion.PointCloud(pts, cols)
+            acc, comp, overall = fusion.cloud_metrics(pred, _gt_cloud(scene))
+            print(f"cloud: acc={acc:.3f}mm comp={comp:.3f}mm overall={overall:.3f}mm")
+            records.append({"cloud_acc_mm": acc, "cloud_comp_mm": comp,
+                            "cloud_overall_mm": overall})
     print(EVAL_CAVEAT)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -243,8 +245,8 @@ def _positive_finite(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mvslab",
                                      description=__doc__.splitlines()[0])
-    parser.add_argument("--config", help="JSON run-config file")
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    parser.add_argument("--config", help="JSON run-config file: epoch, iterations")
+    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synth", help="render a synthetic scene")
@@ -299,8 +301,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
         return args.fn(args, cfg)
     except Exception as exc:  # surface a diagnostic, not a traceback
         print(f"error: {exc}", file=sys.stderr)

@@ -59,6 +59,7 @@ class Sample:
         return edge_weights(self.reference_diffs)
 
 
+TOTAL_EPOCHS = 16  # the curriculum's length
 MAX_OCCLUSION_RATE = 0.1  # the curriculum's occlusion rate at its last epoch
 # per-image color fluctuation ranges of the image-contrastive sources
 GAMMA_RANGE = (0.8, 1.25)
@@ -135,13 +136,12 @@ def make_scene_contrastive(scene_views: list[CameraView], reference: CameraView,
     return Sample(reference, [pool[i] for i in idx])
 
 
-def curriculum(epoch: int, total_epochs: int,
-               base_weight: float = LossWeights().image_consist_base) -> Schedule:
-    """Occlusion rate rises linearly from 0 to MAX_OCCLUSION_RATE over the run;
-    the image-consistency weight starts at base_weight and doubles every 2
-    epochs."""
-    if not (0 <= epoch < total_epochs):
-        raise SamplingError(f"epoch {epoch} outside [0, {total_epochs})")
-    rate = MAX_OCCLUSION_RATE * epoch / max(total_epochs - 1, 1)
-    weight = base_weight * 2.0 ** (epoch // 2)
+def curriculum(epoch: int) -> Schedule:
+    """Occlusion rate rises linearly from 0 to MAX_OCCLUSION_RATE over
+    TOTAL_EPOCHS; the image-consistency weight starts at the LossWeights
+    default and doubles every 2 epochs."""
+    if not (0 <= epoch < TOTAL_EPOCHS):
+        raise SamplingError(f"epoch {epoch} outside [0, {TOTAL_EPOCHS})")
+    rate = MAX_OCCLUSION_RATE * epoch / (TOTAL_EPOCHS - 1)
+    weight = LossWeights().image_consist_base * 2.0 ** (epoch // 2)
     return Schedule(rate, weight)

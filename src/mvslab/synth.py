@@ -426,6 +426,7 @@ def load_scene(scene_dir) -> SyntheticScene:
         return SyntheticScene(spec, views, pair_scores, meta["corrupted_view"], occ)
     except fileio.FileFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError: SceneError, GeometryError, GridError, JSON and np.load
+    except (KeyError, TypeError, ValueError, EOFError, FileNotFoundError) as exc:
+        # ValueError: SceneError, GeometryError, GridError, JSON and np.load;
+        # EOFError: an empty .npy; FileNotFoundError: a missing per-view file
         raise fileio.FileFormatError(f"invalid scene {root}: {exc!r}") from exc

@@ -11,11 +11,13 @@ import pytest
 import scipy
 
 from mvslab import claims, fileio
-from mvslab.cli import EVAL_CAVEAT, build_parser, main
+from mvslab.cli import EVAL_CAVEAT, N_VIEWS, build_parser, main
 from mvslab.config import RunConfig, load_config
 from mvslab.fileio import FileFormatError
-from mvslab.fusion import FusionError
+from mvslab.fusion import FusionConfig, FusionError
 from mvslab.grids import ScalarField
+from mvslab.losses import LossWeights, NormKind
+from mvslab.planesweep import SweepConfig
 
 
 def run_cli(*argv):
@@ -135,6 +137,19 @@ def test_fuse_and_eval_cloud(pipeline_dirs, capsys):
     recs = fileio.read_records(root / "eval" / "eval.jsonl")
     assert any("cloud_overall_mm" in r for r in recs)
     assert_golden("fuse_and_eval", root)
+
+
+def test_eval_records_an_empty_cloud(pipeline_dirs, tmp_path, capsys):
+    # what fuse writes when no pixel survives, as on a textureless plane
+    _, scene, depths = pipeline_dirs
+    ply = tmp_path / "fused.ply"
+    fileio.write_ply(ply, np.zeros((0, 3)), np.zeros((0, 3), dtype=np.uint8))
+    assert run_cli("eval", "--scene", str(scene), "--depths", str(depths),
+                   "--cloud", str(ply), "--out", str(tmp_path / "eval")) == 0
+    assert "cloud: 0 points" in capsys.readouterr().out
+    recs = fileio.read_records(tmp_path / "eval" / "eval.jsonl")
+    assert recs[-1] == {"cloud_points": 0}
+    assert all("frac_2mm" in r for r in recs[:-1])
 
 
 def test_optimize_emits_history_and_depths(tmp_path):
@@ -259,68 +274,39 @@ def test_missing_input_exits_nonzero(capsys):
 
 
 def test_config_round_trip(tmp_path):
-    cfg = RunConfig()
-    assert cfg.weights.photo == 0.8
-    assert cfg.weights.scene_consist == 0.01
-    assert cfg.weights.ssim == 0.2
-    assert cfg.weights.smooth == 0.0067
-    assert cfg.sweep.softmax_sharpness == 50.0
-    assert cfg.fusion.conf_threshold == 0.95
-    assert cfg.n_views == 5
+    assert RunConfig() == RunConfig(epoch=0, iterations=50)
+    # the fixed settings a config file no longer sets: the library defaults
+    assert LossWeights() == LossWeights(photo=0.8, image_consist_base=0.01,
+                                        scene_consist=0.01, ssim=0.2, smooth=0.0067)
+    assert NormKind() == NormKind(0.5, 1e-4)
+    assert SweepConfig().softmax_sharpness == 50.0
+    assert FusionConfig() == FusionConfig(0.95, 1.0, 0.01, 3)
+    assert N_VIEWS == 5
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n_views": 4, "weights": {"photo": 0.5},
-                                "sweep": {"softmax_sharpness": 100.0},
-                                "fusion": {"min_consistent_views": 2}}))
-    loaded = load_config(path)
-    assert loaded.n_views == 4
-    assert loaded.weights.photo == 0.5
-    assert loaded.sweep.softmax_sharpness == 100.0
-    assert loaded.fusion.min_consistent_views == 2
-    # float fields take ints, as floats
-    path.write_text(json.dumps({"norm_exponent": 1, "weights": {"photo": 1},
-                                "sweep": {"softmax_sharpness": 100}}))
-    loaded = load_config(path)
-    assert loaded.norm_exponent == 1.0 and isinstance(loaded.norm_exponent, float)
-    assert isinstance(loaded.weights.photo, float)
-    assert loaded.sweep.softmax_sharpness == 100.0
-    assert isinstance(loaded.sweep.softmax_sharpness, float)
+    path.write_text(json.dumps({"epoch": 15, "iterations": 7}))
+    assert load_config(path) == RunConfig(epoch=15, iterations=7)
+    path.write_text("{}")
+    assert load_config(path) == RunConfig()
     with pytest.raises(FileFormatError):
         path.write_text(json.dumps({"bogus": 1}))
         load_config(path)
 
 
 # Every key a config file may set. A new knob has to be added here.
-CONFIG_KEYS = [
-    "n_views", "norm_exponent", "eps_grad",
-    "weights.photo", "weights.image_consist_base", "weights.scene_consist",
-    "weights.ssim", "weights.smooth",
-    "total_epochs", "epoch", "iterations", "seed",
-    "sweep.softmax_sharpness",
-    "fusion.conf_threshold", "fusion.reproj_px", "fusion.rel_depth",
-    "fusion.min_consistent_views",
-]
+CONFIG_KEYS = ["epoch", "iterations"]
 
 
 def test_config_keys_are_listed(tmp_path):
-    def dotted(obj, prefix=""):
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            if dataclasses.is_dataclass(value):
-                yield from dotted(value, f"{f.name}.")
-            else:
-                yield prefix + f.name, value
-
-    keys = dict(dotted(RunConfig()))
+    keys = {f.name: getattr(RunConfig(), f.name) for f in dataclasses.fields(RunConfig)}
     assert list(keys) == CONFIG_KEYS
     path = tmp_path / "cfg.json"
     for key in CONFIG_KEYS:  # each loads alone, at its default
-        table, _, leaf = key.rpartition(".")
-        path.write_text(json.dumps({table: {leaf: keys[key]}} if table
-                                   else {leaf: keys[key]}))
+        path.write_text(json.dumps({key: keys[key]}))
         assert load_config(path) == RunConfig(), key
 
 
-# The sweep settings that became planesweep constants, at their old defaults.
+# The sweep settings that became planesweep constants, at their old defaults;
+# each is rejected under the name of the sweep table, which is gone too.
 REMOVED_SWEEP_SETTINGS = {
     "stage_counts": [48, 32, 8], "stage_scales": [4, 2, 1],
     "refine_interval_scales": [4.0, 1.0], "final_intervals": 191,
@@ -332,8 +318,29 @@ REMOVED_SWEEP_SETTINGS = {
 def test_removed_sweep_settings_are_unknown_keys(tmp_path, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"sweep": {key: REMOVED_SWEEP_SETTINGS[key]}}))
-    with pytest.raises(FileFormatError, match=f"unknown config key '{key}'"):
+    with pytest.raises(FileFormatError, match="unknown config key 'sweep'"):
         load_config(path)
+
+
+# The settings that became library defaults, at their old defaults; those of
+# a table are rejected under the table's name.
+REMOVED_SETTINGS = {
+    "n_views": 5, "norm_exponent": 0.5, "eps_grad": 1e-4, "total_epochs": 16, "seed": 0,
+    "weights.photo": 0.8, "weights.image_consist_base": 0.01,
+    "weights.scene_consist": 0.01, "weights.ssim": 0.2, "weights.smooth": 0.0067,
+    "sweep.softmax_sharpness": 50.0,
+    "fusion.conf_threshold": 0.95, "fusion.reproj_px": 1.0, "fusion.rel_depth": 0.01,
+    "fusion.min_consistent_views": 3,
+}
+
+
+def test_removed_settings_are_unknown_keys(tmp_path):
+    path = tmp_path / "cfg.json"
+    for key, value in REMOVED_SETTINGS.items():
+        table, _, leaf = key.partition(".")
+        path.write_text(json.dumps({table: {leaf: value}} if leaf else {key: value}))
+        with pytest.raises(FileFormatError, match=f"unknown config key '{table}'"):
+            load_config(path)
 
 
 @pytest.mark.parametrize("text", ["[1]", "{not json", '{"n_views": {"a": 1}}',
@@ -357,6 +364,7 @@ def test_removed_sweep_settings_are_unknown_keys(tmp_path, key):
                                   '{"sweep": {"final_intervals": 0}}',
                                   '{"sweep": {"softmax_sharpness": 0}}',
                                   '{"fusion": {"min_consistent_views": 0}}',
+                                  '{"epoch": 16}', '{"iterations": 0}', '{"epoch": true}',
                                   pytest.param('{"eps_grad": 1' + '0' * 400 + '}',
                                                id="eps_grad-10**400")])
 def test_bad_config_raises_file_format_error(tmp_path, capsys, monkeypatch,

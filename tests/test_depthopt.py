@@ -11,7 +11,7 @@ from mvslab.losses import LossError, LossWeights, NormKind, branch_consistency
 from mvslab.planesweep import SweepConfig, final_interval
 from mvslab.sampling import Sample, SamplingError, curriculum
 
-ICC_EPOCH_8 = 0.16  # curriculum(8, 16).image_consist_weight
+ICC_EPOCH_8 = 0.16  # curriculum(8).image_consist_weight
 
 
 def test_finite_diff_on_quadratic_toy():
@@ -139,6 +139,20 @@ def test_fd_oracles_reject_a_step_that_is_not_positive_and_finite(h):
         depthopt.finite_diff_grad_multi(case.sample, case.depth, cfgs, h)
 
 
+def test_shift_min_matches_a_double_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        h, w = rng.integers(1, 12, size=2)
+        arr = rng.normal(size=(h, w))
+        arr[rng.random((h, w)) < 0.3] = np.inf
+        want = np.full((h, w), np.inf)
+        for v in range(h):
+            for u in range(w):
+                want[v, u] = min([arr[v, u]] + ([arr[v, u - 1]] if u else [])
+                                 + ([arr[v - 1, u]] if v else []))
+        assert np.array_equal(depthopt._shift_min(arr), want)
+
+
 def test_gt_depth_is_near_stationary_for_vanilla_norms():
     # on a clean render, the photometric loss is close to a local minimum at
     # the true depth: FD derivatives stay tiny on high-texture pixels for the
@@ -161,7 +175,7 @@ def test_gt_depth_is_near_stationary_for_vanilla_norms():
 
 def opt_scene(seed=3):
     scene = synth.gen_scene(synth.SceneSpec(height=32, width=40, n_views=6, seed=seed))
-    samples = synth.build_branch_samples(scene, 0, 4, curriculum(8, 16).occlusion_rate, 11)
+    samples = synth.build_branch_samples(scene, 0, 4, curriculum(8).occlusion_rate, 11)
     return scene, samples
 
 
@@ -297,7 +311,7 @@ def test_retained_warp_gives_the_fresh_evaluation(monkeypatch):
     # points without a kept warp (the first, and the first after each
     # confidence refresh) warp the sources
     scene = synth.gen_scene(synth.SceneSpec(height=24, width=30, n_views=6, seed=3))
-    samples = synth.build_branch_samples(scene, 0, 4, curriculum(8, 16).occlusion_rate, 11)
+    samples = synth.build_branch_samples(scene, 0, 4, curriculum(8).occlusion_rate, 11)
     evaluate, warp = depthopt._evaluate, depthopt._warp_sources
     calls = {"warps": 0, "trials": 0, "fresh": 0, "reused": 0}
 

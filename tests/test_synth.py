@@ -179,6 +179,8 @@ BAD_SCENES = {
     "image_3x3": lambda root: np.save(root / "images" / "00000000.npy",
                                       np.zeros((3, 3, 3))),
     "garbage_npy": lambda root: (root / "images" / "00000001.npy").write_bytes(b"garbage"),
+    "empty_npy": lambda root: (root / "images" / "00000001.npy").write_bytes(b""),
+    "missing_cam": lambda root: (root / "cams" / "00000002_cam.txt").unlink(),
 }
 
 
@@ -194,7 +196,7 @@ def test_load_scene_raises_file_format_error(saved_scene, tmp_path, bad):
     root = tmp_path / "scene"
     shutil.copytree(saved_scene, root)
     BAD_SCENES[bad](root)
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match=re.escape(str(root))):
         synth.load_scene(root)
 
 
