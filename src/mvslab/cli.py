@@ -99,7 +99,7 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
 
 def cmd_grad_check(args, cfg: RunConfig) -> int:
     records = []
-    worst = {}
+    worst = {}  # term -> (lowest pass fraction, largest max rel err) over the cases
     for case_idx in range(args.cases):
         case = depthopt.random_audit_case(args.seed + case_idx)
         reports = depthopt.audit_case(case.sample, case.depth, case.configs(), h=args.h)
@@ -107,9 +107,8 @@ def cmd_grad_check(args, cfg: RunConfig) -> int:
             records.append({"case": case_idx, "term": term, "checked": rep.n_checked,
                             "passed": rep.n_passed, "frac": rep.frac_passed,
                             "max_rel_err": rep.max_rel_err})
-            prev = worst.get(term)
-            if prev is None or rep.frac_passed < prev[0]:
-                worst[term] = (rep.frac_passed, rep.max_rel_err)
+            frac, max_rel = worst.get(term, (1.0, 0.0))
+            worst[term] = (min(frac, rep.frac_passed), max(max_rel, rep.max_rel_err))
     ok = True
     for term, (frac, max_rel) in sorted(worst.items()):
         status = "ok" if frac >= 0.99 else "FAIL"
@@ -218,11 +217,14 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _size(text: str) -> tuple[int, int]:
@@ -246,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mvslab",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON run-config file: epoch, iterations")
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0, help="master RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synth", help="render a synthetic scene")
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
-    p.add_argument("--cases", type=_at_least_one, default=4)
+    p.add_argument("--cases", type=_int_at_least(1), default=4)
     p.add_argument("--h", type=_positive_finite, default=3e-4, help="FD step in mm")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_grad_check)
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="A/B trials of the paper's three claims")
     p.add_argument("--claim", required=True, choices=sorted(claims.TRIALS))
-    p.add_argument("--seeds", type=int, nargs="+", default=None,
+    p.add_argument("--seeds", type=_int_at_least(0), nargs="+", default=None,
                    help="scene seeds (default: those of the acceptance criteria)")
     p.add_argument("--out", required=True, help="directory for ablate_<claim>.jsonl")
     p.set_defaults(fn=cmd_ablate)

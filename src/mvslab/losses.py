@@ -74,16 +74,15 @@ class PhotometricResult:
 @dataclass
 class PhotometricResidual:
     """One warped source against the reference: the signed residuals the
-    gradient reads, the image residual map the audit's exclusions read, and
-    the residuals at the mask's pixels that the norms read."""
+    gradient reads, and the residuals at the mask's pixels that the norms
+    read."""
 
     mask: np.ndarray
     msum: float           # the mask's pixel count
     diff: np.ndarray      # warped - reference, (H, W, C)
     dgx: np.ndarray       # forward-difference residuals along u and v, (H, W, C)
     dgy: np.ndarray
-    r_img: np.ndarray     # channel mean of |diff|, (H, W)
-    img_sel: np.ndarray   # r_img[mask]
+    img_sel: np.ndarray   # channel mean of |diff|, at the mask's pixels
     grad_sel: np.ndarray  # channel mean of |dgx| and |dgy|, at the mask's pixels
 
 
@@ -99,7 +98,7 @@ def photometric_residual(rec: np.ndarray, mask: np.ndarray, ref: np.ndarray,
     dgx = gxw - gxr
     dgy = gyw - gyr
     r_grad = (np.abs(dgx).sum(axis=2) + np.abs(dgy).sum(axis=2)) / (2 * c)
-    return PhotometricResidual(mask, float(mask.sum()), diff, dgx, dgy, r_img,
+    return PhotometricResidual(mask, float(mask.sum()), diff, dgx, dgy,
                                r_img[mask], r_grad[mask])
 
 

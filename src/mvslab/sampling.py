@@ -49,8 +49,8 @@ class Sample:
 
     @cached_property
     def reference_diffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """forward_diff of the reference image: what the photometric residuals,
-        the smoothness weights and the audit's exclusions compare against."""
+        """forward_diff of the reference image: what the photometric residuals
+        and the smoothness weights compare against."""
         return forward_diff(self.reference.image.data)
 
     @cached_property

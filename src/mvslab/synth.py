@@ -53,6 +53,8 @@ class SceneSpec:
             raise SceneError("need at least 2 views")
         if not (0.0 <= self.specular_strength <= 1.0):
             raise SceneError("specular_strength must be in [0, 1]")
+        if self.seed < 0:
+            raise SceneError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

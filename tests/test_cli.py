@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from mvslab import claims, fileio
+from mvslab import claims, depthopt, fileio
 from mvslab.cli import EVAL_CAVEAT, N_VIEWS, build_parser, main
 from mvslab.config import RunConfig, load_config
 from mvslab.fileio import FileFormatError
@@ -225,7 +225,42 @@ def test_grad_check_passes_quickly(tmp_path, capsys):
     recs = fileio.read_records(tmp_path / "audit" / "grad_check.jsonl")
     assert len(recs) == 7
     assert all(r["frac"] >= 0.99 for r in recs)
+    assert all(r["checked"] == 32 * 40 for r in recs)
     assert_golden("grad_check", tmp_path)
+
+
+def test_grad_check_prints_the_worst_over_cases(tmp_path, capsys, monkeypatch):
+    # per case, (passed of 1280, max rel err) for each term; a term's lowest
+    # pass fraction and its largest error come from different cases
+    cases = [{"photo_l0.5": (1280, 3e-4), "smooth": (1275, 1e-4)},
+             {"photo_l0.5": (1275, 1e-4), "smooth": (1280, 2e-5)},
+             {"photo_l0.5": (1279, 9e-4), "smooth": (1276, 7e-1)}]
+    reports = iter([{term: depthopt.AuditReport(1280, passed, err)
+                     for term, (passed, err) in case.items()} for case in cases])
+    monkeypatch.setattr(depthopt, "audit_case", lambda *args, **kwargs: next(reports))
+    assert run_cli("grad-check", "--cases", "3", "--out", str(tmp_path)) == 0
+    printed = re.findall(r"grad-check (\S+): worst pass fraction (\S+), "
+                         r"worst max rel err (\S+) \[ok\]", capsys.readouterr().out)
+    recs = fileio.read_records(tmp_path / "grad_check.jsonl")
+    assert len(printed) == 2 and len(recs) == 6
+    for term, frac, max_rel in printed:
+        mine = [r for r in recs if r["term"] == term]
+        assert frac == f"{min(r['frac'] for r in mine):.4f}", term
+        assert max_rel == f"{max(r['max_rel_err'] for r in mine):.2e}", term
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1", "grad-check", "--cases", "1"],
+    ["--seed", "-1", "gen-synth", "--out", "scene"],
+    ["ablate", "--claim", "scc", "--seeds", "2", "-1", "--out", "ablate"],
+])
+def test_a_negative_seed_names_its_flag(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least 0" in err
+    assert ("--seeds" if "ablate" in argv else "--seed") in err
 
 
 def test_seeded_pipeline_is_byte_identical(tmp_path):

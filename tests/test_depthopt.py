@@ -50,7 +50,16 @@ def test_gradient_matches_fd_every_norm():
     assert reports.keys() == cfgs.keys()
     for term, rep in reports.items():
         assert rep.frac_passed >= 0.99, term
-        assert rep.n_checked > 0.5 * case.depth.data.size, term
+        assert rep.n_checked == case.depth.data.size, term
+
+
+def test_audit_checks_every_pixel():
+    case = random_audit_case(0)
+    reports = audit_case(case.sample, case.depth, case.configs())
+    assert reports.keys() == case.configs().keys()
+    for term, rep in reports.items():
+        assert rep.n_checked == case.depth.data.size == 1280, term
+        assert rep.frac_passed >= 0.99, (term, rep)
 
 
 def test_fd_convergence_order():
@@ -59,12 +68,11 @@ def test_fd_convergence_order():
     # back up on the round-off flank
     case = random_audit_case(2, 12, 14)
     cfg = BranchLossConfig(norm=NormKind(0.5), weight_photo=1.0)
-    _, grad, _, details = loss_grad_wrt_depth(case.sample, case.depth, cfg)
-    excl = depthopt._exclusion_mask(case.sample, case.depth, cfg, details, 2.7e-1)
+    grad = loss_grad_wrt_depth(case.sample, case.depth, cfg)[1]
     errs = []
     for h in (2.7e-1, 2.7e-2, 2.7e-4):
         fd = finite_diff_grad(case.sample, case.depth, cfg, h)
-        errs.append(np.percentile(np.abs(fd - grad)[~excl], 95))
+        errs.append(np.percentile(np.abs(fd - grad), 95))
     assert errs[1] < errs[0] * 0.04  # ~quadratic: 100x per decade, some slack
     assert errs[2] > errs[1]  # round-off noise dominates for tiny steps
 
@@ -100,8 +108,8 @@ def test_local_warp_fd_is_exact_where_a_step_flips_a_mask():
     # re-warped pixel changes its mask and the mask areas the norms divide by
     case, h = random_audit_case(0, 12, 15), 10.0
     d = case.depth.data
-    plus = depthopt._warp_sources(case.sample, d + h, with_chain=False).masks
-    minus = depthopt._warp_sources(case.sample, d - h, with_chain=False).masks
+    plus = depthopt._warp_sources(case.sample, d + h).masks
+    minus = depthopt._warp_sources(case.sample, d - h).masks
     assert any((p != m).any() for p, m in zip(plus, minus))
     assert_local_warp_fd_is_exact(case, h)
 
@@ -137,20 +145,6 @@ def test_fd_oracles_reject_a_step_that_is_not_positive_and_finite(h):
         finite_diff_grad(case.sample, case.depth, cfgs["smooth"], h)
     with pytest.raises(LossError, match="positive and finite"):
         depthopt.finite_diff_grad_multi(case.sample, case.depth, cfgs, h)
-
-
-def test_shift_min_matches_a_double_loop():
-    rng = np.random.default_rng(17)
-    for _ in range(60):
-        h, w = rng.integers(1, 12, size=2)
-        arr = rng.normal(size=(h, w))
-        arr[rng.random((h, w)) < 0.3] = np.inf
-        want = np.full((h, w), np.inf)
-        for v in range(h):
-            for u in range(w):
-                want[v, u] = min([arr[v, u]] + ([arr[v, u - 1]] if u else [])
-                                 + ([arr[v - 1, u]] if v else []))
-        assert np.array_equal(depthopt._shift_min(arr), want)
 
 
 def test_gt_depth_is_near_stationary_for_vanilla_norms():

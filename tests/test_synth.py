@@ -21,6 +21,8 @@ def test_spec_validation():
         SceneSpec(n_views=1)
     with pytest.raises(SceneError):
         SceneSpec(specular_strength=1.5)
+    with pytest.raises(SceneError, match="seed"):
+        SceneSpec(seed=-1)
 
 
 def test_uniform_plane_near_constant_images():
