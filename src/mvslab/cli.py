@@ -99,7 +99,7 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
 
 def cmd_grad_check(args, cfg: RunConfig) -> int:
     records = []
-    worst = {}  # term -> (lowest pass fraction, largest max rel err) over the cases
+    worst = {}  # term -> (lowest pass fraction, most failing pixels, largest max rel err)
     for case_idx in range(args.cases):
         case = depthopt.random_audit_case(args.seed + case_idx)
         reports = depthopt.audit_case(case.sample, case.depth, case.configs(), h=args.h)
@@ -107,14 +107,15 @@ def cmd_grad_check(args, cfg: RunConfig) -> int:
             records.append({"case": case_idx, "term": term, "checked": rep.n_checked,
                             "passed": rep.n_passed, "frac": rep.frac_passed,
                             "max_rel_err": rep.max_rel_err})
-            frac, max_rel = worst.get(term, (1.0, 0.0))
-            worst[term] = (min(frac, rep.frac_passed), max(max_rel, rep.max_rel_err))
+            low, most, top = worst.get(term, (1.0, 0, 0.0))
+            worst[term] = (min(low, rep.frac_passed), max(most, rep.n_checked - rep.n_passed),
+                           max(top, rep.max_rel_err))
     ok = True
-    for term, (frac, max_rel) in sorted(worst.items()):
+    for term, (frac, failing, max_rel) in sorted(worst.items()):
         status = "ok" if frac >= 0.99 else "FAIL"
         ok &= frac >= 0.99
-        print(f"grad-check {term}: worst pass fraction {frac:.4f}, "
-              f"worst max rel err {max_rel:.2e} [{status}]")
+        print(f"grad-check {term}: worst pass fraction {frac:.4f}, most failing pixels "
+              f"{failing}, worst max rel err of passing pixels {max_rel:.2e} [{status}]")
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         fileio.write_records(Path(args.out) / "grad_check.jsonl", records)

@@ -9,7 +9,7 @@ SSIM, smoothness and branch-consistency contributions when enabled.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,8 +53,8 @@ class BranchLossConfig:
 class WarpDetails:
     """Per-source intermediates of one warp of a depth field: the warped
     images and masks the loss terms read, plus the depth z and bilinear cells
-    the chain is built from. optimize_joint keeps each branch's latest warp so
-    its next gradient evaluation at that depth adds only the chain. Arrays,
+    the chain is built from. _descend keeps the branch's latest warp so its
+    next gradient evaluation at that depth adds only the chain. Arrays,
     not containers: this sits inside the per-pixel FD hot loop."""
 
     warped: list[np.ndarray]
@@ -261,7 +261,7 @@ def finite_diff_grad_multi(sample: Sample, depth: ScalarField,
 class AuditReport:
     n_checked: int
     n_passed: int
-    max_rel_err: float
+    max_rel_err: float  # over the passing pixels outside the absolute floor
 
     @property
     def frac_passed(self) -> float:
@@ -279,7 +279,7 @@ def _compare_grads(a: np.ndarray, f: np.ndarray) -> AuditReport:
     rel = np.abs(a - f) / denom
     tiny = (np.abs(a) < AUDIT_ABS_FLOOR) & (np.abs(f) < AUDIT_ABS_FLOOR)
     passed = (rel < AUDIT_REL_TOL) | tiny
-    max_rel = float(rel[~tiny].max()) if np.any(~tiny) else 0.0
+    max_rel = float(rel[passed & ~tiny].max(initial=0.0))
     return AuditReport(a.size, int(passed.sum()), max_rel)
 
 
@@ -390,10 +390,13 @@ class OptState:
     depths: dict[str, ScalarField]
     conf_mask: BinaryMask
     history: list[dict]  # one record per iteration
+    # per iteration, the regular depth after its step and the confidence mask:
+    # what a contrastive branch is pulled toward at that iteration
+    targets: list[tuple[ScalarField, BinaryMask]] = field(default_factory=list)
 
 
 # branch name -> the short name of its history keys and depth files, in the
-# order optimize_joint steps the branches
+# order of the history's total
 BRANCHES = {"regular": "reg", "image_contrastive": "ic", "scene_contrastive": "sc"}
 
 
@@ -410,18 +413,82 @@ def _branch_cfg(opt: OptimizerConfig, branch: str,
                    consist_mask=mask)
 
 
+def _descend(sample: Sample, branch: str, depth: ScalarField,
+             cfgs: Iterable[BranchLossConfig]) -> Iterator[tuple[ScalarField, dict]]:
+    """Normalized gradient descent on one branch's depth, one backtracking step
+    per config: yields the depth after each step and the step's history keys."""
+    cam = sample.reference.camera
+    init_step = step = INIT_STEP_INTERVAL_SCALE * final_interval(cam)
+    short = BRANCHES[branch]
+    warp = None  # the warp of depth: the accepted trial's, else the last gradient point's
+    for it, cfg in enumerate(cfgs):
+        cur_val, grad, parts, warp = _evaluate(sample, depth, cfg, True, warp)
+        if not np.isfinite(cur_val):
+            raise OptimizationDiverged(
+                f"non-finite loss on branch {branch} at iteration {it}",
+                {"iteration": it, "branch": branch, "loss": cur_val})
+        scale = np.abs(grad).max()
+        accepted = False
+        if scale > 0:
+            direction = grad / scale
+            trial = step
+            for attempt in range(MAX_HALVINGS + 1):
+                cand = ScalarField(np.clip(depth.data - trial * direction,
+                                           cam.depth_min, cam.depth_max))
+                new_val, _, new_parts, new_warp = _evaluate(sample, cand, cfg, False)
+                if not np.isfinite(new_val):
+                    raise OptimizationDiverged(
+                        f"non-finite trial loss on branch {branch} at iteration {it}",
+                        {"iteration": it, "branch": branch, "loss": new_val})
+                if new_val <= cur_val + 1e-12:
+                    depth, warp, cur_val, parts = cand, new_warp, new_val, new_parts
+                    accepted = True
+                    step = min(trial * 2.0, init_step) if attempt == 0 else trial
+                    break
+                trial *= 0.5
+            else:
+                step = trial
+        keys = {f"loss_{short}": cur_val, f"step_{short}": step, f"accepted_{short}": accepted}
+        if branch == "regular":
+            keys.update(photo_reg=parts["photo"], ssim_reg=parts["ssim"],
+                        smooth_reg=parts["smooth"])
+        else:
+            keys[f"consist_{short}"] = parts["consist"]
+        yield depth, keys
+
+
+def optimize_contrastive(sample: Sample, branch: str, regular: OptState,
+                         sweep_cfg: SweepConfig | None = None,
+                         opt_cfg: OptimizerConfig | None = None
+                         ) -> tuple[ScalarField, list[dict]]:
+    """Descent on one contrastive branch from its own cascade depth, one step
+    per target of the regular run: at each iteration the branch is pulled
+    toward the regular depth after that iteration's step, a detached target,
+    under that iteration's confidence mask. Returns the branch's final depth
+    and its history keys per iteration."""
+    if branch not in BRANCHES or branch == "regular":
+        raise SamplingError(f"{branch!r} is not a contrastive branch")
+    opt = opt_cfg or OptimizerConfig()
+    depth = cascade_infer(sample, sweep_cfg or SweepConfig()).depth
+    records = []
+    for depth, keys in _descend(sample, branch, depth, (
+            _branch_cfg(opt, branch, target, mask) for target, mask in regular.targets)):
+        records.append(keys)
+    return depth, records
+
+
 def optimize_joint(samples: dict[str, Sample],
                    sweep_cfg: SweepConfig | None = None,
                    opt_cfg: OptimizerConfig | None = None,
-                   init_depths: dict[str, ScalarField] | None = None) -> OptState:
-    """Alternating per-branch normalized gradient descent on the depth field
-    of each branch in samples: "regular", plus any of "image_contrastive" and
-    "scene_contrastive". Each iteration optionally refreshes the confidence
-    mask by re-sweeping the final stage around the current regular depth, then
-    takes one backtracking step per branch in BRANCHES order (regular first; a
-    contrastive branch sees the updated regular depth as its detached
-    consistency target and reads no other branch). History records carry keys
-    for the branches run only."""
+                   init_depth: ScalarField | None = None) -> OptState:
+    """Per-branch normalized gradient descent on the depth field of each
+    branch in samples: "regular", plus any of "image_contrastive" and
+    "scene_contrastive". The regular branch runs all its iterations first,
+    from init_depth or its cascade depth; it reads no other branch. Every
+    refresh_every iterations the confidence mask is refreshed by re-sweeping
+    the final stage around the regular depth after the previous step. Each
+    contrastive branch then runs optimize_contrastive against the regular
+    run's targets. History records carry keys for the branches run only."""
     sweep_cfg = sweep_cfg or SweepConfig()
     opt = opt_cfg or OptimizerConfig()
     if "regular" not in samples:
@@ -430,89 +497,33 @@ def optimize_joint(samples: dict[str, Sample],
     if unknown:
         raise SamplingError(f"unknown branch(es) {unknown}; known: {list(BRANCHES)}")
     names = [name for name in BRANCHES if name in samples]
-    ref0 = samples["regular"].reference
-    for name in names:
-        if samples[name].reference.view_id != ref0.view_id:
-            raise SamplingError("all branches must share the reference view")
+    regular = samples["regular"]
+    if any(samples[name].reference.view_id != regular.reference.view_id for name in names):
+        raise SamplingError("all branches must share the reference view")
 
-    cam = ref0.camera
-    init_step = INIT_STEP_INTERVAL_SCALE * final_interval(cam)
-
-    depths: dict[str, ScalarField] = {}
-    conf_mask = None  # the regular branch's sweep mask, else a refresh at its depth
-    for name in names:
-        if init_depths is not None and name in init_depths:
-            depths[name] = ScalarField(init_depths[name].data.copy())
-            continue
-        final = cascade_infer(samples[name], sweep_cfg)
-        depths[name] = final.depth
-        if name == "regular":
-            conf_mask = final.conf_mask
-    if conf_mask is None:
-        _, conf_mask = refresh_confidence(samples["regular"], depths["regular"], sweep_cfg)
-
-    steps = {name: init_step for name in names}
-    history: list[dict] = []
-    # Per branch, the warp of depths[branch]: the accepted trial's, else the last
-    # gradient point's. None is kept across a sweep, the run's memory peak.
-    warps: dict[str, WarpDetails] = {}
-
-    def objective(branch: str, d: ScalarField, with_grad: bool,
-                  details: WarpDetails | None = None):
-        cfg = _branch_cfg(opt, branch, depths["regular"], conf_mask)
-        return _evaluate(samples[branch], d, cfg, with_grad, details)
-
-    def descend(branch: str, it: int):
-        """One backtracking step on a branch: (loss, parts, accepted)."""
-        cur_val, grad, parts, warps[branch] = objective(branch, depths[branch], True,
-                                                        warps.pop(branch, None))
-        if not np.isfinite(cur_val):
-            raise OptimizationDiverged(
-                f"non-finite loss on branch {branch} at iteration {it}",
-                {"iteration": it, "branch": branch, "loss": cur_val})
-        scale = np.abs(grad).max()
-        if not scale > 0:
-            return cur_val, parts, False
-        direction = grad / scale
-        step = steps[branch]
-        for attempt in range(MAX_HALVINGS + 1):
-            cand = ScalarField(np.clip(depths[branch].data - step * direction,
-                                       cam.depth_min, cam.depth_max))
-            new_val, _, new_parts, new_warp = objective(branch, cand, False)
-            if not np.isfinite(new_val):
-                raise OptimizationDiverged(
-                    f"non-finite trial loss on branch {branch} at iteration {it}",
-                    {"iteration": it, "branch": branch, "loss": new_val})
-            if new_val <= cur_val + 1e-12:
-                depths[branch], warps[branch] = cand, new_warp
-                steps[branch] = min(step * 2.0, init_step) if attempt == 0 else step
-                return new_val, new_parts, True
-            step *= 0.5
-        steps[branch] = step
-        return cur_val, parts, False
-
-    for it in range(opt.iterations):
+    if init_depth is None:
+        final = cascade_infer(regular, sweep_cfg)
+        depth, conf_mask = final.depth, final.conf_mask
+    else:
+        depth = ScalarField(init_depth.data.copy())
+        _, conf_mask = refresh_confidence(regular, depth, sweep_cfg)
+    steps = list(_descend(regular, "regular", depth,
+                          [_branch_cfg(opt, "regular", None, None)] * opt.iterations))
+    targets = []
+    for it, (depth, _) in enumerate(steps):
         if opt.refresh_every > 0 and it > 0 and it % opt.refresh_every == 0:
-            warps.clear()
-            _, conf_mask = refresh_confidence(samples["regular"], depths["regular"],
-                                              sweep_cfg)
-        record = {"iteration": it}
-        for branch in names:
-            cur_val, parts, accepted = descend(branch, it)
-            short = BRANCHES[branch]
-            record[f"loss_{short}"] = cur_val
-            record[f"step_{short}"] = steps[branch]
-            record[f"accepted_{short}"] = accepted
-            if branch == "regular":
-                record["photo_reg"] = parts["photo"]
-                record["ssim_reg"] = parts["ssim"]
-                record["smooth_reg"] = parts["smooth"]
-            else:
-                record[f"consist_{short}"] = parts["consist"]
-        record["total"] = sum(record[f"loss_{BRANCHES[name]}"] for name in names)
-        record["conf_count"] = conf_mask.count()
-        history.append(record)
-    return OptState(depths, conf_mask, history)
+            _, conf_mask = refresh_confidence(regular, steps[it - 1][0], sweep_cfg)
+        targets.append((depth, conf_mask))
+    state = OptState({"regular": depth}, conf_mask, [keys for _, keys in steps], targets)
+    for name in names[1:]:
+        state.depths[name], records = optimize_contrastive(samples[name], name, state,
+                                                           sweep_cfg, opt)
+        for record, keys in zip(state.history, records):
+            record.update(keys)
+    for it, (record, (_, mask)) in enumerate(zip(state.history, targets)):
+        record.update(iteration=it, conf_count=mask.count(),
+                      total=sum(record[f"loss_{BRANCHES[name]}"] for name in names))
+    return state
 
 
 def final_report(state: OptState, opt: OptimizerConfig) -> dict[str, float]:

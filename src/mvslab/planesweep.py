@@ -8,7 +8,6 @@ confidence mask follow the standard group-wise correlation pipeline.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,15 +210,13 @@ def probability_and_confidence(prob: np.ndarray, hyps: HypothesisSet,
                                ) -> tuple[ScalarField, BinaryMask]:
     """Probability mass over the 4 hypotheses nearest the regressed depth,
     window clamped at the ends of the hypothesis range, and its binary gate."""
-    count = hyps.count
-    window = min(4, count)
-    if count < 4:
-        warnings.warn(f"only {count} hypotheses; confidence window shrunk to {window}")
+    if hyps.count < 4:
+        raise PlaneSweepError(f"the confidence window needs 4 hypotheses, got {hyps.count}")
     t = (depth.data - hyps.values[0]) / hyps.spacing
-    start = np.clip(np.floor(t).astype(int) - 1, 0, count - window)
+    start = np.clip(np.floor(t).astype(int) - 1, 0, hyps.count - 4)
     csum = np.concatenate([np.zeros((1,) + prob.shape[1:]), np.cumsum(prob, axis=0)], axis=0)
     rows, cols = np.indices(depth.data.shape)
-    pm = csum[start + window, rows, cols] - csum[start, rows, cols]
+    pm = csum[start + 4, rows, cols] - csum[start, rows, cols]
     pm = np.clip(pm, 0.0, 1.0)
     return ScalarField(pm), BinaryMask(pm > conf_threshold)
 
@@ -246,23 +243,16 @@ def _stage_volume(sample: Sample, stage: int, cfg: SweepConfig,
     return regularize_and_softmax(cost, cfg), hyps
 
 
-def sweep_stage(sample: Sample, stage: int, cfg: SweepConfig,
-                prev_depth: ScalarField | None) -> StageResult:
-    """One stage's regressed depth and confidence."""
-    prob, hyps = _stage_volume(sample, stage, cfg, prev_depth)
-    depth = regress_depth(prob, hyps)
-    pm, mc = probability_and_confidence(prob, hyps, depth, CONF_THRESHOLD)
-    return StageResult(depth, pm, mc)
-
-
 def cascade_infer(sample: Sample, cfg: SweepConfig | None = None) -> StageResult:
-    """Coarse-to-fine sweep; returns the final stage, the inference result."""
+    """Coarse-to-fine sweep; returns the final stage, the inference result.
+    An earlier stage passes on only its depth, so no confidence is read off it."""
     cfg = cfg or SweepConfig()
     depth = None
-    for stage in range(1, len(STAGE_COUNTS) + 1):
-        result = sweep_stage(sample, stage, cfg, depth)
-        depth = result.depth
-    return result
+    for stage in range(1, len(STAGE_COUNTS)):
+        depth = regress_depth(*_stage_volume(sample, stage, cfg, depth))
+    prob, hyps = _stage_volume(sample, len(STAGE_COUNTS), cfg, depth)
+    depth = regress_depth(prob, hyps)
+    return StageResult(depth, *probability_and_confidence(prob, hyps, depth, CONF_THRESHOLD))
 
 
 def refresh_confidence(sample: Sample, depth: ScalarField, cfg: SweepConfig

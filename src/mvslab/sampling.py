@@ -84,7 +84,8 @@ def select_regular_views(reference: CameraView, candidates: list[CameraView],
     """Top-(N-1) candidates by score; ties broken by ascending view id."""
     _check_n_views(n_views)
     if len(scores) < n_views - 1:
-        raise SamplingError(f"need {n_views - 1} scored candidates, got {len(scores)}")
+        raise SamplingError(f"a {n_views}-view sample needs {n_views - 1} scored source "
+                            f"views; {len(candidates) + 1} views given, {len(scores)} scored")
     by_id = {v.view_id: v for v in candidates}
     ranked = sorted(scores, key=lambda e: (-e[1], e[0]))
     chosen = []

@@ -153,11 +153,11 @@ def _occluder_albedo(points: np.ndarray) -> np.ndarray:
     return np.where(sel, _OCCLUDER_A, _OCCLUDER_B)
 
 
-def _intersect_plane(origin, dirs):
-    """Ground plane z=0; returns (t, normal, hit)."""
+def _intersect_plane(origin, dirs, height=0.0):
+    """Horizontal plane z=height, the ground by default; returns (t, normal, hit)."""
     dz = dirs[..., 2]
     grazing = np.abs(dz) < 1e-12
-    t = np.where(grazing, np.inf, -origin[2] / np.where(grazing, 1.0, dz))
+    t = np.where(grazing, np.inf, (height - origin[2]) / np.where(grazing, 1.0, dz))
     t = np.where(t > 0, t, np.inf)
     n = np.broadcast_to(np.array([0.0, 0.0, 1.0]), dirs.shape)
     return t, n, np.isfinite(t)
@@ -202,16 +202,12 @@ def _intersect_sphere(origin, dirs, center, radius):
 
 def _intersect_occluder(origin, dirs):
     """Rectangular patch floating at z = _OCCLUDER_Z."""
-    dz = dirs[..., 2]
-    grazing = np.abs(dz) < 1e-12
-    t = np.where(grazing, np.inf, (_OCCLUDER_Z - origin[2]) / np.where(grazing, 1.0, dz))
-    pts = origin + t[..., None] * dirs
-    inside = (t > 0) \
+    t, n, hit = _intersect_plane(origin, dirs, _OCCLUDER_Z)
+    pts = origin + np.where(hit, t, 0.0)[..., None] * dirs
+    inside = hit \
         & (pts[..., 0] >= _OCCLUDER_X[0]) & (pts[..., 0] <= _OCCLUDER_X[1]) \
         & (pts[..., 1] >= _OCCLUDER_Y[0]) & (pts[..., 1] <= _OCCLUDER_Y[1])
-    t = np.where(inside, t, np.inf)
-    n = np.broadcast_to(np.array([0.0, 0.0, 1.0]), dirs.shape)
-    return t, n, inside
+    return np.where(inside, t, np.inf), n, inside
 
 
 def _scene_solids(spec: SceneSpec):

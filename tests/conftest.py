@@ -17,12 +17,15 @@ def checker_samples(checker_scene):
 
 @pytest.fixture(scope="session")
 def checker_cascade(checker_samples):
-    """Every stage of the cascade on the checker plane, coarse to fine."""
+    """Every stage of the cascade on the checker plane, coarse to fine, each
+    with the confidence of its own probability volume."""
     cfg = planesweep.SweepConfig()
     stages, depth = [], None
     for stage in range(1, len(planesweep.STAGE_COUNTS) + 1):
-        stages.append(planesweep.sweep_stage(checker_samples["regular"], stage, cfg, depth))
-        depth = stages[-1].depth
+        prob, hyps = planesweep._stage_volume(checker_samples["regular"], stage, cfg, depth)
+        depth = planesweep.regress_depth(prob, hyps)
+        stages.append(planesweep.StageResult(depth, *planesweep.probability_and_confidence(
+            prob, hyps, depth, planesweep.CONF_THRESHOLD)))
     return stages
 
 

@@ -4,9 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings. Criteria 5/6/7 print only win counts and mean margins;
 `mvslab ablate --claim {icc,scc,norm} --out DIR` runs the same trials and
 writes the per-seed arms and margins as JSONL. Each trial optimizes only the
-branches it reads: criterion 5 (icc) the regular and image-contrastive
-branches, criterion 6 (scc) the regular and scene-contrastive branches,
-criterion 7 (norm) the regular branch alone.
+branches it reads. Criteria 5 (icc) and 6 (scc) run the regular branch once
+per seed and step each arm's image- or scene-contrastive branch against
+that run; criterion 7 (norm) runs the regular branch alone, once per arm.
 """
 
 import time

@@ -230,22 +230,25 @@ def test_grad_check_passes_quickly(tmp_path, capsys):
 
 
 def test_grad_check_prints_the_worst_over_cases(tmp_path, capsys, monkeypatch):
-    # per case, (passed of 1280, max rel err) for each term; a term's lowest
-    # pass fraction and its largest error come from different cases
+    # per case, (passed of 1280, max rel err of the passing pixels) for each
+    # term; a term's lowest pass fraction and its largest error come from
+    # different cases
     cases = [{"photo_l0.5": (1280, 3e-4), "smooth": (1275, 1e-4)},
              {"photo_l0.5": (1275, 1e-4), "smooth": (1280, 2e-5)},
-             {"photo_l0.5": (1279, 9e-4), "smooth": (1276, 7e-1)}]
+             {"photo_l0.5": (1279, 9e-4), "smooth": (1276, 7e-4)}]
     reports = iter([{term: depthopt.AuditReport(1280, passed, err)
                      for term, (passed, err) in case.items()} for case in cases])
     monkeypatch.setattr(depthopt, "audit_case", lambda *args, **kwargs: next(reports))
     assert run_cli("grad-check", "--cases", "3", "--out", str(tmp_path)) == 0
-    printed = re.findall(r"grad-check (\S+): worst pass fraction (\S+), "
-                         r"worst max rel err (\S+) \[ok\]", capsys.readouterr().out)
+    printed = re.findall(r"grad-check (\S+): worst pass fraction (\S+), most failing pixels "
+                         r"(\d+), worst max rel err of passing pixels (\S+) \[ok\]",
+                         capsys.readouterr().out)
     recs = fileio.read_records(tmp_path / "grad_check.jsonl")
     assert len(printed) == 2 and len(recs) == 6
-    for term, frac, max_rel in printed:
+    for term, frac, failing, max_rel in printed:
         mine = [r for r in recs if r["term"] == term]
         assert frac == f"{min(r['frac'] for r in mine):.4f}", term
+        assert int(failing) == max(r["checked"] - r["passed"] for r in mine) == 5, term
         assert max_rel == f"{max(r['max_rel_err'] for r in mine):.2e}", term
 
 

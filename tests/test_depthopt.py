@@ -4,7 +4,8 @@ import pytest
 from mvslab import depthopt, losses, synth
 from mvslab.depthopt import (BranchLossConfig, OptimizationDiverged, OptimizerConfig,
                              OptState, audit_case, final_report, finite_diff_grad,
-                             loss_grad_wrt_depth, optimize_joint, random_audit_case)
+                             loss_grad_wrt_depth, optimize_contrastive, optimize_joint,
+                             random_audit_case)
 from mvslab.geometry import Camera, CameraView
 from mvslab.grids import BinaryMask, Image, ScalarField
 from mvslab.losses import LossError, LossWeights, NormKind, branch_consistency
@@ -207,22 +208,17 @@ def test_total_loss_monotone_without_cross_terms():
 
 
 def test_gt_initialization_is_a_fixed_point():
-    # noise-free inputs: the image-contrastive slot holds the regular sample,
-    # so every branch sees clean images; the bulk of the field stays within one
-    # final interval of the truth (a small weak-texture tail drifts to nearby
-    # spurious photometric optima)
+    # noise-free inputs: started at the truth, the bulk of the regular field
+    # stays within one final interval of it (a small weak-texture tail drifts
+    # to nearby spurious photometric optima)
     scene = synth.gen_scene(synth.SceneSpec(height=32, width=40, n_views=6, seed=5))
-    samples = synth.build_branch_samples(scene, 0, 4, 0.0, 11)
-    samples["image_contrastive"] = samples["regular"]
     gt = scene.views[0].gt_depth.data
-    init = {k: ScalarField(gt.copy()) for k in samples}
-    state = optimize_joint(samples, SweepConfig(),
-                           OptimizerConfig(iterations=50), init_depths=init)
+    state = optimize_joint({"regular": synth.regular_sample(scene, 0, 4)}, SweepConfig(),
+                           OptimizerConfig(iterations=50), init_depth=ScalarField(gt.copy()))
+    drift = np.abs(state.depths["regular"].data - gt)
     interval = final_interval(scene.views[0].camera)
-    for name, depth in state.depths.items():
-        drift = np.abs(depth.data - gt)
-        assert (drift <= interval).mean() > 0.94, name
-        assert np.median(drift) < 0.4 * interval, name
+    assert (drift <= interval).mean() > 0.94
+    assert np.median(drift) < 0.4 * interval
 
 
 def test_branches_independent_when_consistency_off():
@@ -290,6 +286,27 @@ def test_branch_subset_matches_full_run():
         r["loss_reg"] + r["loss_sc"] for r in full.history]
 
 
+def test_contrastive_arms_replay_one_regular_run():
+    # the regular branch reads no contrastive branch, so contrastive arms
+    # stepped against one regular run give, bit for bit, what full runs give,
+    # also across a confidence refresh
+    scene, samples = opt_scene()
+    regular = optimize_joint({"regular": samples["regular"]}, SweepConfig(),
+                             OptimizerConfig(iterations=3, refresh_every=2))
+    for weight in (0.0, 5.0):
+        opt = OptimizerConfig(iterations=3, refresh_every=2, image_consist_weight=weight,
+                              weights=LossWeights(scene_consist=weight))
+        full = optimize_joint(samples, SweepConfig(), opt)
+        for name in ("image_contrastive", "scene_contrastive"):
+            depth, records = optimize_contrastive(samples[name], name, regular,
+                                                  SweepConfig(), opt)
+            assert np.array_equal(depth.data, full.depths[name].data), (weight, name)
+            assert all(full.history[it][key] == value for it, keys in enumerate(records)
+                       for key, value in keys.items()), (weight, name)
+    with pytest.raises(SamplingError, match="'regular' is not a contrastive branch"):
+        optimize_contrastive(samples["regular"], "regular", regular)
+
+
 def test_branches_with_different_references_rejected():
     scene, samples = opt_scene(seed=3)
     other = synth.regular_sample(scene, 1, 4)
@@ -301,9 +318,8 @@ def test_branches_with_different_references_rejected():
 
 def test_retained_warp_gives_the_fresh_evaluation(monkeypatch):
     # every gradient evaluation handed a kept warp must return, bit for bit,
-    # what a fresh evaluation at that depth returns; only trials and gradient
-    # points without a kept warp (the first, and the first after each
-    # confidence refresh) warp the sources
+    # what a fresh evaluation at that depth returns; only trials and each
+    # branch's first gradient point warp the sources, also across a refresh
     scene = synth.gen_scene(synth.SceneSpec(height=24, width=30, n_views=6, seed=3))
     samples = synth.build_branch_samples(scene, 0, 4, curriculum(8).occlusion_rate, 11)
     evaluate, warp = depthopt._evaluate, depthopt._warp_sources
@@ -334,8 +350,8 @@ def test_retained_warp_gives_the_fresh_evaluation(monkeypatch):
     optimize_joint(samples, SweepConfig(),
                    OptimizerConfig(iterations=3, refresh_every=2,
                                    image_consist_weight=ICC_EPOCH_8))
-    assert calls["fresh"] == 6  # 3 branches, at iteration 0 and after the refresh at 2
-    assert calls["reused"] == 3
+    assert calls["fresh"] == 3  # 3 branches, at iteration 0
+    assert calls["reused"] == 6
     assert calls["trials"] > 0
     assert calls["warps"] == calls["trials"] + calls["fresh"]
 

@@ -250,13 +250,14 @@ def test_confidence_uniform_prob():
     assert not mc.data.any()
 
 
-def test_confidence_window_shrinks_below_four(recwarn):
+def test_confidence_rejects_fewer_than_four_hypotheses():
+    # every cascade stage sweeps at least 8 hypotheses; fewer than the
+    # window's 4 can only come from a caller's own volume
     hyps = uniform_hyps([500.0, 510.0, 520.0], 2, 2)
     prob = np.full((3, 2, 2), 1.0 / 3.0)
     depth = regress_depth(prob, hyps)
-    pm, _ = probability_and_confidence(prob, hyps, depth, 0.95)
-    assert any("shrunk" in str(w.message) for w in recwarn.list)
-    assert np.allclose(pm.data, 1.0)
+    with pytest.raises(PlaneSweepError, match="needs 4 hypotheses, got 3"):
+        probability_and_confidence(prob, hyps, depth, 0.95)
 
 
 def test_confidence_antitone_in_threshold():

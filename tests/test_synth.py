@@ -219,3 +219,9 @@ def test_unknown_reference_view_rejected(checker_scene, ref_id):
                   lambda: synth.build_branch_samples(checker_scene, ref_id, 5, 0.05, 3)):
         with pytest.raises(SamplingError, match=rf"view {ref_id} .*{re.escape(ids)}"):
             build()
+
+
+def test_a_scene_with_too_few_views_names_both_counts():
+    scene = gen_scene(SceneSpec(height=16, width=20, n_views=2, seed=1))
+    with pytest.raises(SamplingError, match=r"a 5-view sample .*; 2 views given"):
+        synth.regular_sample(scene, 0, 5)
