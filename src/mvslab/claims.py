@@ -2,11 +2,11 @@
 image-level consistency pull (``icc``), the scene-level consistency pull
 (``scc``) and the square-root photometric norm (``norm``). Each trial
 optimizes only the branches it reads. ``icc`` and ``scc`` run the regular
-branch once, since it never reads a contrastive branch, and step each arm's
-image- or scene-contrastive branch against that one run's targets; ``norm``
-runs the regular branch alone, once per arm. Each returns one record with
-both arms' values and the margin by which the claimed arm is better;
-acceptance criteria 5/6/7 and `mvslab ablate` call the same trials."""
+branch and sweep the contrastive sample once per seed, and each arm steps
+that branch from the one depth against the one run's targets; ``norm`` runs
+``optimize_regular`` once per arm from one shared cascade depth, sweeping
+no confidence. Each returns one record with both arms' values and the margin by
+which the claimed arm is better; criteria 5/6/7 and `mvslab ablate` call them."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import binary_dilation
 
 from . import synth
-from .depthopt import OptimizerConfig, optimize_contrastive, optimize_joint
+from .depthopt import OptimizerConfig, optimize_contrastive, optimize_joint, optimize_regular
 from .geometry import CameraView, nearest_pixel, pixel_grid, project_with_depth
 from .grids import Image
 from .losses import LossWeights, NormKind
@@ -58,10 +58,11 @@ def icc_trial(seed: int) -> dict:
     occluded = make_image_contrastive(regular, schedule.occlusion_rate, seed + 400)
     affected = affected_mask(reference, occluded.sources, occluded.occlusion_masks)
     state = optimize_joint({"regular": regular}, SweepConfig(), OptimizerConfig(iterations=60))
+    start = cascade_infer(occluded).depth
     arms = {}
     for arm, weight in (("consistency", 400.0), ("no_consistency", 0.0)):
-        opt = OptimizerConfig(iterations=60, image_consist_weight=weight)
-        depth, _ = optimize_contrastive(occluded, "image_contrastive", state, opt_cfg=opt)
+        opt = OptimizerConfig(image_consist_weight=weight)
+        depth, _ = optimize_contrastive(occluded, "image_contrastive", state, start, opt)
         err = np.abs(depth.data - reference.gt_depth.data)
         arms[arm] = float(np.median(err[affected]))
     return _record("icc", seed, "median_abs_err_affected_mm", arms,
@@ -89,10 +90,11 @@ def scc_trial(seed: int) -> dict | None:
     affected = affected_mask(reference, [scene.views[corrupted]], [footprint])
     sweep = SweepConfig(softmax_sharpness=100.0)
     state = optimize_joint({"regular": regular}, sweep, OptimizerConfig(iterations=80))
+    start = cascade_infer(sc, sweep).depth
     arms = {}
     for arm, weight in (("consistency", 400.0), ("no_consistency", 0.0)):
-        opt = OptimizerConfig(iterations=80, weights=LossWeights(scene_consist=weight))
-        depth, _ = optimize_contrastive(sc, "scene_contrastive", state, sweep, opt)
+        opt = OptimizerConfig(weights=LossWeights(scene_consist=weight))
+        depth, _ = optimize_contrastive(sc, "scene_contrastive", state, start, opt)
         err = np.abs(depth.data - reference.gt_depth.data)
         arms[arm] = float(np.median(err[affected]))
     return _record("scc", seed, "median_abs_err_affected_mm", arms,
@@ -132,8 +134,8 @@ def norm_trial(seed: int) -> dict:
     arms = {}
     for arm, exponent in (("l0.5", 0.5), ("l1", 1.0)):
         opt = OptimizerConfig(iterations=60, norm=NormKind(exponent))
-        state = optimize_joint({"regular": regular}, SweepConfig(), opt, final.depth)
-        err = np.abs(state.depths["regular"].data - reference.gt_depth.data)
+        depth = optimize_regular(regular, final.depth, opt)[-1][0]
+        err = np.abs(depth.data - reference.gt_depth.data)
         arms[arm] = float((err[top80] <= 2.0).mean())
     return _record("norm", seed, "frac_within_2mm_confident", arms,
                    arms["l0.5"] - arms["l1"])

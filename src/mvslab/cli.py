@@ -91,7 +91,7 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
     for name, short in depthopt.BRANCHES.items():
         fileio.write_pfm(out / f"depth_{short}.pfm", state.depths[name])
     fileio.write_pfm(out / "conf_mask.pfm",
-                     ScalarField(state.conf_mask.data.astype(np.float64)))
+                     ScalarField(state.targets[-1][1].data.astype(np.float64)))
     fileio.write_records(out / "final_report.jsonl", [report])
     print(f"optimized 3 branches for view {args.ref}; total={report['total']:.6f}")
     return 0

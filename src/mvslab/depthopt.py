@@ -388,11 +388,10 @@ class OptimizerConfig:
 @dataclass
 class OptState:
     depths: dict[str, ScalarField]
-    conf_mask: BinaryMask
     history: list[dict]  # one record per iteration
     # per iteration, the regular depth after its step and the confidence mask:
     # what a contrastive branch is pulled toward at that iteration
-    targets: list[tuple[ScalarField, BinaryMask]] = field(default_factory=list)
+    targets: list[tuple[ScalarField, BinaryMask]]
 
 
 # branch name -> the short name of its history keys and depth files, in the
@@ -417,6 +416,9 @@ def _descend(sample: Sample, branch: str, depth: ScalarField,
              cfgs: Iterable[BranchLossConfig]) -> Iterator[tuple[ScalarField, dict]]:
     """Normalized gradient descent on one branch's depth, one backtracking step
     per config: yields the depth after each step and the step's history keys."""
+    if depth.data.shape != sample.reference.image.data.shape[:2]:
+        raise SamplingError(f"start depth is {depth.data.shape}, the reference image is "
+                            f"{sample.reference.image.data.shape[:2]}")
     cam = sample.reference.camera
     init_step = step = INIT_STEP_INTERVAL_SCALE * final_interval(cam)
     short = BRANCHES[branch]
@@ -457,19 +459,26 @@ def _descend(sample: Sample, branch: str, depth: ScalarField,
         yield depth, keys
 
 
+def optimize_regular(sample: Sample, depth: ScalarField,
+                     opt_cfg: OptimizerConfig | None = None) -> list[tuple[ScalarField, dict]]:
+    """Descent on the regular branch from depth, opt_cfg.iterations steps: the depth
+    after each step and its history keys. It reads no confidence mask; nothing is swept."""
+    opt = opt_cfg or OptimizerConfig()
+    return list(_descend(sample, "regular", depth,
+                         [_branch_cfg(opt, "regular", None, None)] * opt.iterations))
+
+
 def optimize_contrastive(sample: Sample, branch: str, regular: OptState,
-                         sweep_cfg: SweepConfig | None = None,
-                         opt_cfg: OptimizerConfig | None = None
+                         depth: ScalarField, opt_cfg: OptimizerConfig | None = None
                          ) -> tuple[ScalarField, list[dict]]:
-    """Descent on one contrastive branch from its own cascade depth, one step
-    per target of the regular run: at each iteration the branch is pulled
-    toward the regular depth after that iteration's step, a detached target,
-    under that iteration's confidence mask. Returns the branch's final depth
-    and its history keys per iteration."""
+    """Descent on one contrastive branch from depth, one step per target of
+    the regular run; opt_cfg.iterations is not read. At each iteration the
+    branch is pulled toward the regular depth after that iteration's step, a
+    detached target, under that iteration's confidence mask. Returns the
+    branch's final depth and its history keys per iteration."""
     if branch not in BRANCHES or branch == "regular":
         raise SamplingError(f"{branch!r} is not a contrastive branch")
     opt = opt_cfg or OptimizerConfig()
-    depth = cascade_infer(sample, sweep_cfg or SweepConfig()).depth
     records = []
     for depth, keys in _descend(sample, branch, depth, (
             _branch_cfg(opt, branch, target, mask) for target, mask in regular.targets)):
@@ -479,16 +488,14 @@ def optimize_contrastive(sample: Sample, branch: str, regular: OptState,
 
 def optimize_joint(samples: dict[str, Sample],
                    sweep_cfg: SweepConfig | None = None,
-                   opt_cfg: OptimizerConfig | None = None,
-                   init_depth: ScalarField | None = None) -> OptState:
+                   opt_cfg: OptimizerConfig | None = None) -> OptState:
     """Per-branch normalized gradient descent on the depth field of each
     branch in samples: "regular", plus any of "image_contrastive" and
-    "scene_contrastive". The regular branch runs all its iterations first,
-    from init_depth or its cascade depth; it reads no other branch. Every
-    refresh_every iterations the confidence mask is refreshed by re-sweeping
-    the final stage around the regular depth after the previous step. Each
-    contrastive branch then runs optimize_contrastive against the regular
-    run's targets. History records carry keys for the branches run only."""
+    "scene_contrastive", each from its cascade depth. optimize_regular runs
+    first. Its targets carry the cascade's confidence mask, re-swept around
+    the regular depth after the previous step every refresh_every iterations;
+    each contrastive branch then runs optimize_contrastive against them.
+    History records carry keys for the branches run only."""
     sweep_cfg = sweep_cfg or SweepConfig()
     opt = opt_cfg or OptimizerConfig()
     if "regular" not in samples:
@@ -501,23 +508,19 @@ def optimize_joint(samples: dict[str, Sample],
     if any(samples[name].reference.view_id != regular.reference.view_id for name in names):
         raise SamplingError("all branches must share the reference view")
 
-    if init_depth is None:
-        final = cascade_infer(regular, sweep_cfg)
-        depth, conf_mask = final.depth, final.conf_mask
-    else:
-        depth = ScalarField(init_depth.data.copy())
-        _, conf_mask = refresh_confidence(regular, depth, sweep_cfg)
-    steps = list(_descend(regular, "regular", depth,
-                          [_branch_cfg(opt, "regular", None, None)] * opt.iterations))
+    final = cascade_infer(regular, sweep_cfg)
+    steps = optimize_regular(regular, final.depth, opt)
+    conf_mask = final.conf_mask
     targets = []
     for it, (depth, _) in enumerate(steps):
         if opt.refresh_every > 0 and it > 0 and it % opt.refresh_every == 0:
             _, conf_mask = refresh_confidence(regular, steps[it - 1][0], sweep_cfg)
         targets.append((depth, conf_mask))
-    state = OptState({"regular": depth}, conf_mask, [keys for _, keys in steps], targets)
+    state = OptState({"regular": depth}, [keys for _, keys in steps], targets)
     for name in names[1:]:
+        start = cascade_infer(samples[name], sweep_cfg).depth
         state.depths[name], records = optimize_contrastive(samples[name], name, state,
-                                                           sweep_cfg, opt)
+                                                           start, opt)
         for record, keys in zip(state.history, records):
             record.update(keys)
     for it, (record, (_, mask)) in enumerate(zip(state.history, targets)):

@@ -154,13 +154,13 @@ def _occluder_albedo(points: np.ndarray) -> np.ndarray:
 
 
 def _intersect_plane(origin, dirs, height=0.0):
-    """Horizontal plane z=height, the ground by default; returns (t, normal, hit)."""
+    """Plane z=height, the ground by default: (t, normal), t = inf where the ray misses."""
     dz = dirs[..., 2]
     grazing = np.abs(dz) < 1e-12
     t = np.where(grazing, np.inf, (height - origin[2]) / np.where(grazing, 1.0, dz))
     t = np.where(t > 0, t, np.inf)
     n = np.broadcast_to(np.array([0.0, 0.0, 1.0]), dirs.shape)
-    return t, n, np.isfinite(t)
+    return t, n
 
 
 def _intersect_box(origin, dirs, center, half):
@@ -180,7 +180,7 @@ def _intersect_box(origin, dirs, center, half):
     n = np.zeros(dirs.shape)
     idx = np.indices(axis.shape)
     n[(*idx, axis)] = np.sign(rel[(*idx, axis)])
-    return t, n, np.isfinite(t)
+    return t, n
 
 
 def _intersect_sphere(origin, dirs, center, radius):
@@ -197,27 +197,26 @@ def _intersect_sphere(origin, dirs, center, radius):
     t = np.where(ok & (t > 0), t, np.inf)
     pts = origin + t[..., None] * dirs
     n = (pts - center) / radius
-    return t, n, np.isfinite(t)
+    return t, n
 
 
 def _intersect_occluder(origin, dirs):
     """Rectangular patch floating at z = _OCCLUDER_Z."""
-    t, n, hit = _intersect_plane(origin, dirs, _OCCLUDER_Z)
-    pts = origin + np.where(hit, t, 0.0)[..., None] * dirs
-    inside = hit \
-        & (pts[..., 0] >= _OCCLUDER_X[0]) & (pts[..., 0] <= _OCCLUDER_X[1]) \
+    t, n = _intersect_plane(origin, dirs, _OCCLUDER_Z)
+    pts = origin + np.where(np.isfinite(t), t, 0.0)[..., None] * dirs
+    inside = (pts[..., 0] >= _OCCLUDER_X[0]) & (pts[..., 0] <= _OCCLUDER_X[1]) \
         & (pts[..., 1] >= _OCCLUDER_Y[0]) & (pts[..., 1] <= _OCCLUDER_Y[1])
-    return np.where(inside, t, np.inf), n, inside
+    return np.where(inside, t, np.inf), n
 
 
 def _scene_solids(spec: SceneSpec):
-    solids = [("plane", _intersect_plane)]
+    solids = [_intersect_plane]
     if spec.geometry == "cube":
         center = np.array([0.0, 0.0, _CUBE_HALF])
-        solids.insert(0, ("cube", lambda o, d: _intersect_box(o, d, center, _CUBE_HALF)))
+        solids.insert(0, lambda o, d: _intersect_box(o, d, center, _CUBE_HALF))
     elif spec.geometry == "sphere":
         center = np.array([0.0, 0.0, _SPHERE_RADIUS])
-        solids.insert(0, ("sphere", lambda o, d: _intersect_sphere(o, d, center, _SPHERE_RADIUS)))
+        solids.insert(0, lambda o, d: _intersect_sphere(o, d, center, _SPHERE_RADIUS))
     return solids
 
 
@@ -238,9 +237,9 @@ def _trace(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
     shape = dirs.shape[:-1]
     best_t = np.full(shape, np.inf)
     normals = np.zeros(dirs.shape)
-    for _, fn in _scene_solids(spec):
-        t, n, hit = fn(origin, dirs)
-        closer = hit & (t < best_t)
+    for fn in _scene_solids(spec):
+        t, n = fn(origin, dirs)
+        closer = t < best_t
         best_t = np.where(closer, t, best_t)
         normals = np.where(closer[..., None], n, normals)
     if not np.all(np.isfinite(best_t)):
@@ -252,7 +251,7 @@ def _trace(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
     img = _shade(points, normals, albedo, view_dir, spec.specular_strength)
     occ_hit = np.zeros(shape, dtype=bool)
     if include_occluder:
-        t_occ, n_occ, _ = _intersect_occluder(origin, dirs)
+        t_occ, n_occ = _intersect_occluder(origin, dirs)
         occ_hit = t_occ < best_t
         safe_t = np.where(occ_hit, t_occ, 0.0)
         pts_occ = origin + safe_t[..., None] * dirs

@@ -5,8 +5,10 @@ lines and timings. Criteria 5/6/7 print only win counts and mean margins;
 `mvslab ablate --claim {icc,scc,norm} --out DIR` runs the same trials and
 writes the per-seed arms and margins as JSONL. Each trial optimizes only the
 branches it reads. Criteria 5 (icc) and 6 (scc) run the regular branch once
-per seed and step each arm's image- or scene-contrastive branch against
-that run; criterion 7 (norm) runs the regular branch alone, once per arm.
+per seed, sweep the contrastive sample once, and step each arm's image- or
+scene-contrastive branch from that depth against the regular run; criterion
+7 (norm) runs the regular branch alone from one cascade depth, once per arm,
+and sweeps no confidence.
 """
 
 import time

@@ -5,11 +5,11 @@ from mvslab import depthopt, losses, synth
 from mvslab.depthopt import (BranchLossConfig, OptimizationDiverged, OptimizerConfig,
                              OptState, audit_case, final_report, finite_diff_grad,
                              loss_grad_wrt_depth, optimize_contrastive, optimize_joint,
-                             random_audit_case)
+                             optimize_regular, random_audit_case)
 from mvslab.geometry import Camera, CameraView
 from mvslab.grids import BinaryMask, Image, ScalarField
 from mvslab.losses import LossError, LossWeights, NormKind, branch_consistency
-from mvslab.planesweep import SweepConfig, final_interval
+from mvslab.planesweep import SweepConfig, cascade_infer, final_interval
 from mvslab.sampling import Sample, SamplingError, curriculum
 
 ICC_EPOCH_8 = 0.16  # curriculum(8).image_consist_weight
@@ -213,9 +213,9 @@ def test_gt_initialization_is_a_fixed_point():
     # to nearby spurious photometric optima)
     scene = synth.gen_scene(synth.SceneSpec(height=32, width=40, n_views=6, seed=5))
     gt = scene.views[0].gt_depth.data
-    state = optimize_joint({"regular": synth.regular_sample(scene, 0, 4)}, SweepConfig(),
-                           OptimizerConfig(iterations=50), init_depth=ScalarField(gt.copy()))
-    drift = np.abs(state.depths["regular"].data - gt)
+    steps = optimize_regular(synth.regular_sample(scene, 0, 4), ScalarField(gt.copy()),
+                             OptimizerConfig(iterations=50))
+    drift = np.abs(steps[-1][0].data - gt)
     interval = final_interval(scene.views[0].camera)
     assert (drift <= interval).mean() > 0.94
     assert np.median(drift) < 0.4 * interval
@@ -288,23 +288,91 @@ def test_branch_subset_matches_full_run():
 
 def test_contrastive_arms_replay_one_regular_run():
     # the regular branch reads no contrastive branch, so contrastive arms
-    # stepped against one regular run give, bit for bit, what full runs give,
-    # also across a confidence refresh
+    # stepped from one start depth against one regular run give, bit for bit,
+    # what full runs give, also across a confidence refresh; an arm takes one
+    # step per target whatever its iterations say
     scene, samples = opt_scene()
     regular = optimize_joint({"regular": samples["regular"]}, SweepConfig(),
                              OptimizerConfig(iterations=3, refresh_every=2))
+    starts = {name: cascade_infer(samples[name]).depth
+              for name in ("image_contrastive", "scene_contrastive")}
     for weight in (0.0, 5.0):
-        opt = OptimizerConfig(iterations=3, refresh_every=2, image_consist_weight=weight,
-                              weights=LossWeights(scene_consist=weight))
-        full = optimize_joint(samples, SweepConfig(), opt)
-        for name in ("image_contrastive", "scene_contrastive"):
-            depth, records = optimize_contrastive(samples[name], name, regular,
-                                                  SweepConfig(), opt)
+        weights = {"image_consist_weight": weight,
+                   "weights": LossWeights(scene_consist=weight)}
+        full = optimize_joint(samples, SweepConfig(),
+                              OptimizerConfig(iterations=3, refresh_every=2, **weights))
+        for name, start in starts.items():
+            depth, records = optimize_contrastive(samples[name], name, regular, start,
+                                                  OptimizerConfig(**weights))
+            assert len(records) == 3
             assert np.array_equal(depth.data, full.depths[name].data), (weight, name)
             assert all(full.history[it][key] == value for it, keys in enumerate(records)
                        for key, value in keys.items()), (weight, name)
     with pytest.raises(SamplingError, match="'regular' is not a contrastive branch"):
-        optimize_contrastive(samples["regular"], "regular", regular)
+        optimize_contrastive(samples["regular"], "regular", regular,
+                             starts["image_contrastive"])
+
+
+def test_optimize_regular_sweeps_nothing_and_is_the_joint_regular_pass(monkeypatch):
+    scene, samples = opt_scene()
+    opt = OptimizerConfig(iterations=4, refresh_every=2)
+    joint = optimize_joint({"regular": samples["regular"]}, SweepConfig(), opt)
+    start = cascade_infer(samples["regular"]).depth
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("optimize_regular swept")
+
+    monkeypatch.setattr(depthopt, "cascade_infer", no_sweep)
+    monkeypatch.setattr(depthopt, "refresh_confidence", no_sweep)
+    steps = optimize_regular(samples["regular"], start, opt)
+    assert len(steps) == len(joint.history) == 4
+    assert np.array_equal(steps[-1][0].data, joint.depths["regular"].data)
+    for (depth, keys), record, (target, _) in zip(steps, joint.history, joint.targets):
+        assert np.array_equal(depth.data, target.data)
+        assert all(record[key] == value for key, value in keys.items())
+
+
+def test_start_depth_of_another_shape_is_a_sampling_error():
+    scene, samples = opt_scene()
+    small = ScalarField(np.full((16, 20), 600.0))
+    with pytest.raises(SamplingError, match=r"\(16, 20\).*\(32, 40\)"):
+        optimize_regular(samples["regular"], small)
+    with pytest.raises(SamplingError, match=r"\(16, 20\).*\(32, 40\)"):
+        optimize_contrastive(samples["image_contrastive"], "image_contrastive",
+                             OptState({}, [], []), small)
+
+
+def test_start_below_the_range_has_no_photometric_signal():
+    # the descent clips to the range, but the start is evaluated unclipped
+    scene, samples = opt_scene()
+    assert samples["regular"].reference.camera.depth_min > 100.0
+    with pytest.raises(LossError, match="no photometric signal"):
+        optimize_regular(samples["regular"], ScalarField(np.full((32, 40), 100.0)),
+                         OptimizerConfig(iterations=1))
+
+
+@pytest.mark.parametrize("end", ["depth_min", "depth_max"])
+def test_constant_depth_at_either_end_of_the_range_is_finite(end):
+    scene, samples = opt_scene()
+    sample = samples["regular"]
+    depth = ScalarField(np.full((32, 40), getattr(sample.reference.camera, end)))
+    cfg = depthopt._branch_cfg(OptimizerConfig(), "regular", None, None)
+    total, grad, _, _ = loss_grad_wrt_depth(sample, depth, cfg)
+    assert np.isfinite(total)
+    assert np.isfinite(grad).all()
+
+
+def test_all_black_sources_optimize_to_finite_losses():
+    scene, samples = opt_scene()
+    black = {name: Sample(s.reference, [CameraView(Image(np.zeros_like(v.image.data)),
+                                                   v.camera, v.gt_depth, v.view_id)
+                                        for v in s.sources])
+             for name, s in samples.items()}
+    state = optimize_joint(black, SweepConfig(),
+                           OptimizerConfig(iterations=3, image_consist_weight=ICC_EPOCH_8))
+    assert len(state.history) == 3
+    assert all(np.isfinite(value) for record in state.history
+               for key, value in record.items() if key.startswith(("loss_", "total")))
 
 
 def test_branches_with_different_references_rejected():
@@ -362,8 +430,7 @@ def one_record_state(components: dict[str, float]) -> OptState:
     keys = {"pc": "photo_reg", "icc": "consist_ic", "scc": "consist_sc",
             "ssim": "ssim_reg", "smooth": "smooth_reg"}
     record = {keys[k]: v for k, v in components.items()}
-    blank = np.zeros((2, 2))
-    return OptState({}, BinaryMask(blank > 0), [record])
+    return OptState({}, [record], [])
 
 
 def test_final_report_weighted_sum_at_epoch_zero():
@@ -419,7 +486,7 @@ def test_final_report_equals_a_fresh_evaluation_of_the_final_state():
                                         depthopt._branch_cfg(opt, "regular", None, None),
                                         False)
     icc, scc = (branch_consistency(state.depths["regular"], state.depths[name],
-                                   state.conf_mask).value
+                                   state.targets[-1][1]).value
                 for name in ("image_contrastive", "scene_contrastive"))
     assert report["component_pc"] == parts["photo"]
     assert report["component_ssim"] == parts["ssim"]
@@ -442,5 +509,5 @@ def test_final_report_shows_consistency_at_zero_weight():
     report = final_report(state, opt)
     for component, name in (("icc", "image_contrastive"), ("scc", "scene_contrastive")):
         expected = branch_consistency(state.depths["regular"], state.depths[name],
-                                      state.conf_mask).value
+                                      state.targets[-1][1]).value
         assert report[f"component_{component}"] == expected > 0, component

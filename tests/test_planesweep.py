@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvslab.geometry import Camera, pixel_grid, warp_image, warp_rays
+from mvslab.geometry import Camera, CameraView, pixel_grid, warp_image, warp_rays
 from mvslab.geometry import resize_bilinear
 from mvslab.grids import Image, ScalarField
 from mvslab.planesweep import (N_FEATURES, N_GROUPS, STAGE_COUNTS, HypothesisSet,
@@ -14,6 +14,7 @@ from mvslab.planesweep import (N_FEATURES, N_GROUPS, STAGE_COUNTS, HypothesisSet
                                refresh_confidence, regress_depth,
                                regularize_and_softmax)
 from mvslab import synth
+from mvslab.sampling import Sample
 from conftest import mutual_visibility
 
 
@@ -340,6 +341,24 @@ def test_textureless_scene_has_no_confidence():
     samples = synth.build_branch_samples(scene, 0, 5, 0.0, 7)
     final = cascade_infer(samples["regular"])
     assert final.conf_mask.data.mean() < 0.05
+
+
+def test_refresh_at_the_far_end_of_the_range_has_no_confidence(small_scene):
+    sample = synth.regular_sample(small_scene, 0, 4)
+    far = ScalarField(np.full((32, 40), sample.reference.camera.depth_max))
+    prob, conf = refresh_confidence(sample, far, SweepConfig())
+    assert np.isfinite(prob.data).all()
+    assert conf.count() == 0
+
+
+def test_all_black_sources_sweep_to_finite_depth_with_no_confidence(small_scene):
+    sample = synth.regular_sample(small_scene, 0, 4)
+    black = Sample(sample.reference, [CameraView(Image(np.zeros_like(v.image.data)),
+                                                 v.camera, v.gt_depth, v.view_id)
+                                      for v in sample.sources])
+    final = cascade_infer(black)
+    assert np.isfinite(final.depth.data).all() and np.isfinite(final.prob_map.data).all()
+    assert final.conf_mask.count() == 0
 
 
 def test_refresh_confidence_centers_on_given_depth(checker_scene, checker_samples,
