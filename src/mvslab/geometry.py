@@ -173,21 +173,50 @@ class BilinearCells(NamedTuple):
     fv: np.ndarray
     inb: np.ndarray   # (N,)
 
+    def _corners(self) -> tuple[np.ndarray, ...]:
+        """(N, C) image values at the cells' top-left, top-right, bottom-left
+        and bottom-right corners. Each is its own fresh array: the blends write
+        into them, and a result keeps no other corner's memory alive."""
+        f, b, du, dv = self[:4]
+        return tuple(f.take(i, axis=0) for i in (b, b + du, b + dv, b + dv + du))
+
     def value(self) -> np.ndarray:
-        """(N, C) interpolated values, 0 out of bounds."""
-        f, b, du, dv, fu, fv, inb = self
-        top = f[b] * (1.0 - fu) + f[b + du] * fu
-        bot = f[b + dv] * (1.0 - fu) + f[b + dv + du] * fu
-        return (top * (1.0 - fv) + bot * fv) * inb[:, None]
+        """(N, C) interpolated values, 0 out of bounds. Blended in place in the
+        order of top = f00 (1 - fu) + f01 fu, bot likewise, top (1 - fv) + bot fv."""
+        fu, fv, inb = self[4:]
+        top, f01, bot, f11 = self._corners()  # top and bot start as f00 and f10
+        top *= 1.0 - fu
+        f01 *= fu
+        top += f01
+        bot *= 1.0 - fu
+        f11 *= fu
+        bot += f11
+        top *= 1.0 - fv
+        bot *= fv
+        top += bot
+        top *= inb[:, None]
+        return top
 
     def grad(self) -> tuple[np.ndarray, np.ndarray]:
         """(N, C) derivatives of value w.r.t. u and v: piecewise per cell,
-        one-sided at cell boundaries, 0 out of bounds."""
-        f, b, du, dv, fu, fv, inb = self
-        f00, f01, f10, f11 = f[b], f[b + du], f[b + dv], f[b + dv + du]
-        gu = (1.0 - fv) * (f01 - f00) + fv * (f11 - f10)
-        gv = (1.0 - fu) * (f10 - f00) + fu * (f11 - f01)
-        return gu * inb[:, None], gv * inb[:, None]
+        one-sided at cell boundaries, 0 out of bounds. In place, in the order
+        of gu = (1 - fv) (f01 - f00) + fv (f11 - f10) and
+        gv = (1 - fu) (f10 - f00) + fu (f11 - f01)."""
+        fu, fv, inb = self[4:]
+        f00, f01, f10, f11 = self._corners()
+        gu = f01 - f00
+        gu *= 1.0 - fv
+        gv = np.subtract(f10, f00, out=f00)
+        gv *= 1.0 - fu
+        np.subtract(f11, f10, out=f10)
+        f10 *= fv
+        gu += f10
+        np.subtract(f11, f01, out=f11)
+        f11 *= fu
+        gv += f11
+        gu *= inb[:, None]
+        gv *= inb[:, None]
+        return gu, gv
 
 
 def bilinear_cells(arr: np.ndarray, uv: np.ndarray) -> BilinearCells:
@@ -215,7 +244,8 @@ def warp_image(a: np.ndarray, c: np.ndarray, image: np.ndarray, depth: np.ndarra
     uv, z, front = project_rays(a, c, np.where(positive, depth, 1.0))
     cells = bilinear_cells(image, uv)
     mask = cells.inb.reshape(z.shape) & front & positive
-    warped = cells.value().reshape(z.shape + (-1,)) * mask[..., None]
+    warped = cells.value().reshape(z.shape + (-1,))
+    warped *= mask[..., None]
     return warped, mask, uv, z, cells
 
 

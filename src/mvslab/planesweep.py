@@ -114,8 +114,15 @@ def _normalize_groups(feats: np.ndarray) -> np.ndarray:
     """Each of N_GROUPS equal slices of the last axis scaled to unit L2 norm;
     all-zero groups stay zero."""
     shaped = feats.reshape(feats.shape[:-1] + (N_GROUPS, -1))
-    norms = np.linalg.norm(shaped, axis=-1, keepdims=True)
-    return (shaped / np.maximum(norms, 1e-8)).reshape(feats.shape)
+    x0, x1 = np.moveaxis(shaped, -1, 0)  # groups of N_FEATURES // N_GROUPS == 2
+    norms = x0 * x0
+    norms += x1 * x1
+    np.sqrt(norms, out=norms)
+    np.maximum(norms, 1e-8, out=norms)
+    out = np.empty_like(shaped)
+    np.divide(x0, norms, out=out[..., 0])
+    np.divide(x1, norms, out=out[..., 1])
+    return out.reshape(feats.shape)
 
 
 def extract_features(img: Image, stage: int) -> np.ndarray:
@@ -182,8 +189,14 @@ def groupwise_correlation(ref_vol: np.ndarray, src_vols: list[np.ndarray],
     per_group = nc // n_groups
     ref_g = ref_vol.reshape(n_groups, per_group, *ref_vol.shape[1:])
     acc = np.zeros((n_groups,) + ref_vol.shape[1:])
+    dot = np.empty_like(acc)
+    term = np.empty_like(acc)
     for v in src_vols:
-        acc += (ref_g * v.reshape(n_groups, per_group, *v.shape[1:])).sum(axis=1)
+        src_g = v.reshape(n_groups, per_group, *v.shape[1:])
+        np.multiply(ref_g[:, 0], src_g[:, 0], out=dot)
+        for k in range(1, per_group):
+            dot += np.multiply(ref_g[:, k], src_g[:, k], out=term)
+        acc += dot
     return acc / (len(src_vols) * per_group)
 
 

@@ -35,6 +35,13 @@ def small_scene():
     return synth.gen_scene(synth.SceneSpec(texture="noise", height=32, width=40, seed=5))
 
 
+@pytest.fixture(scope="session")
+def uniform_scene():
+    """A constant-albedo plane, the CLI's uniform_plane preset: every view is
+    a flat image, so no depth can be told from another."""
+    return synth.gen_scene(synth.SceneSpec(texture="uniform", height=32, width=40, seed=4))
+
+
 def mutual_visibility(sample, gt, crop: int = 4) -> np.ndarray:
     """Pixels whose GT point projects inside every source image, away from the
     reference border band where the feature support is clipped."""
@@ -48,3 +55,18 @@ def mutual_visibility(sample, gt, crop: int = 4) -> np.ndarray:
         valid &= front & (uv[..., 0] >= 0) & (uv[..., 0] <= w - 1) \
             & (uv[..., 1] >= 0) & (uv[..., 1] <= h - 1)
     return valid
+
+
+def signed_values(rng, shape):
+    """Values of both signs with some exact zeros of both signs, so that an
+    operation that flips the sign of a zero shows in the bytes."""
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+def assert_same_bytes(a, b):
+    """Equal to the bit: np.array_equal takes -0.0 for 0.0, written depth
+    files do not."""
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -375,6 +375,16 @@ def test_all_black_sources_optimize_to_finite_losses():
                for key, value in record.items() if key.startswith(("loss_", "total")))
 
 
+def test_textureless_scene_optimizes_to_finite_losses(uniform_scene):
+    samples = synth.build_branch_samples(uniform_scene, 0, 5, curriculum(8).occlusion_rate, 11)
+    state = optimize_joint(samples, SweepConfig(),
+                           OptimizerConfig(iterations=3, image_consist_weight=ICC_EPOCH_8))
+    assert len(state.history) == 3
+    assert all(np.isfinite(value) for record in state.history
+               for key, value in record.items() if key.startswith(("loss_", "total")))
+    assert all(np.isfinite(depth.data).all() for depth in state.depths.values())
+
+
 def test_branches_with_different_references_rejected():
     scene, samples = opt_scene(seed=3)
     other = synth.regular_sample(scene, 1, 4)

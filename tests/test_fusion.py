@@ -53,6 +53,17 @@ def test_filter_gt_depths_mostly_survive(gt_views):
         assert mask.data[visible].mean() >= 0.99
 
 
+def test_textureless_scene_fuses_to_no_points(uniform_scene):
+    views = []
+    for ref in uniform_scene.views:
+        final = cascade_infer(synth.regular_sample(uniform_scene, ref.view_id, 5))
+        views.append(DepthView(final.depth, final.prob_map, ref.camera,
+                               ref.image, ref.view_id))
+    cloud, masks = fuse_point_cloud(views, FusionConfig())
+    assert len(cloud) == 0
+    assert not any(mask.data.any() for mask in masks)
+
+
 def test_filter_rejects_corrupted_view(gt_views):
     scene, views = gt_views
     cfg = FusionConfig(conf_threshold=0.5, reproj_px=1.0, rel_depth=0.01,

@@ -11,6 +11,7 @@ from mvslab.geometry import (Camera, CameraView, GeometryError, backproject,
                              project_with_depth, ray_jacobian, warp_image, warp_rays)
 from mvslab.grids import Image, ScalarField
 from mvslab.sampling import Sample
+from conftest import assert_same_bytes, signed_values
 
 
 def simple_camera(k=None, pose=None):
@@ -302,13 +303,22 @@ def _slow_bilinear(img, u, v):
     return out * inb
 
 
+def _assert_cells_equal_slow_reference(img, uv):
+    cells = bilinear_cells(img, uv)
+    slow = np.array([_slow_bilinear(img, u, v) for u, v in uv.reshape(-1, 2)])
+    assert_same_bytes(cells.value(), slow[:, 0])
+    gu, gv = cells.grad()
+    assert_same_bytes(gu, slow[:, 1])
+    assert_same_bytes(gv, slow[:, 2])
+
+
 @pytest.mark.parametrize("shape", [(7, 9, 3), (1, 5, 3), (6, 1, 1)])
 def test_bilinear_cells_equal_slow_reference_exactly(shape):
     # random interior points, the last row and column exactly, and points
     # outside the image on every side
     rng = np.random.default_rng(12)
     h, w, _ = shape
-    img = rng.random(shape)
+    img = signed_values(rng, shape)
     pts = [rng.uniform([0.0, 0.0], [w - 1.0, h - 1.0], (40, 2)),
            np.stack([np.full(h, w - 1.0), np.arange(h, dtype=float)], axis=-1),
            np.stack([rng.uniform(0, w - 1.0, 5), np.full(5, h - 1.0)], axis=-1),
@@ -316,17 +326,35 @@ def test_bilinear_cells_equal_slow_reference_exactly(shape):
                      [0.0, h + 3.0], [-7.0, -7.0]])]
     uv = np.concatenate(pts)[None]
     cells = bilinear_cells(img, uv)
-    val, inb = cells.value(), cells.inb
-    gu, gv = cells.grad()
     # the leading axes of uv do not change what is sampled
     flat = bilinear_cells(img, uv.reshape(-1, 2))
-    assert np.array_equal(flat.value(), val)
-    assert np.array_equal(flat.inb, inb)
-    assert not inb.all() and inb.any()
-    slow = np.array([_slow_bilinear(img, u, v) for u, v in uv.reshape(-1, 2)])
-    assert np.array_equal(val.reshape(-1, shape[2]), slow[:, 0])
-    assert np.array_equal(gu, slow[:, 1])
-    assert np.array_equal(gv, slow[:, 2])
+    assert_same_bytes(flat.value(), cells.value())
+    assert np.array_equal(flat.inb, cells.inb)
+    assert not cells.inb.all() and cells.inb.any()
+    _assert_cells_equal_slow_reference(img, uv)
+
+
+@st.composite
+def _cell_case(draw):
+    """An image of 1 to 6 rows and columns (a single row or column has no
+    neighbour to blend with), and points inside it, exactly on its pixel
+    grid and border, and outside it."""
+    h, w, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    img = signed_values(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), (h, w, c))
+
+    def coord(n):
+        return st.one_of(st.floats(-1.5, n + 0.5),
+                         st.integers(-1, n).map(float),
+                         st.sampled_from([n - 1.0, -1e-9, n - 1.0 + 1e-9]))
+
+    uv = draw(st.lists(st.tuples(coord(w), coord(h)), min_size=1, max_size=12))
+    return img, np.array(uv)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_cell_case())
+def test_bilinear_cells_equal_slow_reference_on_any_shape(case):
+    _assert_cells_equal_slow_reference(*case)
 
 
 def test_warp_image_of_a_depth_stack_equals_each_plane():
@@ -338,7 +366,7 @@ def test_warp_image_of_a_depth_stack_equals_each_plane():
     pose[:3, :3] = rotation(0.02, -0.03, 0.01)
     pose[:3, 3] = [25.0, -10.0, 5.0]
     a, c = warp_rays(pixel_grid(h, w), simple_camera(k), simple_camera(k, pose))
-    image = rng.random((h, w, 3))
+    image = signed_values(rng, (h, w, 3))  # masked-out negatives give -0.0
     depths = rng.uniform(50.0, 900.0, (5, h, w))
     depths[1, 3, 4] = 0.0
     depths[2, 5, 6] = -3.0
@@ -348,7 +376,7 @@ def test_warp_image_of_a_depth_stack_equals_each_plane():
     assert not mask[1, 3, 4] and not mask[2, 5, 6]
     for i, plane in enumerate(depths):
         plane_warped, plane_mask = warp_image(a, c, image, plane)[:2]
-        assert np.array_equal(warped[i], plane_warped)
+        assert_same_bytes(warped[i], plane_warped)
         assert np.array_equal(mask[i], plane_mask)
 
 

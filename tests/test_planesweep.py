@@ -7,7 +7,7 @@ from mvslab.geometry import Camera, CameraView, pixel_grid, warp_image, warp_ray
 from mvslab.geometry import resize_bilinear
 from mvslab.grids import Image, ScalarField
 from mvslab.planesweep import (N_FEATURES, N_GROUPS, STAGE_COUNTS, HypothesisSet,
-                               PlaneSweepError, SweepConfig,
+                               PlaneSweepError, SweepConfig, _normalize_groups,
                                build_feature_volume, build_hypotheses,
                                cascade_infer, extract_features,
                                groupwise_correlation, probability_and_confidence,
@@ -15,7 +15,7 @@ from mvslab.planesweep import (N_FEATURES, N_GROUPS, STAGE_COUNTS, HypothesisSet
                                regularize_and_softmax)
 from mvslab import synth
 from mvslab.sampling import Sample
-from conftest import mutual_visibility
+from conftest import assert_same_bytes, mutual_visibility, signed_values
 
 
 def flat_camera(dmin=425.0, dmax=935.0):
@@ -80,6 +80,21 @@ def test_features_finite_and_bounded(seed):
     assert np.all(np.isfinite(feats))
     # per-group L2 normalization bounds every channel by 1
     assert np.abs(feats).max() <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("shape", [(6, 7, N_FEATURES), (3, 6, 7, N_FEATURES)])
+def test_normalize_groups_equals_the_norm_formula_exactly(shape):
+    rng = np.random.default_rng(9)
+    feats = signed_values(rng, shape)
+    feats[..., 2:4] *= 1e-9  # groups whose norm is under the 1e-8 floor
+    feats[0, ..., 4:6] = 0.0
+    groups = feats.reshape(shape[:-1] + (N_GROUPS, -1))
+    expect = (groups / np.maximum(np.linalg.norm(groups, axis=-1, keepdims=True), 1e-8)
+              ).reshape(shape)
+    out = _normalize_groups(feats)
+    assert_same_bytes(out, expect)
+    # an all-zero group stays exactly +0.0
+    assert not np.signbit(out[0, ..., 4:6]).any() and not out[0, ..., 4:6].any()
 
 
 def test_feature_volume_identity_camera():
@@ -167,6 +182,23 @@ def test_groupwise_correlation_matches_triple_loop_oracle():
                             ch = g * per_group + c
                             acc += ref[ch, dd, v, u] * s[ch, dd, v, u]
                     assert cost[g, dd, v, u] == pytest.approx(acc / norm, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_groups", [4, 2, 1, 8])
+def test_groupwise_correlation_equals_the_reduction_form_exactly(n_groups):
+    # the reference volume is broadcast over its hypotheses, as in the sweep
+    rng = np.random.default_rng(7)
+    d, h, w = 3, 5, 6
+    ref = np.broadcast_to(signed_values(rng, (N_FEATURES, 1, h, w)), (N_FEATURES, d, h, w))
+    srcs = [signed_values(rng, (N_FEATURES, d, h, w)) for _ in range(3)]
+    per_group = N_FEATURES // n_groups
+    ref_g = ref.reshape(n_groups, per_group, d, h, w)
+    acc = np.zeros((n_groups, d, h, w))
+    for v in srcs:
+        acc += (ref_g * v.reshape(n_groups, per_group, d, h, w)).sum(axis=1)
+    expect = acc / (len(srcs) * per_group)
+    cost = groupwise_correlation(ref, srcs, n_groups)
+    assert_same_bytes(cost, expect)
 
 
 def test_groupwise_correlation_group_divisibility():
@@ -336,10 +368,10 @@ def test_image_too_small_for_stage_divisor_raises(size):
         cascade_infer(synth.regular_sample(scene, 0, 2))
 
 
-def test_textureless_scene_has_no_confidence():
-    scene = synth.gen_scene(synth.SceneSpec(texture="uniform", height=32, width=40, seed=4))
-    samples = synth.build_branch_samples(scene, 0, 5, 0.0, 7)
+def test_textureless_scene_has_no_confidence(uniform_scene):
+    samples = synth.build_branch_samples(uniform_scene, 0, 5, 0.0, 7)
     final = cascade_infer(samples["regular"])
+    assert np.isfinite(final.depth.data).all() and np.isfinite(final.prob_map.data).all()
     assert final.conf_mask.data.mean() < 0.05
 
 
