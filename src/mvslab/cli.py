@@ -65,11 +65,9 @@ def cmd_infer(args, cfg: RunConfig) -> int:
                          ScalarField(final.conf_mask.data.astype(np.float64)))
         rec = {"view": ref_id, "sources": sample.source_ids(),
                "conf_fraction": final.conf_mask.data.mean()}
-        gt = scene.views[ref_id].gt_depth
-        if gt is not None:
-            err = np.abs(final.depth.data - gt.data)
-            rec["median_abs_err_mm"] = float(np.median(err))
-            rec["frac_within_2mm"] = float((err <= 2.0).mean())
+        err = np.abs(final.depth.data - scene.views[ref_id].gt_depth.data)
+        rec["median_abs_err_mm"] = float(np.median(err))
+        rec["frac_within_2mm"] = float((err <= 2.0).mean())
         records.append(rec)
     fileio.write_records(out / "records.jsonl", records)
     print(f"inferred {len(refs)} view(s) into {args.out}")
@@ -112,8 +110,8 @@ def cmd_grad_check(args, cfg: RunConfig) -> int:
                            max(top, rep.max_rel_err))
     ok = True
     for term, (frac, failing, max_rel) in sorted(worst.items()):
-        status = "ok" if frac >= 0.99 else "FAIL"
-        ok &= frac >= 0.99
+        status = "ok" if frac >= depthopt.AUDIT_PASS_FRAC else "FAIL"
+        ok &= frac >= depthopt.AUDIT_PASS_FRAC
         print(f"grad-check {term}: worst pass fraction {frac:.4f}, most failing pixels "
               f"{failing}, worst max rel err of passing pixels {max_rel:.2e} [{status}]")
     if args.out:
@@ -161,7 +159,8 @@ def _gt_cloud(scene, stride: int = 2) -> fusion.PointCloud:
 def cmd_eval(args, cfg: RunConfig) -> int:
     scene = synth.load_scene(args.scene)
     records = []
-    print(f"{'view':>4} {'<=2mm':>8} {'<=4mm':>8} {'<=8mm':>8}")
+    thresholds = fusion.DEPTH_THRESHOLDS_MM
+    print(f"{'view':>4}" + "".join(f" {f'<={t:g}mm':>8}" for t in thresholds))
     for view in scene.views:
         vid = view.view_id
         path = Path(args.depths) / f"{vid:08d}_depth.pfm"
@@ -172,9 +171,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             fr = fusion.depth_metrics(depth, view.gt_depth)
         except fusion.FusionError as exc:
             raise fusion.FusionError(f"view {vid}, {path}: {exc}") from exc
-        print(f"{vid:>4} {fr[2.0]:>8.3f} {fr[4.0]:>8.3f} {fr[8.0]:>8.3f}")
-        records.append({"view": vid, "frac_2mm": fr[2.0], "frac_4mm": fr[4.0],
-                        "frac_8mm": fr[8.0]})
+        print(f"{vid:>4}" + "".join(f" {fr[t]:>8.3f}" for t in thresholds))
+        records.append({"view": vid, **{f"frac_{t:g}mm": fr[t] for t in thresholds}})
     if not records:
         raise fileio.FileFormatError(f"{args.depths} holds no <view>_depth.pfm "
                                      f"of the scene's views")

@@ -28,9 +28,7 @@ class OptimizerConfigError(ValueError):
 
 
 class OptimizationDiverged(RuntimeError):
-    def __init__(self, message, snapshot=None):
-        super().__init__(message)
-        self.snapshot = snapshot or {}
+    pass
 
 
 @dataclass
@@ -68,7 +66,7 @@ class WarpDetails:
 def _warp_sources(sample: Sample, depth: np.ndarray) -> WarpDetails:
     warps = [warp_image(a, c, view.image.data, depth)
              for (a, c), view in zip(sample.rays, sample.sources)]
-    warped, masks, _, z, cells = map(list, zip(*warps))  # one list per field
+    warped, masks, z, cells = map(list, zip(*warps))  # one list per field
     return WarpDetails(warped, masks, z, cells)
 
 
@@ -105,7 +103,7 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
             details = _warp_sources(sample, d)
         if with_grad:
             _add_chain(sample, details)
-    parts: dict[str, float] = {}
+    parts = dict.fromkeys(("photo", "ssim", "smooth", "consist"), 0.0)
     grad = np.zeros_like(d) if with_grad else None
 
     if cfg.weight_photo > 0:
@@ -117,8 +115,6 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
             for img_grad, chain in zip(photo.image_grads, details.chain):
                 g += (img_grad * chain).sum(axis=2)
             grad += cfg.weight_photo * g
-    else:
-        parts["photo"] = 0.0
 
     if cfg.weight_ssim > 0:
         vals = []
@@ -134,24 +130,18 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
         parts["ssim"] = float(np.mean(vals)) if vals else 0.0
         if with_grad and vals:
             grad += cfg.weight_ssim * g_ssim / len(vals)
-    else:
-        parts["ssim"] = 0.0
 
     if cfg.weight_smooth > 0:
         value, g_smooth = smoothness_loss(depth, sample.smoothness_weights)
         parts["smooth"] = value
         if with_grad:
             grad += cfg.weight_smooth * g_smooth
-    else:
-        parts["smooth"] = 0.0
 
     if cfg.consist_target is not None:  # recorded even at weight 0
         res = branch_consistency(cfg.consist_target, depth, cfg.consist_mask)
         parts["consist"] = res.value
         if with_grad and cfg.weight_consist > 0:
             grad += cfg.weight_consist * res.grad_branch
-    else:
-        parts["consist"] = 0.0
 
     total = (cfg.weight_photo * parts["photo"] + cfg.weight_ssim * parts["ssim"]
              + cfg.weight_smooth * parts["smooth"]
@@ -265,13 +255,15 @@ class AuditReport:
 
     @property
     def frac_passed(self) -> float:
-        return self.n_passed / self.n_checked if self.n_checked else 1.0
+        return self.n_passed / self.n_checked
 
 
 # an audited gradient passes within AUDIT_REL_TOL of its finite difference,
-# or when both lie below AUDIT_ABS_FLOOR
+# or when both lie below AUDIT_ABS_FLOOR; a term passes the audit when at
+# least AUDIT_PASS_FRAC of its pixels do
 AUDIT_REL_TOL = 1e-3
 AUDIT_ABS_FLOOR = 1e-9
+AUDIT_PASS_FRAC = 0.99
 
 
 def _compare_grads(a: np.ndarray, f: np.ndarray) -> AuditReport:
@@ -369,12 +361,12 @@ def random_audit_case(seed: int, h: int = 32, w: int = 40) -> AuditCase:
 
 INIT_STEP_INTERVAL_SCALE = 0.5  # first step, x final hypothesis interval, in mm
 MAX_HALVINGS = 4  # backtracking halvings per step before it is refused
+REFRESH_EVERY = 10  # iterations between re-sweeps of the confidence mask
 
 
 @dataclass
 class OptimizerConfig:
     iterations: int = 50
-    refresh_every: int = 10
     norm: NormKind = NormKind()
     weights: LossWeights = field(default_factory=LossWeights)
     # the curriculum's weight at the run's epoch; this default is epoch 0's
@@ -427,8 +419,7 @@ def _descend(sample: Sample, branch: str, depth: ScalarField,
         cur_val, grad, parts, warp = _evaluate(sample, depth, cfg, True, warp)
         if not np.isfinite(cur_val):
             raise OptimizationDiverged(
-                f"non-finite loss on branch {branch} at iteration {it}",
-                {"iteration": it, "branch": branch, "loss": cur_val})
+                f"non-finite loss {cur_val} on branch {branch} at iteration {it}")
         scale = np.abs(grad).max()
         accepted = False
         if scale > 0:
@@ -440,8 +431,7 @@ def _descend(sample: Sample, branch: str, depth: ScalarField,
                 new_val, _, new_parts, new_warp = _evaluate(sample, cand, cfg, False)
                 if not np.isfinite(new_val):
                     raise OptimizationDiverged(
-                        f"non-finite trial loss on branch {branch} at iteration {it}",
-                        {"iteration": it, "branch": branch, "loss": new_val})
+                        f"non-finite trial loss {new_val} on branch {branch} at iteration {it}")
                 if new_val <= cur_val + 1e-12:
                     depth, warp, cur_val, parts = cand, new_warp, new_val, new_parts
                     accepted = True
@@ -493,7 +483,7 @@ def optimize_joint(samples: dict[str, Sample],
     branch in samples: "regular", plus any of "image_contrastive" and
     "scene_contrastive", each from its cascade depth. optimize_regular runs
     first. Its targets carry the cascade's confidence mask, re-swept around
-    the regular depth after the previous step every refresh_every iterations;
+    the regular depth after the previous step every REFRESH_EVERY iterations;
     each contrastive branch then runs optimize_contrastive against them.
     History records carry keys for the branches run only."""
     sweep_cfg = sweep_cfg or SweepConfig()
@@ -513,7 +503,7 @@ def optimize_joint(samples: dict[str, Sample],
     conf_mask = final.conf_mask
     targets = []
     for it, (depth, _) in enumerate(steps):
-        if opt.refresh_every > 0 and it > 0 and it % opt.refresh_every == 0:
+        if it > 0 and it % REFRESH_EVERY == 0:
             _, conf_mask = refresh_confidence(regular, steps[it - 1][0], sweep_cfg)
         targets.append((depth, conf_mask))
     state = OptState({"regular": depth}, [keys for _, keys in steps], targets)

@@ -12,6 +12,10 @@ from .geometry import Camera, backproject, nearest_pixel, pixel_grid, project_wi
 from .grids import BinaryMask, Image, ScalarField
 
 
+DEPTH_THRESHOLDS_MM = (2.0, 4.0, 8.0)  # depth_metrics' inlier thresholds
+OUTLIER_CAP_MM = 20.0  # cloud_metrics' clamp on nearest-neighbor distances
+
+
 class FusionError(ValueError):
     pass
 
@@ -151,14 +155,14 @@ def fuse_point_cloud(views: list[DepthView], cfg: FusionConfig
     return cloud, masks
 
 
-def depth_metrics(depth: ScalarField, gt: ScalarField,
-                  thresholds: tuple[float, ...] = (2.0, 4.0, 8.0)) -> dict[float, float]:
-    """Fraction of pixels with |depth - gt| <= threshold (mm)."""
+def depth_metrics(depth: ScalarField, gt: ScalarField) -> dict[float, float]:
+    """Fraction of pixels with |depth - gt| <= threshold, for each of
+    DEPTH_THRESHOLDS_MM."""
     if depth.data.shape != gt.data.shape:
         raise FusionError(f"depth {depth.data.shape} and gt {gt.data.shape} "
                           f"disagree in shape")
     err = np.abs(depth.data - gt.data)
-    return {float(t): float((err <= t).mean()) for t in thresholds}
+    return {t: float((err <= t).mean()) for t in DEPTH_THRESHOLDS_MM}
 
 
 def _directed_mean_distance(src: np.ndarray, dst: np.ndarray, cap: float) -> float:
@@ -168,12 +172,11 @@ def _directed_mean_distance(src: np.ndarray, dst: np.ndarray, cap: float) -> flo
     return float(np.mean(np.minimum(dist, cap)))
 
 
-def cloud_metrics(pred: PointCloud, gt: PointCloud, outlier_cap: float = 20.0
-                  ) -> tuple[float, float, float]:
+def cloud_metrics(pred: PointCloud, gt: PointCloud) -> tuple[float, float, float]:
     """(accuracy, completeness, overall) in mm: mean pred-to-gt and gt-to-pred
-    nearest-neighbor distances, clamped at the outlier cap, and their mean."""
+    nearest-neighbor distances, clamped at OUTLIER_CAP_MM, and their mean."""
     if len(pred) == 0 or len(gt) == 0:
         raise FusionError("cloud metrics need non-empty clouds")
-    acc = _directed_mean_distance(pred.points, gt.points, outlier_cap)
-    comp = _directed_mean_distance(gt.points, pred.points, outlier_cap)
+    acc = _directed_mean_distance(pred.points, gt.points, OUTLIER_CAP_MM)
+    comp = _directed_mean_distance(gt.points, pred.points, OUTLIER_CAP_MM)
     return acc, comp, (acc + comp) / 2.0

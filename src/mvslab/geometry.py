@@ -163,7 +163,8 @@ def ray_jacobian(a: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
 class BilinearCells(NamedTuple):
     """The interpolation cell of each of N points in an (H, W, C) image, shared
     by the bilinear value and its spatial derivative. Out-of-bounds points are
-    clamped onto the border cell and flagged by inb."""
+    clamped onto the border cell and flagged by inb; value and grad do not
+    read it, so a caller masks them itself."""
 
     flat: np.ndarray  # (H*W, C) view of the image
     base: np.ndarray  # (N,) flat index of the cell's top-left corner
@@ -181,9 +182,10 @@ class BilinearCells(NamedTuple):
         return tuple(f.take(i, axis=0) for i in (b, b + du, b + dv, b + dv + du))
 
     def value(self) -> np.ndarray:
-        """(N, C) interpolated values, 0 out of bounds. Blended in place in the
-        order of top = f00 (1 - fu) + f01 fu, bot likewise, top (1 - fv) + bot fv."""
-        fu, fv, inb = self[4:]
+        """(N, C) interpolated values, those of the clamped point out of bounds.
+        Blended in place in the order of top = f00 (1 - fu) + f01 fu, bot
+        likewise, top (1 - fv) + bot fv."""
+        fu, fv = self[4:6]
         top, f01, bot, f11 = self._corners()  # top and bot start as f00 and f10
         top *= 1.0 - fu
         f01 *= fu
@@ -194,15 +196,14 @@ class BilinearCells(NamedTuple):
         top *= 1.0 - fv
         bot *= fv
         top += bot
-        top *= inb[:, None]
         return top
 
     def grad(self) -> tuple[np.ndarray, np.ndarray]:
         """(N, C) derivatives of value w.r.t. u and v: piecewise per cell,
-        one-sided at cell boundaries, 0 out of bounds. In place, in the order
-        of gu = (1 - fv) (f01 - f00) + fv (f11 - f10) and
-        gv = (1 - fu) (f10 - f00) + fu (f11 - f01)."""
-        fu, fv, inb = self[4:]
+        one-sided at cell boundaries, those of the clamped point out of bounds.
+        In place, in the order of gu = (1 - fv) (f01 - f00) + fv (f11 - f10)
+        and gv = (1 - fu) (f10 - f00) + fu (f11 - f01)."""
+        fu, fv = self[4:6]
         f00, f01, f10, f11 = self._corners()
         gu = f01 - f00
         gu *= 1.0 - fv
@@ -214,8 +215,6 @@ class BilinearCells(NamedTuple):
         np.subtract(f11, f01, out=f11)
         f11 *= fu
         gv += f11
-        gu *= inb[:, None]
-        gv *= inb[:, None]
         return gu, gv
 
 
@@ -236,8 +235,8 @@ def bilinear_cells(arr: np.ndarray, uv: np.ndarray) -> BilinearCells:
 
 def warp_image(a: np.ndarray, c: np.ndarray, image: np.ndarray, depth: np.ndarray):
     """Inverse-warp the (H, W, C) image along the rays a, c of warp_rays at
-    depth, an (h, w) field or a (D, h, w) stack of planes: (warped, mask, uv,
-    z, cells), warped 0 where the depth is <= 0, the point at/behind the source
+    depth, an (h, w) field or a (D, h, w) stack of planes: (warped, mask, z,
+    cells), warped 0 where the depth is <= 0, the point at/behind the source
     camera or the sample out of the image. Elementwise, so a block of pixels
     warps to the same bytes as it does within the whole image."""
     positive = depth > 0.0
@@ -246,7 +245,7 @@ def warp_image(a: np.ndarray, c: np.ndarray, image: np.ndarray, depth: np.ndarra
     mask = cells.inb.reshape(z.shape) & front & positive
     warped = cells.value().reshape(z.shape + (-1,))
     warped *= mask[..., None]
-    return warped, mask, uv, z, cells
+    return warped, mask, z, cells
 
 
 def nearest_pixel(uv: np.ndarray, h: int, w: int):
@@ -258,19 +257,16 @@ def nearest_pixel(uv: np.ndarray, h: int, w: int):
     return np.clip(u, 0, w - 1), np.clip(v, 0, h - 1), inside
 
 
-def resize_bilinear(field, new_h: int, new_w: int):
-    """Corner-aligned bilinear resize of an Image, ScalarField or (H, W[, C])
-    array; returns the same kind as the input."""
+def resize_bilinear(arr: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
+    """Corner-aligned bilinear resize of an (H, W[, C]) array. Every sample
+    lies inside the image."""
     if new_h < 1 or new_w < 1:
         raise GridError(f"resize target must be >= 1x1, got {new_h}x{new_w}")
-    wrapped = isinstance(field, (Image, ScalarField))
-    arr = field.data if wrapped else np.asarray(field, dtype=np.float64)
     h, w = arr.shape[:2]
     uv = np.stack(np.meshgrid(_corner_aligned_coords(w, new_w),
                               _corner_aligned_coords(h, new_h)), axis=-1)
     out = bilinear_cells(arr.reshape(h, w, -1), uv).value()
-    out = out.reshape((new_h, new_w) + arr.shape[2:])
-    return type(field)(out) if wrapped else out
+    return out.reshape((new_h, new_w) + arr.shape[2:])
 
 
 def pixel_grid(h: int, w: int) -> np.ndarray:

@@ -19,6 +19,9 @@ from .grids import BinaryMask, ScalarField, forward_diff
 
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
+# the floor on the residuals in gradient denominators, bounding the
+# square-root norm's singularity at zero residual
+NORM_EPS_GRAD = 1e-4
 
 
 class LossError(ValueError):
@@ -27,20 +30,13 @@ class LossError(ValueError):
 
 @dataclass(frozen=True)
 class NormKind:
-    """Residual norm selector: exponent 0.5, 1, or 2.
-
-    eps_grad clamps the residuals appearing in gradient denominators, bounding
-    the square-root norm's singularity at zero residual.
-    """
+    """Residual norm selector: exponent 0.5, 1, or 2."""
 
     exponent: float = 0.5
-    eps_grad: float = 1e-4
 
     def __post_init__(self):
         if self.exponent not in (0.5, 1.0, 2.0):
             raise LossError(f"unsupported norm exponent {self.exponent}")
-        if self.eps_grad <= 0:
-            raise LossError("eps_grad must be positive")
 
 
 def norm_value_grad(e: np.ndarray, kind: NormKind) -> tuple[float, np.ndarray]:
@@ -57,11 +53,11 @@ def norm_value_grad(e: np.ndarray, kind: NormKind) -> tuple[float, np.ndarray]:
         return float(e.sum()), np.ones_like(e)
     if kind.exponent == 2.0:
         value = float(np.sqrt((e * e).sum()))
-        return value, e / max(value, kind.eps_grad)
+        return value, e / max(value, NORM_EPS_GRAD)
     roots = np.sqrt(e)
     s = roots.sum()
     value = float(s * s)
-    grad = s / np.sqrt(np.maximum(e, kind.eps_grad))
+    grad = s / np.sqrt(np.maximum(e, NORM_EPS_GRAD))
     return value, grad
 
 

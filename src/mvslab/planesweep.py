@@ -95,7 +95,7 @@ def build_hypotheses(cam: Camera, stage: int, prev_depth: ScalarField | None,
     if prev_depth is None:
         raise PlaneSweepError(f"stage {stage} requires the previous stage depth")
     spacing = REFINE_INTERVAL_SCALES[stage - 2] * final_interval(cam)
-    center = resize_bilinear(prev_depth, h, w).data
+    center = resize_bilinear(prev_depth.data, h, w)
     width = spacing * (count - 1)  # at most 124/191 of the range, so it fits
     start = np.clip(center - width / 2.0, lo, hi - width)
     values = start[None, :, :] + spacing * np.arange(count)[:, None, None]

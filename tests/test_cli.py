@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from mvslab import claims, depthopt, fileio
+from mvslab import claims, depthopt, fileio, fusion, losses
 from mvslab.cli import EVAL_CAVEAT, N_VIEWS, build_parser, main
 from mvslab.config import RunConfig, load_config
 from mvslab.fileio import FileFormatError
@@ -316,9 +316,11 @@ def test_config_round_trip(tmp_path):
     # the fixed settings a config file no longer sets: the library defaults
     assert LossWeights() == LossWeights(photo=0.8, image_consist_base=0.01,
                                         scene_consist=0.01, ssim=0.2, smooth=0.0067)
-    assert NormKind() == NormKind(0.5, 1e-4)
+    assert NormKind() == NormKind(0.5) and losses.NORM_EPS_GRAD == 1e-4
+    assert depthopt.REFRESH_EVERY == 10
     assert SweepConfig().softmax_sharpness == 50.0
     assert FusionConfig() == FusionConfig(0.95, 1.0, 0.01, 3)
+    assert fusion.DEPTH_THRESHOLDS_MM == (2.0, 4.0, 8.0) and fusion.OUTLIER_CAP_MM == 20.0
     assert N_VIEWS == 5
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"epoch": 15, "iterations": 7}))

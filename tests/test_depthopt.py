@@ -185,11 +185,11 @@ def test_optimize_joint_runs_and_decreases_branch_losses():
     assert last["loss_sc"] <= first["loss_sc"]
 
 
-def test_accepted_steps_never_increase_branch_loss():
+def test_accepted_steps_never_increase_branch_loss(monkeypatch):
+    monkeypatch.setattr(depthopt, "REFRESH_EVERY", 13)  # no refresh in 12 iterations
     scene, samples = opt_scene()
     state = optimize_joint(samples, SweepConfig(),
-                           OptimizerConfig(iterations=12, refresh_every=0,
-                                           image_consist_weight=ICC_EPOCH_8))
+                           OptimizerConfig(iterations=12, image_consist_weight=ICC_EPOCH_8))
     for short in ("reg", "ic", "sc"):
         losses = [rec[f"loss_{short}"] for rec in state.history]
         accepted = [rec[f"accepted_{short}"] for rec in state.history]
@@ -198,9 +198,10 @@ def test_accepted_steps_never_increase_branch_loss():
                 assert losses[i] <= losses[i - 1] + 1e-9
 
 
-def test_total_loss_monotone_without_cross_terms():
+def test_total_loss_monotone_without_cross_terms(monkeypatch):
+    monkeypatch.setattr(depthopt, "REFRESH_EVERY", 11)  # no refresh in 10 iterations
     scene, samples = opt_scene()
-    opt = OptimizerConfig(iterations=10, refresh_every=0, image_consist_weight=0.0,
+    opt = OptimizerConfig(iterations=10, image_consist_weight=0.0,
                           weights=LossWeights(scene_consist=0.0))
     state = optimize_joint(samples, SweepConfig(), opt)
     totals = [rec["total"] for rec in state.history]
@@ -245,13 +246,13 @@ def test_detach_contract_regular_branch_invariant():
                           without.depths["regular"].data)
 
 
-def test_divergence_aborts_with_snapshot():
+def test_divergence_aborts_naming_branch_iteration_and_loss():
     scene, samples = opt_scene(seed=3)
     bad = OptimizerConfig(iterations=3, weights=LossWeights(photo=np.nan),
                           image_consist_weight=ICC_EPOCH_8)
-    with pytest.raises(OptimizationDiverged) as excinfo:
+    with pytest.raises(OptimizationDiverged,
+                       match=r"^non-finite loss nan on branch regular at iteration 0$"):
         optimize_joint(samples, SweepConfig(), bad)
-    assert "iteration" in excinfo.value.snapshot
 
 
 def test_missing_branch_rejected():
@@ -270,11 +271,12 @@ def test_unknown_branch_rejected():
                        OptimizerConfig(iterations=1, image_consist_weight=ICC_EPOCH_8))
 
 
-def test_branch_subset_matches_full_run():
+def test_branch_subset_matches_full_run(monkeypatch):
     # a contrastive branch reads only the regular depth and the confidence
     # mask, so dropping the other contrastive branch changes neither depth
+    monkeypatch.setattr(depthopt, "REFRESH_EVERY", 2)
     scene, samples = opt_scene()
-    opt = OptimizerConfig(iterations=3, refresh_every=2, image_consist_weight=ICC_EPOCH_8)
+    opt = OptimizerConfig(iterations=3, image_consist_weight=ICC_EPOCH_8)
     full = optimize_joint(samples, SweepConfig(), opt)
     subset = {name: samples[name] for name in ("regular", "scene_contrastive")}
     part = optimize_joint(subset, SweepConfig(), opt)
@@ -286,21 +288,22 @@ def test_branch_subset_matches_full_run():
         r["loss_reg"] + r["loss_sc"] for r in full.history]
 
 
-def test_contrastive_arms_replay_one_regular_run():
+def test_contrastive_arms_replay_one_regular_run(monkeypatch):
     # the regular branch reads no contrastive branch, so contrastive arms
     # stepped from one start depth against one regular run give, bit for bit,
     # what full runs give, also across a confidence refresh; an arm takes one
     # step per target whatever its iterations say
+    monkeypatch.setattr(depthopt, "REFRESH_EVERY", 2)
     scene, samples = opt_scene()
     regular = optimize_joint({"regular": samples["regular"]}, SweepConfig(),
-                             OptimizerConfig(iterations=3, refresh_every=2))
+                             OptimizerConfig(iterations=3))
     starts = {name: cascade_infer(samples[name]).depth
               for name in ("image_contrastive", "scene_contrastive")}
     for weight in (0.0, 5.0):
         weights = {"image_consist_weight": weight,
                    "weights": LossWeights(scene_consist=weight)}
         full = optimize_joint(samples, SweepConfig(),
-                              OptimizerConfig(iterations=3, refresh_every=2, **weights))
+                              OptimizerConfig(iterations=3, **weights))
         for name, start in starts.items():
             depth, records = optimize_contrastive(samples[name], name, regular, start,
                                                   OptimizerConfig(**weights))
@@ -314,8 +317,9 @@ def test_contrastive_arms_replay_one_regular_run():
 
 
 def test_optimize_regular_sweeps_nothing_and_is_the_joint_regular_pass(monkeypatch):
+    monkeypatch.setattr(depthopt, "REFRESH_EVERY", 2)
     scene, samples = opt_scene()
-    opt = OptimizerConfig(iterations=4, refresh_every=2)
+    opt = OptimizerConfig(iterations=4)
     joint = optimize_joint({"regular": samples["regular"]}, SweepConfig(), opt)
     start = cascade_infer(samples["regular"]).depth
 
@@ -425,9 +429,9 @@ def test_retained_warp_gives_the_fresh_evaluation(monkeypatch):
 
     monkeypatch.setattr(depthopt, "_evaluate", checked_evaluate)
     monkeypatch.setattr(depthopt, "_warp_sources", counting_warp)
+    monkeypatch.setattr(depthopt, "REFRESH_EVERY", 2)
     optimize_joint(samples, SweepConfig(),
-                   OptimizerConfig(iterations=3, refresh_every=2,
-                                   image_consist_weight=ICC_EPOCH_8))
+                   OptimizerConfig(iterations=3, image_consist_weight=ICC_EPOCH_8))
     assert calls["fresh"] == 3  # 3 branches, at iteration 0
     assert calls["reused"] == 6
     assert calls["trials"] > 0
@@ -484,12 +488,13 @@ def test_final_report_missing_component_errors():
         final_report(empty, opt)
 
 
-def test_final_report_equals_a_fresh_evaluation_of_the_final_state():
+def test_final_report_equals_a_fresh_evaluation_of_the_final_state(monkeypatch):
     # the report reads the last history record; it must hold what evaluating
     # the final depths afresh gives, also when the run ends on the iteration
     # right after a confidence refresh
+    monkeypatch.setattr(depthopt, "REFRESH_EVERY", 10)
     scene, samples = opt_scene()
-    opt = OptimizerConfig(iterations=11, refresh_every=10, image_consist_weight=ICC_EPOCH_8)
+    opt = OptimizerConfig(iterations=11, image_consist_weight=ICC_EPOCH_8)
     state = optimize_joint(samples, SweepConfig(), opt)
     report = final_report(state, opt)
     _, _, parts, _ = depthopt._evaluate(samples["regular"], state.depths["regular"],

@@ -220,11 +220,13 @@ def test_depth_metrics_sampled_uniform_errors():
         assert abs(fr[tau] - expect) < 5 * sigma
 
 
-def test_depth_metrics_monotone_in_threshold():
+def test_depth_metrics_monotone_in_threshold(monkeypatch):
+    monkeypatch.setattr(fusion, "DEPTH_THRESHOLDS_MM", (1.0, 2.0, 4.0, 8.0, 16.0))
     rng = np.random.default_rng(4)
     gt = ScalarField(np.full((20, 20), 600.0))
     noisy = ScalarField(gt.data + rng.normal(0, 4, (20, 20)))
-    fr = depth_metrics(noisy, gt, thresholds=(1.0, 2.0, 4.0, 8.0, 16.0))
+    fr = depth_metrics(noisy, gt)
+    assert list(fr) == [1.0, 2.0, 4.0, 8.0, 16.0]
     vals = [fr[t] for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -288,8 +290,8 @@ def test_cloud_metrics_match_kdtree_oracle(seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-60, 60, (40, 3))
     b = rng.uniform(-60, 60, (50, 3))
-    cap = 20.0
-    acc, comp, overall = cloud_metrics(cloud_of(a), cloud_of(b), outlier_cap=cap)
+    cap = fusion.OUTLIER_CAP_MM
+    acc, comp, overall = cloud_metrics(cloud_of(a), cloud_of(b))
     dist = np.linalg.norm(a[:, None] - b[None], axis=-1)
     d_ab = np.minimum(dist.min(1), cap)
     d_ba = np.minimum(dist.min(0), cap)
@@ -301,8 +303,8 @@ def test_cloud_metrics_match_kdtree_oracle(seed):
 def test_cloud_metrics_outlier_clamp():
     a = np.array([[0.0, 0.0, 0.0]])
     b = np.array([[1000.0, 0.0, 0.0]])
-    acc, comp, overall = cloud_metrics(cloud_of(a), cloud_of(b), outlier_cap=20.0)
-    assert acc == comp == overall == 20.0
+    acc, comp, overall = cloud_metrics(cloud_of(a), cloud_of(b))
+    assert acc == comp == overall == fusion.OUTLIER_CAP_MM == 20.0
 
 
 def test_cloud_metrics_empty_errors():

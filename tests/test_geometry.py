@@ -122,10 +122,17 @@ def test_bilinear_sample_center_of_2x2():
 
 
 def test_bilinear_sample_out_of_bounds():
-    img = Image(np.ones((3, 3, 1)))
-    cells = bilinear_cells(img.data, np.array([-1.0, -1.0]))
+    # a cell flags its out-of-bounds point; warp_image masks that sample to 0
+    img = np.ones((3, 3, 1))
+    cells = bilinear_cells(img, np.array([-1.0, -1.0]))
     assert not cells.inb[0]
-    assert np.all(cells.value() == 0.0)
+    cam = simple_camera(np.array([[3.0, 0.0, 1.0], [0.0, 3.0, 1.0], [0.0, 0.0, 1.0]]))
+    a, c = warp_rays(np.array([[[-1.0, -1.0], [1.0, 1.0], [2.0, 3.5]]]), cam, cam)
+    warped, mask, _, cells = warp_image(a, c, img, np.full((1, 3), 500.0))
+    assert mask.tolist() == [[False, True, False]]
+    assert np.array_equal(cells.inb, mask.ravel())
+    assert warped[0, 0, 0] == 0.0 and warped[0, 2, 0] == 0.0
+    assert warped[0, 1, 0] == pytest.approx(1.0)
 
 
 @settings(deadline=None, max_examples=50)
@@ -284,7 +291,7 @@ def test_bilinear_sample_grad_matches_fd():
 
 def _slow_bilinear(img, u, v):
     """One point, the interpolation formulas written out on Python floats:
-    (value, d/du, d/dv) per channel, zeros out of bounds."""
+    (value, d/du, d/dv) per channel, and whether the point is in bounds."""
     h, w, c = img.shape
     inb = 0.0 <= u <= w - 1.0 and 0.0 <= v <= h - 1.0
     uc, vc = min(max(u, 0.0), w - 1.0), min(max(v, 0.0), h - 1.0)
@@ -300,16 +307,18 @@ def _slow_bilinear(img, u, v):
         out[:, ch] = (top * (1.0 - fv) + bot * fv,
                       (1.0 - fv) * (f01 - f00) + fv * (f11 - f10),
                       (1.0 - fu) * (f10 - f00) + fu * (f11 - f01))
-    return out * inb
+    return out, inb
 
 
 def _assert_cells_equal_slow_reference(img, uv):
+    # the values out of bounds are the callers' to mask (warp_image does)
     cells = bilinear_cells(img, uv)
-    slow = np.array([_slow_bilinear(img, u, v) for u, v in uv.reshape(-1, 2)])
-    assert_same_bytes(cells.value(), slow[:, 0])
+    slow, inb = zip(*(_slow_bilinear(img, u, v) for u, v in uv.reshape(-1, 2)))
+    slow, inb = np.array(slow), np.array(inb)
+    assert np.array_equal(cells.inb, inb)
     gu, gv = cells.grad()
-    assert_same_bytes(gu, slow[:, 1])
-    assert_same_bytes(gv, slow[:, 2])
+    for fast, k in ((cells.value(), 0), (gu, 1), (gv, 2)):
+        assert_same_bytes(fast[inb], slow[inb, k])
 
 
 @pytest.mark.parametrize("shape", [(7, 9, 3), (1, 5, 3), (6, 1, 1)])

@@ -30,8 +30,6 @@ def smoothness(depth, img):
 def test_norm_kind_contract():
     with pytest.raises(LossError):
         NormKind(0.7)
-    with pytest.raises(LossError):
-        NormKind(1.0, eps_grad=0.0)
 
 
 def test_norms_on_unit_vector():
@@ -59,7 +57,7 @@ def test_norms_reject_negative():
 @given(arrays(np.float64, st.integers(2, 12),
               elements=st.floats(1e-3, 1.0)), st.sampled_from([0.5, 1.0, 2.0]))
 def test_norm_gradients_match_finite_differences(e, expo):
-    kind = NormKind(expo, eps_grad=1e-8)
+    kind = NormKind(expo)  # elements >= 1e-3 never reach the 1e-4 gradient floor
     _, grad = norm_value_grad(e, kind)
     h = 1e-7
     for i in range(len(e)):

@@ -318,9 +318,9 @@ def test_cascade_stage1_recovers_plane(checker_scene, checker_samples, checker_c
     ref = checker_samples["regular"].reference
     cam = ref.camera.scaled(h, w, ref.image.height, ref.image.width)
     spacing = (cam.depth_max - cam.depth_min) / (STAGE_COUNTS[0] - 1)
-    gt_s = resize_bilinear(ScalarField(gt), h, w).data
+    gt_s = resize_bilinear(gt, h, w)
     valid = mutual_visibility(checker_samples["regular"], gt, crop=4)
-    valid_s = resize_bilinear(ScalarField(valid.astype(float)), h, w).data > 0.99
+    valid_s = resize_bilinear(valid.astype(float), h, w) > 0.99
     # the quarter-res feature stack and cost smoothing span ~4 px, so the
     # stage-1 evidence is only complete a few pixels in from the border
     valid_s[:3, :] = valid_s[-3:, :] = False
@@ -344,8 +344,8 @@ def test_cascade_median_error_never_increases(checker_scene, checker_samples,
     medians = []
     for stage in checker_cascade:
         h, w = stage.depth.data.shape
-        gt_s = resize_bilinear(ScalarField(gt), h, w).data
-        v_s = resize_bilinear(ScalarField(valid.astype(float)), h, w).data > 0.99
+        gt_s = resize_bilinear(gt, h, w)
+        v_s = resize_bilinear(valid.astype(float), h, w) > 0.99
         medians.append(np.median(np.abs(stage.depth.data - gt_s)[v_s]))
     assert medians[1] <= medians[0] + 1e-9
     assert medians[2] <= medians[1] + 1e-9
