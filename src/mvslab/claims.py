@@ -19,7 +19,8 @@ from .geometry import CameraView, nearest_pixel, pixel_grid, project_with_depth
 from .grids import Image
 from .losses import LossWeights, NormKind
 from .planesweep import SweepConfig, cascade_infer
-from .sampling import Sample, curriculum, make_image_contrastive, make_scene_contrastive
+from .sampling import (N_VIEWS, Sample, curriculum, make_image_contrastive,
+                       make_scene_contrastive)
 
 # The seeds acceptance criteria 5/6/7 use; the first five scc seeds that
 # qualify (6, 16, 20, 22 and 23) lie in 0..23.
@@ -54,7 +55,7 @@ def icc_trial(seed: int) -> dict:
                                             checker_period_mm=45.0))
     reference = scene.views[0]
     schedule = curriculum(15)  # occlusion rate 0.1
-    regular = synth.regular_sample(scene, 0, 5)
+    regular = synth.regular_sample(scene, 0, N_VIEWS)
     occluded = make_image_contrastive(regular, schedule.occlusion_rate, seed + 400)
     affected = affected_mask(reference, occluded.sources, occluded.occlusion_masks)
     state = optimize_joint({"regular": regular}, SweepConfig(), OptimizerConfig(iterations=60))
@@ -80,7 +81,7 @@ def scc_trial(seed: int) -> dict | None:
         n_views=7, seed=seed, specular_strength=0.35))
     reference, corrupted = scene.views[0], scene.corrupted_view
     footprint = scene.occluder_masks.get(corrupted)
-    regular = synth.regular_sample(scene, 0, 5)
+    regular = synth.regular_sample(scene, 0, N_VIEWS)
     if footprint is None or corrupted in regular.source_ids():
         return None
     drawn = (make_scene_contrastive(scene.views, reference, 3, s) for s in range(200))
@@ -127,7 +128,7 @@ def norm_trial(seed: int) -> dict:
     cascade depth."""
     scene = synth.gen_scene(synth.SceneSpec(height=48, width=64, n_views=7, seed=seed))
     reference = scene.views[0]
-    regular = _contaminate_sources(synth.regular_sample(scene, 0, 5), 0.20, seed + 600)
+    regular = _contaminate_sources(synth.regular_sample(scene, 0, N_VIEWS), 0.20, seed + 600)
     final = cascade_infer(regular)
     prob = final.prob_map.data
     top80 = prob >= np.quantile(prob, 0.2)

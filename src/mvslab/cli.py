@@ -18,6 +18,7 @@ import numpy as np
 from . import claims, depthopt, fileio, fusion, planesweep, sampling, synth
 from .config import RunConfig, load_config
 from .grids import ScalarField
+from .sampling import N_VIEWS
 
 EVAL_CAVEAT = ("note: published benchmark tables for this method come from "
                "networks trained on full-scale DTU; this desk-scale synthetic "
@@ -32,8 +33,6 @@ PRESETS = {
     "sphere": dict(geometry="sphere", texture="noise"),
     "occluder": dict(geometry="plane_with_occluder", texture="checker"),
 }
-
-N_VIEWS = 5  # a reference and four sources per sample
 
 
 def cmd_gen_synth(args, cfg: RunConfig) -> int:
@@ -62,12 +61,12 @@ def cmd_infer(args, cfg: RunConfig) -> int:
         fileio.write_pfm(out / f"{ref_id:08d}_depth.pfm", final.depth)
         fileio.write_pfm(out / f"{ref_id:08d}_prob.pfm", final.prob_map)
         fileio.write_pfm(out / f"{ref_id:08d}_conf.pfm",
-                         ScalarField(final.conf_mask.data.astype(np.float64)))
+                         ScalarField(final.conf_mask.astype(np.float64)))
         rec = {"view": ref_id, "sources": sample.source_ids(),
-               "conf_fraction": final.conf_mask.data.mean()}
-        err = np.abs(final.depth.data - scene.views[ref_id].gt_depth.data)
-        rec["median_abs_err_mm"] = float(np.median(err))
-        rec["frac_within_2mm"] = float((err <= 2.0).mean())
+               "conf_fraction": final.conf_mask.mean()}
+        gt = scene.views[ref_id].gt_depth
+        rec["median_abs_err_mm"] = float(np.median(np.abs(final.depth.data - gt.data)))
+        rec["frac_within_2mm"] = fusion.depth_metrics(final.depth, gt)[2.0]
         records.append(rec)
     fileio.write_records(out / "records.jsonl", records)
     print(f"inferred {len(refs)} view(s) into {args.out}")
@@ -89,7 +88,7 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
     for name, short in depthopt.BRANCHES.items():
         fileio.write_pfm(out / f"depth_{short}.pfm", state.depths[name])
     fileio.write_pfm(out / "conf_mask.pfm",
-                     ScalarField(state.targets[-1][1].data.astype(np.float64)))
+                     ScalarField(state.targets[-1][1].astype(np.float64)))
     fileio.write_records(out / "final_report.jsonl", [report])
     print(f"optimized 3 branches for view {args.ref}; total={report['total']:.6f}")
     return 0
@@ -137,14 +136,14 @@ def cmd_fuse(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_ply(out, cloud.points, cloud.colors)
-    survivors = {f"survivors_view_{i}": int(m.data.sum()) for i, m in enumerate(masks)}
+    survivors = {f"survivors_view_{i}": int(m.sum()) for i, m in enumerate(masks)}
     fileio.write_records(out.with_suffix(".jsonl"),
                          [{"points": len(cloud), **survivors}])
     print(f"fused {len(cloud)} points into {args.out}")
     return 0
 
 
-def _gt_cloud(scene, stride: int = 2) -> fusion.PointCloud:
+def _gt_cloud(scene, stride: int = 2) -> np.ndarray:
     from .geometry import backproject, pixel_grid
     pts = []
     for view in scene.views:
@@ -152,8 +151,7 @@ def _gt_cloud(scene, stride: int = 2) -> fusion.PointCloud:
         grid = pixel_grid(gt.height, gt.width)[::stride, ::stride]
         pts.append(backproject(view.camera, grid,
                                gt.data[::stride, ::stride]).reshape(-1, 3))
-    pts = np.concatenate(pts)
-    return fusion.PointCloud(pts, np.full((len(pts), 3), 255, dtype=np.uint8))
+    return np.concatenate(pts)
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
@@ -177,13 +175,12 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         raise fileio.FileFormatError(f"{args.depths} holds no <view>_depth.pfm "
                                      f"of the scene's views")
     if args.cloud:
-        pts, cols = fileio.read_ply(args.cloud)
+        pts, _ = fileio.read_ply(args.cloud)
         if len(pts) == 0:  # nothing survived fusion: no distance to measure
             print("cloud: 0 points")
             records.append({"cloud_points": 0})
         else:
-            pred = fusion.PointCloud(pts, cols)
-            acc, comp, overall = fusion.cloud_metrics(pred, _gt_cloud(scene))
+            acc, comp, overall = fusion.cloud_metrics(pts, _gt_cloud(scene))
             print(f"cloud: acc={acc:.3f}mm comp={comp:.3f}mm overall={overall:.3f}mm")
             records.append({"cloud_acc_mm": acc, "cloud_comp_mm": comp,
                             "cloud_overall_mm": overall})

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import BilinearCells, Camera, CameraView, ray_jacobian, warp_image
-from .grids import BinaryMask, Image, ScalarField
+from .grids import Image, ScalarField
 from .losses import (LossError, LossWeights, NormKind, PhotometricResidual,
                      branch_consistency, photometric_consistency_arrays,
                      photometric_residual, smoothness_loss, ssim_loss_arrays)
@@ -44,7 +44,7 @@ class BranchLossConfig:
     weight_smooth: float = 0.0
     weight_consist: float = 0.0
     consist_target: ScalarField | None = None
-    consist_mask: BinaryMask | None = None
+    consist_mask: np.ndarray | None = None  # (H, W) bool
 
 
 @dataclass
@@ -293,9 +293,9 @@ class AuditCase:
     sample: Sample
     depth: ScalarField
     icc_target: ScalarField
-    icc_mask: BinaryMask
+    icc_mask: np.ndarray
     scc_target: ScalarField
-    scc_mask: BinaryMask
+    scc_mask: np.ndarray
 
     def configs(self) -> dict[str, BranchLossConfig]:
         """One single-term config per auditable loss term."""
@@ -350,8 +350,8 @@ def random_audit_case(seed: int, h: int = 32, w: int = 40) -> AuditCase:
     depth = ScalarField(smooth_field(120.0, 600.0))
     icc_target = ScalarField(depth.data + 5.0 + smooth_field(30.0, 0.0))
     scc_target = ScalarField(depth.data - 3.0 + smooth_field(40.0, 0.0))
-    icc_mask = BinaryMask(rng.random((h, w)) < 0.75)
-    scc_mask = BinaryMask(rng.random((h, w)) < 0.6)
+    icc_mask = rng.random((h, w)) < 0.75
+    scc_mask = rng.random((h, w)) < 0.6
     return AuditCase(sample, depth, icc_target, icc_mask, scc_target, scc_mask)
 
 
@@ -383,7 +383,7 @@ class OptState:
     history: list[dict]  # one record per iteration
     # per iteration, the regular depth after its step and the confidence mask:
     # what a contrastive branch is pulled toward at that iteration
-    targets: list[tuple[ScalarField, BinaryMask]]
+    targets: list[tuple[ScalarField, np.ndarray]]
 
 
 # branch name -> the short name of its history keys and depth files, in the
@@ -392,7 +392,7 @@ BRANCHES = {"regular": "reg", "image_contrastive": "ic", "scene_contrastive": "s
 
 
 def _branch_cfg(opt: OptimizerConfig, branch: str,
-                target: ScalarField | None, mask: BinaryMask | None) -> BranchLossConfig:
+                target: ScalarField | None, mask: np.ndarray | None) -> BranchLossConfig:
     w = opt.weights
     base = BranchLossConfig(norm=opt.norm, weight_photo=w.photo,
                             weight_ssim=w.ssim, weight_smooth=w.smooth)
@@ -514,7 +514,7 @@ def optimize_joint(samples: dict[str, Sample],
         for record, keys in zip(state.history, records):
             record.update(keys)
     for it, (record, (_, mask)) in enumerate(zip(state.history, targets)):
-        record.update(iteration=it, conf_count=mask.count(),
+        record.update(iteration=it, conf_count=int(mask.sum()),
                       total=sum(record[f"loss_{BRANCHES[name]}"] for name in names))
     return state
 

@@ -203,6 +203,8 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray]:
     if len(body) != PLY_VERTEX.itemsize * n:
         raise FileFormatError(f"payload size {len(body)} != 15 * {n}")
     vertices = np.frombuffer(body, dtype=PLY_VERTEX)
+    if not np.all(np.isfinite(vertices["xyz"])):
+        raise FileFormatError("PLY vertex coordinates must be finite")
     return vertices["xyz"].astype(np.float64), vertices["rgb"].copy()
 
 

@@ -4,12 +4,12 @@ via nearest-neighbor distances from a KD-tree)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Camera, backproject, nearest_pixel, pixel_grid, project_with_depth
-from .grids import BinaryMask, Image, ScalarField
+from .grids import Image, ScalarField
 
 
 DEPTH_THRESHOLDS_MM = (2.0, 4.0, 8.0)  # depth_metrics' inlier thresholds
@@ -57,18 +57,9 @@ class DepthView:
 
 @dataclass
 class PointCloud:
-    points: np.ndarray                      # (N, 3) mm
-    colors: np.ndarray                      # (N, 3) uint8
-    provenance: np.ndarray = field(default=None)  # (N, 3): view id, v, u
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if not np.all(np.isfinite(self.points)):
-            raise FusionError("point coordinates must be finite")
-        self.colors = np.asarray(self.colors, dtype=np.uint8).reshape(-1, 3)
-        if self.provenance is None:
-            self.provenance = np.full((len(self.points), 3), -1, dtype=np.int64)
-        self.provenance = np.asarray(self.provenance, dtype=np.int64).reshape(-1, 3)
+    points: np.ndarray      # (N, 3) mm
+    colors: np.ndarray      # (N, 3) uint8
+    provenance: np.ndarray  # (N, 3) int: view id, v, u
 
     def __len__(self) -> int:
         return len(self.points)
@@ -102,7 +93,7 @@ def _pairwise_consistency(ref: DepthView, other: DepthView, cfg: FusionConfig):
 
 
 def fuse_point_cloud(views: list[DepthView], cfg: FusionConfig
-                     ) -> tuple[PointCloud, list[BinaryMask]]:
+                     ) -> tuple[PointCloud, list[np.ndarray]]:
     """Filter and fuse in one pass over the references in view-id order.
 
     A pixel survives when it passes the photometric confidence gate and the
@@ -110,23 +101,23 @@ def fuse_point_cloud(views: list[DepthView], cfg: FusionConfig
     pixels not yet consumed are back-projected and averaged with their
     matches, and the matched pixels are consumed so overlapping surfaces are
     not duplicated. Returns the cloud and the per-view survival masks, in
-    input order."""
+    input order, as (H, W) bool arrays."""
     if len(views) < 2:
         raise FusionError("fusion needs at least 2 views")
     if len({v.view_id for v in views}) != len(views):
         raise FusionError("view ids must be unique")
     order = sorted(range(len(views)), key=lambda i: views[i].view_id)
     consumed = [np.zeros(v.depth.data.shape, dtype=bool) for v in views]
-    masks: list[BinaryMask | None] = [None] * len(views)
+    masks: list[np.ndarray | None] = [None] * len(views)
     all_pts, all_cols, all_prov = [], [], []
     for i in order:
         ref = views[i]
         pairs = [(j, *_pairwise_consistency(ref, views[j], cfg))
                  for j in order if j != i]
         count = np.sum([match for _, match, _, _ in pairs], axis=0)
-        masks[i] = BinaryMask((ref.prob_map.data > cfg.conf_threshold)
-                              & (count >= cfg.min_consistent_views))
-        alive = masks[i].data & ~consumed[i]
+        masks[i] = ((ref.prob_map.data > cfg.conf_threshold)
+                    & (count >= cfg.min_consistent_views))
+        alive = masks[i] & ~consumed[i]
         if not alive.any():
             continue
         h, w = ref.depth.height, ref.depth.width
@@ -172,11 +163,11 @@ def _directed_mean_distance(src: np.ndarray, dst: np.ndarray, cap: float) -> flo
     return float(np.mean(np.minimum(dist, cap)))
 
 
-def cloud_metrics(pred: PointCloud, gt: PointCloud) -> tuple[float, float, float]:
-    """(accuracy, completeness, overall) in mm: mean pred-to-gt and gt-to-pred
-    nearest-neighbor distances, clamped at OUTLIER_CAP_MM, and their mean."""
+def cloud_metrics(pred: np.ndarray, gt: np.ndarray) -> tuple[float, float, float]:
+    """(accuracy, completeness, overall) in mm of (N, 3) points: mean pred-to-gt
+    and gt-to-pred nearest-neighbor distances, clamped at OUTLIER_CAP_MM, and their mean."""
     if len(pred) == 0 or len(gt) == 0:
         raise FusionError("cloud metrics need non-empty clouds")
-    acc = _directed_mean_distance(pred.points, gt.points, OUTLIER_CAP_MM)
-    comp = _directed_mean_distance(gt.points, pred.points, OUTLIER_CAP_MM)
+    acc = _directed_mean_distance(pred, gt, OUTLIER_CAP_MM)
+    comp = _directed_mean_distance(gt, pred, OUTLIER_CAP_MM)
     return acc, comp, (acc + comp) / 2.0

@@ -67,35 +67,6 @@ class ScalarField:
         return self.data.shape[1]
 
 
-@dataclass
-class BinaryMask:
-    """H x W grid of {0, 1}, stored as bool."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.dtype != np.bool_:
-            vals = np.unique(arr)
-            if not np.all(np.isin(vals, (0, 1))):
-                raise GridError("mask values must be 0 or 1")
-            arr = arr.astype(bool)
-        if arr.ndim != 2:
-            raise GridError(f"mask must be HxW, got shape {arr.shape}")
-        self.data = arr
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    def count(self) -> int:
-        return int(self.data.sum())
-
-
 def forward_diff(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward differences along width (gx) and height (gy).
 

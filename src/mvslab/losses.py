@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .grids import BinaryMask, ScalarField, forward_diff
+from .grids import ScalarField, forward_diff
 
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
@@ -252,21 +252,20 @@ class ConsistencyResult:
 
 
 def branch_consistency(target: ScalarField, branch: ScalarField,
-                       mask: BinaryMask) -> ConsistencyResult:
-    """Masked mean absolute difference between two branch depth maps.
+                       mask: np.ndarray) -> ConsistencyResult:
+    """Mean absolute difference between two branch depth maps under a bool mask.
 
     The target is detached pseudo-supervision: only the branch gets a
     gradient. An empty confidence mask contributes zero, not an error.
     """
-    if target.data.shape != branch.data.shape or mask.data.shape != branch.data.shape:
+    if target.data.shape != branch.data.shape or mask.shape != branch.data.shape:
         raise LossError("branch consistency shapes must match")
-    m = mask.data
-    msum = float(m.sum())
+    msum = float(mask.sum())
     if msum == 0:
         return ConsistencyResult(0.0, np.zeros_like(branch.data))
     diff = target.data - branch.data
-    value = float((np.abs(diff) * m).sum() / msum)
-    return ConsistencyResult(value, -np.sign(diff) * m / msum)
+    value = float((np.abs(diff) * mask).sum() / msum)
+    return ConsistencyResult(value, -np.sign(diff) * mask / msum)
 
 
 @dataclass(frozen=True)

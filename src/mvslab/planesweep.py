@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
 from .geometry import Camera, pixel_grid, resize_bilinear, warp_image, warp_rays
-from .grids import BinaryMask, Image, ScalarField, forward_diff, to_grayscale
+from .grids import Image, ScalarField, forward_diff, to_grayscale
 from .sampling import Sample
 
 
@@ -61,13 +61,6 @@ class HypothesisSet:
     values: np.ndarray  # (D, h, w)
     spacing: float
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3:
-            raise PlaneSweepError("hypothesis values must be (D, h, w)")
-        if self.spacing <= 0:
-            raise PlaneSweepError("hypothesis spacing must be positive")
-
     @property
     def count(self) -> int:
         return self.values.shape[0]
@@ -77,7 +70,7 @@ class HypothesisSet:
 class StageResult:
     depth: ScalarField
     prob_map: ScalarField
-    conf_mask: BinaryMask
+    conf_mask: np.ndarray  # (h, w) bool
 
 
 def build_hypotheses(cam: Camera, stage: int, prev_depth: ScalarField | None,
@@ -220,7 +213,7 @@ def regress_depth(prob: np.ndarray, hyps: HypothesisSet) -> ScalarField:
 
 def probability_and_confidence(prob: np.ndarray, hyps: HypothesisSet,
                                depth: ScalarField, conf_threshold: float
-                               ) -> tuple[ScalarField, BinaryMask]:
+                               ) -> tuple[ScalarField, np.ndarray]:
     """Probability mass over the 4 hypotheses nearest the regressed depth,
     window clamped at the ends of the hypothesis range, and its binary gate."""
     if hyps.count < 4:
@@ -231,7 +224,7 @@ def probability_and_confidence(prob: np.ndarray, hyps: HypothesisSet,
     rows, cols = np.indices(depth.data.shape)
     pm = csum[start + 4, rows, cols] - csum[start, rows, cols]
     pm = np.clip(pm, 0.0, 1.0)
-    return ScalarField(pm), BinaryMask(pm > conf_threshold)
+    return ScalarField(pm), pm > conf_threshold
 
 
 def _stage_volume(sample: Sample, stage: int, cfg: SweepConfig,
@@ -269,7 +262,7 @@ def cascade_infer(sample: Sample, cfg: SweepConfig | None = None) -> StageResult
 
 
 def refresh_confidence(sample: Sample, depth: ScalarField, cfg: SweepConfig
-                       ) -> tuple[ScalarField, BinaryMask]:
+                       ) -> tuple[ScalarField, np.ndarray]:
     """Re-evaluate the final sweep stage with hypotheses centered on the given
     depth field and read the confidence off the fresh probability volume."""
     prob, hyps = _stage_volume(sample, len(STAGE_COUNTS), cfg, depth)

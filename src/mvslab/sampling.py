@@ -15,6 +15,9 @@ from .grids import Image, forward_diff
 from .losses import LossWeights, edge_weights, ssim_reference_moments
 
 
+N_VIEWS = 5  # a reference and four sources per sample
+
+
 class SamplingError(ValueError):
     pass
 

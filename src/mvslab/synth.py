@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fileio
 from .geometry import Camera, CameraView, pixel_grid, project_with_depth
-from .grids import BinaryMask, Image, ScalarField
+from .grids import Image, ScalarField
 from .sampling import (Sample, SamplingError, make_image_contrastive,
                        make_scene_contrastive, select_regular_views)
 
@@ -262,7 +262,7 @@ def _trace(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
 
 
 def render_view(spec: SceneSpec, cam: Camera, include_occluder: bool = False):
-    """Trace one view; returns (Image, gt ScalarField, occluder BinaryMask).
+    """Trace one view; returns (Image, gt ScalarField, (H, W) bool occluder mask).
 
     Colors are 2x2 supersampled so texture edges stay consistent between
     views; the ground-truth depth is the exact center-ray depth. The phantom
@@ -289,7 +289,7 @@ def render_view(spec: SceneSpec, cam: Camera, include_occluder: bool = False):
             occ_votes += sub_occ
     img /= 4.0
     _, depth, _ = _trace(spec, origin, world_dirs(0.0, 0.0), include_occluder)
-    return Image(img), ScalarField(depth), BinaryMask(occ_votes >= 2)
+    return Image(img), ScalarField(depth), occ_votes >= 2
 
 
 def _ring_cameras(spec: SceneSpec) -> list[Camera]:
@@ -357,8 +357,8 @@ def gen_scene(spec: SceneSpec) -> SyntheticScene:
             raise SceneError(
                 f"view {i} GT depth [{dmin:.1f}, {dmax:.1f}] leaves the configured range")
         views.append(CameraView(img, cam, depth, view_id=i))
-        if occ.data.any():
-            occ_masks[i] = occ.data
+        if occ.any():
+            occ_masks[i] = occ
     return SyntheticScene(spec, views, _overlap_scores(views), corrupted, occ_masks)
 
 

@@ -165,7 +165,7 @@ def test_criterion_8_fusion_integrity():
     dist = np.minimum(d_plane, np.abs(outside + inside))
     interval = (935.0 - 425.0) / 191.0
     frac = float((dist <= interval).mean())
-    provenance_ok = all(masks[vid].data[v, u] and
+    provenance_ok = all(masks[vid][v, u] and
                         views[vid].prob_map.data[v, u] > cfg.conf_threshold
                         for vid, v, u in cloud.provenance)
     elapsed = time.time() - start

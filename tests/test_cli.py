@@ -152,6 +152,16 @@ def test_eval_records_an_empty_cloud(pipeline_dirs, tmp_path, capsys):
     assert all("frac_2mm" in r for r in recs[:-1])
 
 
+def test_eval_rejects_a_cloud_with_a_non_finite_point(pipeline_dirs, tmp_path, capsys):
+    _, scene, depths = pipeline_dirs
+    ply = tmp_path / "fused.ply"
+    fileio.write_ply(ply, np.array([[0.0, 0.0, 500.0], [np.nan, 0.0, 500.0]]),
+                     np.zeros((2, 3), dtype=np.uint8))
+    assert run_cli("eval", "--scene", str(scene), "--depths", str(depths),
+                   "--cloud", str(ply)) == 1
+    assert "error: PLY vertex coordinates must be finite" in capsys.readouterr().err
+
+
 def test_optimize_emits_history_and_depths(tmp_path):
     scene = tmp_path / "scene"
     out = tmp_path / "opt"

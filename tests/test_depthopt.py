@@ -7,7 +7,7 @@ from mvslab.depthopt import (BranchLossConfig, OptimizationDiverged, OptimizerCo
                              loss_grad_wrt_depth, optimize_contrastive, optimize_joint,
                              optimize_regular, random_audit_case)
 from mvslab.geometry import Camera, CameraView
-from mvslab.grids import BinaryMask, Image, ScalarField
+from mvslab.grids import Image, ScalarField
 from mvslab.losses import LossError, LossWeights, NormKind, branch_consistency
 from mvslab.planesweep import SweepConfig, cascade_infer, final_interval
 from mvslab.sampling import Sample, SamplingError, curriculum
@@ -21,7 +21,7 @@ def test_finite_diff_on_quadratic_toy():
     # config: weight_consist on |D - c| gives +-1 gradients away from ties
     target = ScalarField(np.full((4, 5), 500.0))
     depth = ScalarField(np.full((4, 5), 507.5))
-    mask = BinaryMask(np.ones((4, 5), dtype=bool))
+    mask = np.ones((4, 5), dtype=bool)
     case = random_audit_case(0, 4, 5)
     cfg = BranchLossConfig(weight_consist=1.0, consist_target=target, consist_mask=mask)
     fd = finite_diff_grad(case.sample, depth, cfg, h=1e-3)

@@ -297,6 +297,8 @@ MALFORMED = [
             b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
             b"end_header\n" + struct.pack("<iiiBBB", 1, 2, 3, 4, 5, 6)),
     ("ply", PLY_HEADER.format(n=2).encode("ascii") + b"\x00" * 15),
+    ("ply", PLY_HEADER.format(n=1).encode("ascii")
+            + struct.pack("<fffBBB", np.nan, 2, 3, 4, 5, 6)),
 ]
 READERS = {"ply": read_ply, "pfm": read_pfm, "pair": read_pair_file,
            "cam": read_cam, "records": read_records}

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvslab import fusion, synth
-from mvslab.fusion import (DepthView, FusionConfig, FusionError, PointCloud,
-                           cloud_metrics, depth_metrics, fuse_point_cloud)
+from mvslab.fusion import (DepthView, FusionConfig, FusionError, cloud_metrics,
+                           depth_metrics, fuse_point_cloud)
 from mvslab.geometry import Camera, backproject, pixel_grid
 from mvslab.grids import ScalarField
 from mvslab.planesweep import cascade_infer
@@ -50,7 +50,7 @@ def test_filter_gt_depths_mostly_survive(gt_views):
             count += (front & (uv[..., 0] >= 0) & (uv[..., 0] <= w - 1)
                       & (uv[..., 1] >= 0) & (uv[..., 1] <= h - 1))
         visible = count >= 3
-        assert mask.data[visible].mean() >= 0.99
+        assert mask[visible].mean() >= 0.99
 
 
 def test_textureless_scene_fuses_to_no_points(uniform_scene):
@@ -61,7 +61,7 @@ def test_textureless_scene_fuses_to_no_points(uniform_scene):
                                ref.image, ref.view_id))
     cloud, masks = fuse_point_cloud(views, FusionConfig())
     assert len(cloud) == 0
-    assert not any(mask.data.any() for mask in masks)
+    assert not any(mask.any() for mask in masks)
 
 
 def test_filter_rejects_corrupted_view(gt_views):
@@ -73,8 +73,8 @@ def test_filter_rejects_corrupted_view(gt_views):
                            v.prob_map, v.camera, v.image, v.view_id) for v in views]
     _, masks = fuse_point_cloud(corrupted, cfg)
     # view 0's +50mm depths fail the cross-view round trip almost everywhere
-    assert masks[0].data.mean() < 0.02
-    assert base.data.mean() > 0.5
+    assert masks[0].mean() < 0.02
+    assert base.mean() > 0.5
 
 
 def test_filter_photometric_gate(gt_views):
@@ -83,7 +83,7 @@ def test_filter_photometric_gate(gt_views):
                           v.camera, v.image, v.view_id) for v in views]
     cfg = FusionConfig(conf_threshold=0.95)
     _, masks = fuse_point_cloud(low_conf, cfg)
-    assert all(not m.data.any() for m in masks)
+    assert all(not m.any() for m in masks)
 
 
 def test_filter_needs_two_views(gt_views):
@@ -105,7 +105,7 @@ def test_filter_stricter_thresholds_give_subsets(gt_views):
         noisy, FusionConfig(conf_threshold=0.5, reproj_px=0.8, rel_depth=0.005,
                             min_consistent_views=3))
     for lo, hi in zip(loose, strict):
-        assert np.all(~hi.data | lo.data)
+        assert np.all(~hi | lo)
 
 
 def test_backprojection_pinhole_point():
@@ -135,7 +135,7 @@ def test_fuse_provenance_passes_gates(cube_views):
     cfg = FusionConfig(reproj_px=0.5, rel_depth=0.005, min_consistent_views=4)
     cloud, masks = fuse_point_cloud(views, cfg)
     for vid, v, u in cloud.provenance:
-        assert masks[vid].data[v, u]
+        assert masks[vid][v, u]
         assert views[vid].prob_map.data[v, u] > cfg.conf_threshold
 
 
@@ -145,7 +145,7 @@ def test_fuse_duplicate_suppression(gt_views):
                        min_consistent_views=1)
     pair = views[:2]
     cloud, masks = fuse_point_cloud(pair, cfg)
-    single = int(masks[0].data.sum())
+    single = int(masks[0].sum())
     assert single > 0
     assert len(cloud) <= 1.2 * single
 
@@ -155,7 +155,7 @@ def test_fuse_empty_masks_give_empty_cloud(gt_views):
     # each view has only len(views) - 1 others, so no pixel can reach this count
     cfg = FusionConfig(min_consistent_views=len(views))
     cloud, masks = fuse_point_cloud(views, cfg)
-    assert all(not m.data.any() for m in masks)
+    assert all(not m.any() for m in masks)
     assert len(cloud) == 0
 
 
@@ -242,8 +242,7 @@ def test_depth_metrics_shape_mismatch_errors():
 
 
 def cloud_of(points):
-    points = np.asarray(points, dtype=np.float64)
-    return PointCloud(points, np.full((len(points), 3), 128, dtype=np.uint8))
+    return np.asarray(points, dtype=np.float64)
 
 
 def test_cloud_metrics_identical():

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvslab.geometry import resize_bilinear
-from mvslab.grids import (BinaryMask, GridError, Image, ScalarField,
-                          forward_diff, to_grayscale)
+from mvslab.grids import GridError, Image, ScalarField, forward_diff, to_grayscale
 
 
 def test_image_shape_and_range_contract():
@@ -26,13 +25,6 @@ def test_scalar_field_contract():
         ScalarField(np.ones((3, 4, 1)))
     with pytest.raises(GridError):
         ScalarField(np.full((3, 4), np.inf))
-
-
-def test_binary_mask_contract():
-    m = BinaryMask(np.array([[0, 1], [1, 0]]))
-    assert m.count() == 2
-    with pytest.raises(GridError):
-        BinaryMask(np.array([[0, 2]]))
 
 
 def test_gradient_of_constant_is_zero():

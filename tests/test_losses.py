@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvslab.grids import BinaryMask, Image, ScalarField, forward_diff
+from mvslab.grids import Image, ScalarField, forward_diff
 from mvslab.losses import (LossError, NormKind, branch_consistency, edge_weights,
                            norm_value_grad, photometric_consistency_arrays,
                            photometric_residual, smoothness_loss, ssim_loss_arrays,
@@ -88,13 +88,13 @@ def test_norm_gradient_ordering():
 
 
 def full_mask(h, w):
-    return BinaryMask(np.ones((h, w), dtype=bool))
+    return np.ones((h, w), dtype=bool)
 
 
 def test_photometric_zero_for_identical_images():
     rng = np.random.default_rng(1)
     img = Image(rng.random((6, 7, 3)))
-    res = photometric([img.data], [full_mask(6, 7).data], img.data, L1)
+    res = photometric([img.data], [full_mask(6, 7)], img.data, L1)
     assert res.value == pytest.approx(0.0)
     assert np.allclose(res.image_grads[0], 0.0)
 
@@ -104,7 +104,7 @@ def test_photometric_uniform_offset_l1():
     ref = Image(np.full((h, w, 3), 0.4))
     delta = 0.07
     warped = Image(np.full((h, w, 3), 0.4 + delta))
-    res = photometric([warped.data], [full_mask(h, w).data], ref.data, L1)
+    res = photometric([warped.data], [full_mask(h, w)], ref.data, L1)
     # image term: per-pixel residual delta summed then / ||M|| = delta; the
     # gradient term vanishes for constant images
     assert res.value == pytest.approx(delta)
@@ -144,19 +144,19 @@ def test_photometric_matches_norm_composition_oracle():
 
 def test_photometric_all_masks_empty_errors():
     img = Image(np.random.default_rng(3).random((4, 4, 3)))
-    empty = BinaryMask(np.zeros((4, 4), dtype=bool))
+    empty = np.zeros((4, 4), dtype=bool)
     with pytest.raises(LossError):
-        photometric([img.data], [empty.data], img.data, L1)
+        photometric([img.data], [empty], img.data, L1)
 
 
 def test_photometric_skips_empty_source_but_keeps_valid_one():
     rng = np.random.default_rng(4)
     ref = Image(rng.random((4, 4, 3)))
     rec = Image(rng.random((4, 4, 3)))
-    empty = BinaryMask(np.zeros((4, 4), dtype=bool))
-    res = photometric([rec.data, rec.data], [empty.data, full_mask(4, 4).data],
+    empty = np.zeros((4, 4), dtype=bool)
+    res = photometric([rec.data, rec.data], [empty, full_mask(4, 4)],
                       ref.data, L1)
-    alone = photometric([rec.data], [full_mask(4, 4).data], ref.data, L1)
+    alone = photometric([rec.data], [full_mask(4, 4)], ref.data, L1)
     assert res.value > 0
     assert res.value == alone.value
     assert not res.image_grads[0].any()
@@ -165,7 +165,7 @@ def test_photometric_skips_empty_source_but_keeps_valid_one():
 
 def test_ssim_identical_images_zero():
     img = Image(np.random.default_rng(5).random((8, 9, 3)))
-    value, grad = ssim_loss_arrays(img.data, img.data, full_mask(8, 9).data,
+    value, grad = ssim_loss_arrays(img.data, img.data, full_mask(8, 9),
                                    ssim_reference_moments(img.data))
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(grad, 0.0, atol=1e-12)
@@ -177,7 +177,7 @@ def test_ssim_negated_structure_exceeds_midpoint():
     rng = np.random.default_rng(6)
     x = 0.5 + 0.45 * np.sign(rng.standard_normal((12, 12, 1)))
     y = np.clip(2 * 0.5 - x, 0, 1)
-    value, _ = ssim_loss_arrays(Image(x).data, Image(y).data, full_mask(12, 12).data,
+    value, _ = ssim_loss_arrays(Image(x).data, Image(y).data, full_mask(12, 12),
                                 ssim_reference_moments(Image(y).data))
     assert 0.5 < value <= 1.0
     assert value > 0.8
@@ -189,7 +189,7 @@ def test_ssim_within_unit_interval(seed):
     rng = np.random.default_rng(seed)
     x = Image(rng.random((6, 6, 3)))
     y = Image(rng.random((6, 6, 3)))
-    value, _ = ssim_loss_arrays(x.data, y.data, full_mask(6, 6).data,
+    value, _ = ssim_loss_arrays(x.data, y.data, full_mask(6, 6),
                                 ssim_reference_moments(y.data))
     assert 0.0 <= value <= 1.0
 
@@ -240,14 +240,14 @@ def test_smoothness_nonpositive_mean_errors():
 
 def test_branch_consistency_identical_zero():
     d = ScalarField(np.full((4, 4), 600.0))
-    res = branch_consistency(d, d, BinaryMask(np.ones((4, 4), dtype=bool)))
+    res = branch_consistency(d, d, np.ones((4, 4), dtype=bool))
     assert res.value == pytest.approx(0.0)
 
 
 def test_branch_consistency_uniform_offset():
     d = ScalarField(np.full((4, 4), 600.0))
     shifted = ScalarField(d.data + 7.5)
-    res = branch_consistency(d, shifted, BinaryMask(np.ones((4, 4), dtype=bool)))
+    res = branch_consistency(d, shifted, np.ones((4, 4), dtype=bool))
     assert res.value == pytest.approx(7.5)
     assert np.allclose(res.grad_branch, 1.0 / 16.0)
 
@@ -259,14 +259,14 @@ def test_branch_consistency_half_mask():
     mask = np.zeros((h, w), dtype=bool)
     mask[:, :w // 2] = True
     branch[:, :w // 2] += 3.0  # offset only on the masked half
-    res = branch_consistency(target, ScalarField(branch), BinaryMask(mask))
+    res = branch_consistency(target, ScalarField(branch), mask)
     assert res.value == pytest.approx(3.0)
 
 
 def test_branch_consistency_empty_mask_flagged():
     d = ScalarField(np.full((3, 3), 500.0))
     res = branch_consistency(ScalarField(d.data + 4.0), d,
-                             BinaryMask(np.zeros((3, 3), dtype=bool)))
+                             np.zeros((3, 3), dtype=bool))
     assert res.value == 0.0
     assert res.grad_branch.shape == (3, 3)
     assert not res.grad_branch.any()

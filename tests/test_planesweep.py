@@ -271,7 +271,7 @@ def test_confidence_one_hot_prob():
     depth = regress_depth(prob, hyps)
     pm, mc = probability_and_confidence(prob, hyps, depth, 0.95)
     assert np.allclose(pm.data, 1.0)
-    assert np.all(mc.data)
+    assert np.all(mc)
 
 
 def test_confidence_uniform_prob():
@@ -280,7 +280,7 @@ def test_confidence_uniform_prob():
     depth = regress_depth(prob, hyps)
     pm, mc = probability_and_confidence(prob, hyps, depth, 0.95)
     assert np.allclose(pm.data, 4.0 / 48.0)
-    assert not mc.data.any()
+    assert not mc.any()
 
 
 def test_confidence_rejects_fewer_than_four_hypotheses():
@@ -303,12 +303,12 @@ def test_confidence_antitone_in_threshold():
     for gamma in (0.3, 0.5, 0.7, 0.9):
         _, mc = probability_and_confidence(prob, hyps, depth, gamma)
         if prev is not None:
-            assert np.all(~mc.data | prev)  # mc is a subset of prev
-        prev = mc.data
+            assert np.all(~mc | prev)  # mc is a subset of prev
+        prev = mc
     # raising gamma never adds pixels
     _, lo = probability_and_confidence(prob, hyps, depth, 0.2)
     _, hi = probability_and_confidence(prob, hyps, depth, 0.8)
-    assert np.all(hi.data <= lo.data)
+    assert np.all(hi <= lo)
 
 
 def test_cascade_stage1_recovers_plane(checker_scene, checker_samples, checker_cascade):
@@ -356,7 +356,7 @@ def test_cascade_infer_returns_the_last_stage(checker_samples, checker_cascade):
     last = checker_cascade[-1]
     assert np.array_equal(final.depth.data, last.depth.data)
     assert np.array_equal(final.prob_map.data, last.prob_map.data)
-    assert np.array_equal(final.conf_mask.data, last.conf_mask.data)
+    assert np.array_equal(final.conf_mask, last.conf_mask)
 
 
 @pytest.mark.parametrize("size", [(3, 3), (4, 5), (2, 8)], ids=["3x3", "4x5", "2x8"])
@@ -372,7 +372,7 @@ def test_textureless_scene_has_no_confidence(uniform_scene):
     samples = synth.build_branch_samples(uniform_scene, 0, 5, 0.0, 7)
     final = cascade_infer(samples["regular"])
     assert np.isfinite(final.depth.data).all() and np.isfinite(final.prob_map.data).all()
-    assert final.conf_mask.data.mean() < 0.05
+    assert final.conf_mask.mean() < 0.05
 
 
 def test_refresh_at_the_far_end_of_the_range_has_no_confidence(small_scene):
@@ -380,7 +380,7 @@ def test_refresh_at_the_far_end_of_the_range_has_no_confidence(small_scene):
     far = ScalarField(np.full((32, 40), sample.reference.camera.depth_max))
     prob, conf = refresh_confidence(sample, far, SweepConfig())
     assert np.isfinite(prob.data).all()
-    assert conf.count() == 0
+    assert conf.sum() == 0
 
 
 def test_all_black_sources_sweep_to_finite_depth_with_no_confidence(small_scene):
@@ -390,7 +390,7 @@ def test_all_black_sources_sweep_to_finite_depth_with_no_confidence(small_scene)
                                       for v in sample.sources])
     final = cascade_infer(black)
     assert np.isfinite(final.depth.data).all() and np.isfinite(final.prob_map.data).all()
-    assert final.conf_mask.count() == 0
+    assert final.conf_mask.sum() == 0
 
 
 def test_refresh_confidence_centers_on_given_depth(checker_scene, checker_samples,
@@ -400,4 +400,4 @@ def test_refresh_confidence_centers_on_given_depth(checker_scene, checker_sample
     pm, mc = refresh_confidence(reg, depth, SweepConfig())
     assert pm.data.shape == depth.data.shape
     assert 0.0 <= pm.data.min() and pm.data.max() <= 1.0
-    assert mc.data.mean() > 0.1  # plenty of confident pixels on a textured plane
+    assert mc.mean() > 0.1  # plenty of confident pixels on a textured plane
