@@ -79,11 +79,11 @@ def scc_trial(seed: int) -> dict | None:
     scene = synth.gen_scene(synth.SceneSpec(
         geometry="plane_with_occluder", texture="checker", height=48, width=64,
         n_views=7, seed=seed, specular_strength=0.35))
-    reference, corrupted = scene.views[0], scene.corrupted_view
-    footprint = scene.occluder_masks.get(corrupted)
+    reference = scene.views[0]
     regular = synth.regular_sample(scene, 0, N_VIEWS)
-    if footprint is None or corrupted in regular.source_ids():
+    if scene.occluder is None or scene.occluder[0] in regular.source_ids():
         return None
+    corrupted, footprint = scene.occluder
     drawn = (make_scene_contrastive(scene.views, reference, 3, s) for s in range(200))
     sc = next((s for s in drawn if corrupted in s.source_ids()), None)
     if sc is None:

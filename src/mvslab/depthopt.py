@@ -107,12 +107,11 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
     grad = np.zeros_like(d) if with_grad else None
 
     if cfg.weight_photo > 0:
-        photo = photometric_consistency_arrays(
+        parts["photo"], image_grads = photometric_consistency_arrays(
             residuals or _photo_residuals(sample, details), cfg.norm, need_grads=with_grad)
-        parts["photo"] = photo.value
         if with_grad:
             g = np.zeros_like(d)
-            for img_grad, chain in zip(photo.image_grads, details.chain):
+            for img_grad, chain in zip(image_grads, details.chain):
                 g += (img_grad * chain).sum(axis=2)
             grad += cfg.weight_photo * g
 
@@ -138,10 +137,10 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
             grad += cfg.weight_smooth * g_smooth
 
     if cfg.consist_target is not None:  # recorded even at weight 0
-        res = branch_consistency(cfg.consist_target, depth, cfg.consist_mask)
-        parts["consist"] = res.value
+        parts["consist"], g_consist = branch_consistency(cfg.consist_target, depth,
+                                                         cfg.consist_mask)
         if with_grad and cfg.weight_consist > 0:
-            grad += cfg.weight_consist * res.grad_branch
+            grad += cfg.weight_consist * g_consist
 
     total = (cfg.weight_photo * parts["photo"] + cfg.weight_ssim * parts["ssim"]
              + cfg.weight_smooth * parts["smooth"]
@@ -153,31 +152,6 @@ def loss_grad_wrt_depth(sample: Sample, depth: ScalarField, cfg: BranchLossConfi
     """Analytic total loss, per-pixel d(loss)/d(depth) in 1/mm, the loss parts
     and the warp: (total, grad, parts, details)."""
     return _evaluate(sample, depth, cfg, with_grad=True)
-
-
-def _check_step(h: float) -> None:
-    if not (np.isfinite(h) and h > 0):
-        raise LossError(f"finite difference step must be positive and finite, got {h}")
-
-
-def finite_diff_grad(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
-                     h: float) -> np.ndarray:
-    """Central finite difference of the total loss, one pixel at a time: the
-    black-box reference, with a full evaluation per perturbation."""
-    _check_step(h)
-    base = depth.data
-    grad = np.zeros_like(base)
-    work = base.copy()
-    for v in range(base.shape[0]):
-        for u in range(base.shape[1]):
-            d0 = work[v, u]
-            work[v, u] = d0 + h
-            plus = _evaluate(sample, ScalarField(work), cfg, False)[0]
-            work[v, u] = d0 - h
-            minus = _evaluate(sample, ScalarField(work), cfg, False)[0]
-            work[v, u] = d0
-            grad[v, u] = (plus - minus) / (2.0 * h)
-    return grad
 
 
 def _rewarp_pixel(sample: Sample, details: WarpDetails, depth: np.ndarray,
@@ -208,11 +182,12 @@ def _multi_values(sample: Sample, depth_arr: np.ndarray,
 def finite_diff_grad_multi(sample: Sample, depth: ScalarField,
                            cfgs: dict[str, BranchLossConfig], h: float
                            ) -> dict[str, np.ndarray]:
-    """Central finite differences for several configs in one pixel sweep, equal
-    bit for bit to finite_diff_grad per config. The sources are warped once;
-    each perturbation re-warps only the moved pixel, which is restored from
-    the base warp afterwards."""
-    _check_step(h)
+    """Central finite differences of the total loss of several configs in one
+    pixel sweep, equal bit for bit to a full evaluation per perturbation and
+    config. The sources are warped once; each perturbation re-warps only the
+    moved pixel, which is restored from the base warp afterwards."""
+    if not (np.isfinite(h) and h > 0):
+        raise LossError(f"finite difference step must be positive and finite, got {h}")
     base = depth.data
     base_warp = None
     warp = None

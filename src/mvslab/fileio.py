@@ -166,11 +166,14 @@ _PLY_PROPERTIES = [line.split() for line in PLY_HEADER.splitlines()
 
 
 def write_ply(path, points: np.ndarray, colors: np.ndarray) -> None:
-    """Binary little-endian PLY with float32 xyz and uint8 rgb."""
+    """Binary little-endian PLY with float32 xyz and uint8 rgb; coordinates
+    that are not finite in float32 raise FileFormatError, as read_ply would."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     colors = np.asarray(colors).reshape(-1, 3)
     if len(points) != len(colors):
         raise FileFormatError("points and colors must have equal length")
+    if not np.all(np.abs(points) <= np.finfo(np.float32).max):  # False for NaN too
+        raise FileFormatError("PLY vertex coordinates must be finite in float32")
     vertices = np.empty(len(points), dtype=PLY_VERTEX)
     vertices["xyz"] = points.astype("<f4")
     vertices["rgb"] = colors.astype(np.uint8)
@@ -213,11 +216,3 @@ def write_records(path, records: list[dict]) -> None:
     with open(path, "w") as f:
         for rec in records:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def read_records(path) -> list[dict]:
-    try:
-        with open(path) as f:
-            return [json.loads(line) for line in f if line.strip()]
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise FileFormatError(f"malformed record file {path}") from exc

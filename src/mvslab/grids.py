@@ -21,16 +21,14 @@ def _finite_float(data, name: str) -> np.ndarray:
 
 @dataclass
 class Image:
-    """H x W x C intensity grid, values in [0, 1], C in {1, 3}."""
+    """H x W x 3 RGB intensity grid, values in [0, 1]."""
 
     data: np.ndarray
 
     def __post_init__(self):
         arr = _finite_float(self.data, "image")
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        if arr.ndim != 3 or arr.shape[2] not in (1, 3):
-            raise GridError(f"image must be HxWx1 or HxWx3, got shape {arr.shape}")
+        if arr.ndim != 3 or arr.shape[2] != 3:
+            raise GridError(f"image must be HxWx3, got shape {arr.shape}")
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise GridError("image values must lie in [0, 1]")
         if arr.shape[0] < 1 or arr.shape[1] < 1:

@@ -62,12 +62,6 @@ def norm_value_grad(e: np.ndarray, kind: NormKind) -> tuple[float, np.ndarray]:
 
 
 @dataclass
-class PhotometricResult:
-    value: float
-    image_grads: list[np.ndarray]       # dL/d(warped image), (H, W, C) per source
-
-
-@dataclass
 class PhotometricResidual:
     """One warped source against the reference: the signed residuals the
     gradient reads, and the residuals at the mask's pixels that the norms
@@ -99,17 +93,18 @@ def photometric_residual(rec: np.ndarray, mask: np.ndarray, ref: np.ndarray,
 
 
 def photometric_consistency_arrays(residuals: Iterable[PhotometricResidual], kind: NormKind,
-                                   need_grads: bool = True) -> PhotometricResult:
+                                   need_grads: bool = True) -> tuple[float, list]:
     """Masked norm of the per-pixel residuals of each reconstructed (H, W, C)
     image and of its forward-difference gradient against the reference, each
     normalized by the mask area, summed over sources. residuals yields the
     photometric_residual of each source; several norms at one warp share a
     list of them.
 
-    The returned image_grads hold dL/d(warped_i), including the adjoint of the
-    forward-difference operator for the gradient term. need_grads=False skips
-    assembling them, which roughly halves the cost of a value-only evaluation
-    inside the finite-difference oracle."""
+    Returns the value and dL/d(warped_i), (H, W, C) per source, including the
+    adjoint of the forward-difference operator for the gradient term.
+    need_grads=False skips assembling the gradients (None per valid source),
+    which roughly halves the cost of a value-only evaluation inside the
+    finite-difference oracle."""
     total = 0.0
     grads = []
     any_valid = False
@@ -144,7 +139,7 @@ def photometric_consistency_arrays(residuals: Iterable[PhotometricResidual], kin
         grads.append(grad)
     if not any_valid:
         raise LossError("no source, or all source masks empty; no photometric signal")
-    return PhotometricResult(total, grads)
+    return total, grads
 
 
 def _pool(arr: np.ndarray) -> np.ndarray:
@@ -245,15 +240,10 @@ def smoothness_loss(depth: ScalarField, weights: tuple[np.ndarray, np.ndarray]
     return value, grad
 
 
-@dataclass
-class ConsistencyResult:
-    value: float
-    grad_branch: np.ndarray
-
-
 def branch_consistency(target: ScalarField, branch: ScalarField,
-                       mask: np.ndarray) -> ConsistencyResult:
-    """Mean absolute difference between two branch depth maps under a bool mask.
+                       mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean absolute difference between two branch depth maps under a bool
+    mask, and its gradient with respect to the branch.
 
     The target is detached pseudo-supervision: only the branch gets a
     gradient. An empty confidence mask contributes zero, not an error.
@@ -262,10 +252,10 @@ def branch_consistency(target: ScalarField, branch: ScalarField,
         raise LossError("branch consistency shapes must match")
     msum = float(mask.sum())
     if msum == 0:
-        return ConsistencyResult(0.0, np.zeros_like(branch.data))
+        return 0.0, np.zeros_like(branch.data)
     diff = target.data - branch.data
     value = float((np.abs(diff) * mask).sum() / msum)
-    return ConsistencyResult(value, -np.sign(diff) * mask / msum)
+    return value, -np.sign(diff) * mask / msum
 
 
 @dataclass(frozen=True)

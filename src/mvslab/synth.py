@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +62,9 @@ class SyntheticScene:
     spec: SceneSpec
     views: list[CameraView]
     pair_scores: dict[int, list[tuple[int, float]]]
-    corrupted_view: int | None = None
-    occluder_masks: dict[int, np.ndarray] = field(default_factory=dict)
+    # (corrupted view id, its (H, W) bool footprint), None when no view shows
+    # the occluder; kept in memory only, save_scene does not write it
+    occluder: tuple[int, np.ndarray] | None = None
 
 
 _LIGHT = np.array([0.35, -0.25, 0.88])
@@ -349,7 +350,7 @@ def gen_scene(spec: SceneSpec) -> SyntheticScene:
         rng = np.random.default_rng([spec.seed, 417])
         corrupted = int(rng.integers(1, spec.n_views))
     views = []
-    occ_masks: dict[int, np.ndarray] = {}
+    occluder = None
     for i, cam in enumerate(cams):
         img, depth, occ = render_view(spec, cam, include_occluder=(i == corrupted))
         dmin, dmax = depth.data.min(), depth.data.max()
@@ -358,8 +359,8 @@ def gen_scene(spec: SceneSpec) -> SyntheticScene:
                 f"view {i} GT depth [{dmin:.1f}, {dmax:.1f}] leaves the configured range")
         views.append(CameraView(img, cam, depth, view_id=i))
         if occ.any():
-            occ_masks[i] = occ
-    return SyntheticScene(spec, views, _overlap_scores(views), corrupted, occ_masks)
+            occluder = (i, occ)
+    return SyntheticScene(spec, views, _overlap_scores(views), occluder)
 
 
 def regular_sample(scene: SyntheticScene, ref_id: int, n_views: int) -> Sample:
@@ -395,14 +396,16 @@ def save_scene(scene: SyntheticScene, out_dir) -> None:
         fileio.write_cam(out / "cams" / f"{vid:08d}_cam.txt", view.camera)
         fileio.write_pfm(out / "depths_gt" / f"{vid:08d}.pfm", view.gt_depth)
     fileio.write_pair_file(out / "pair.txt", scene.pair_scores)
-    meta = {
-        "spec": dataclasses.asdict(scene.spec),
-        "corrupted_view": scene.corrupted_view,
-        "occluder_views": sorted(scene.occluder_masks),
-    }
+    meta = {"spec": dataclasses.asdict(scene.spec)}
     (out / "scene.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    for vid, mask in scene.occluder_masks.items():
-        np.save(out / f"occluder_{vid:08d}.npy", mask)
+
+
+def _load_image(path: Path) -> Image:
+    """A saved view image; any array but (H, W, 3) raises FileFormatError naming the file."""
+    try:
+        return Image(np.load(path))
+    except (ValueError, EOFError) as exc:  # np.load's errors and GridError
+        raise fileio.FileFormatError(f"invalid scene image {path}: {exc}") from exc
 
 
 def load_scene(scene_dir) -> SyntheticScene:
@@ -414,16 +417,14 @@ def load_scene(scene_dir) -> SyntheticScene:
         pair_scores = fileio.read_pair_file(root / "pair.txt")
         views = []
         for vid in range(spec.n_views):
-            img = Image(np.load(root / "images" / f"{vid:08d}.npy"))
+            img = _load_image(root / "images" / f"{vid:08d}.npy")
             cam = fileio.read_cam(root / "cams" / f"{vid:08d}_cam.txt")
             depth = fileio.read_pfm(root / "depths_gt" / f"{vid:08d}.pfm")
             views.append(CameraView(img, cam, depth, view_id=vid))
-        occ = {vid: np.load(root / f"occluder_{vid:08d}.npy")
-               for vid in meta["occluder_views"]}
-        return SyntheticScene(spec, views, pair_scores, meta["corrupted_view"], occ)
+        return SyntheticScene(spec, views, pair_scores)
     except fileio.FileFormatError:
         raise
-    except (KeyError, TypeError, ValueError, EOFError, FileNotFoundError) as exc:
-        # ValueError: SceneError, GeometryError, GridError, JSON and np.load;
-        # EOFError: an empty .npy; FileNotFoundError: a missing per-view file
+    except (KeyError, TypeError, ValueError, FileNotFoundError) as exc:
+        # ValueError: SceneError, GeometryError and JSON; FileNotFoundError:
+        # a missing per-view file
         raise fileio.FileFormatError(f"invalid scene {root}: {exc!r}") from exc

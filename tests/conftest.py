@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,9 @@ def assert_same_bytes(a, b):
     """Equal to the bit: np.array_equal takes -0.0 for 0.0, written depth
     files do not."""
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def read_records(path) -> list[dict]:
+    """The records of a line-delimited JSON file, as write_records writes them."""
+    with open(path) as f:
+        return [json.loads(line) for line in f if line.strip()]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
+from conftest import read_records
 from mvslab import claims, depthopt, fileio, fusion, losses
 from mvslab.cli import EVAL_CAVEAT, N_VIEWS, build_parser, main
 from mvslab.config import RunConfig, load_config
@@ -81,7 +82,7 @@ def test_gen_synth_writes_expected_layout(pipeline_dirs):
 
 def test_infer_outputs_and_metrics(pipeline_dirs):
     _, _, depths = pipeline_dirs
-    records = fileio.read_records(depths / "records.jsonl")
+    records = read_records(depths / "records.jsonl")
     assert len(records) == 5
     assert all("frac_within_2mm" in r for r in records)
     assert all(r["frac_within_2mm"] > 0.5 for r in records)
@@ -134,7 +135,7 @@ def test_fuse_and_eval_cloud(pipeline_dirs, capsys):
                    "--cloud", str(ply), "--out", str(root / "eval")) == 0
     out = capsys.readouterr().out
     assert "cloud:" in out and EVAL_CAVEAT in out
-    recs = fileio.read_records(root / "eval" / "eval.jsonl")
+    recs = read_records(root / "eval" / "eval.jsonl")
     assert any("cloud_overall_mm" in r for r in recs)
     assert_golden("fuse_and_eval", root)
 
@@ -147,7 +148,7 @@ def test_eval_records_an_empty_cloud(pipeline_dirs, tmp_path, capsys):
     assert run_cli("eval", "--scene", str(scene), "--depths", str(depths),
                    "--cloud", str(ply), "--out", str(tmp_path / "eval")) == 0
     assert "cloud: 0 points" in capsys.readouterr().out
-    recs = fileio.read_records(tmp_path / "eval" / "eval.jsonl")
+    recs = read_records(tmp_path / "eval" / "eval.jsonl")
     assert recs[-1] == {"cloud_points": 0}
     assert all("frac_2mm" in r for r in recs[:-1])
 
@@ -155,8 +156,9 @@ def test_eval_records_an_empty_cloud(pipeline_dirs, tmp_path, capsys):
 def test_eval_rejects_a_cloud_with_a_non_finite_point(pipeline_dirs, tmp_path, capsys):
     _, scene, depths = pipeline_dirs
     ply = tmp_path / "fused.ply"
-    fileio.write_ply(ply, np.array([[0.0, 0.0, 500.0], [np.nan, 0.0, 500.0]]),
-                     np.zeros((2, 3), dtype=np.uint8))
+    vertices = np.zeros(2, dtype=fileio.PLY_VERTEX)
+    vertices["xyz"] = [[0.0, 0.0, 500.0], [np.nan, 0.0, 500.0]]
+    ply.write_bytes(fileio.PLY_HEADER.format(n=2).encode("ascii") + vertices.tobytes())
     assert run_cli("eval", "--scene", str(scene), "--depths", str(depths),
                    "--cloud", str(ply)) == 1
     assert "error: PLY vertex coordinates must be finite" in capsys.readouterr().err
@@ -172,12 +174,12 @@ def test_optimize_emits_history_and_depths(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli("--config", str(cfg_path), "--seed", "4", "optimize",
                    "--scene", str(scene), "--ref", "0", "--out", str(out)) == 0
-    history = fileio.read_records(out / "loss_history.jsonl")
+    history = read_records(out / "loss_history.jsonl")
     assert len(history) == 5
     assert {"loss_reg", "loss_ic", "loss_sc", "total"} <= set(history[0])
     for name in ("depth_reg.pfm", "depth_ic.pfm", "depth_sc.pfm", "conf_mask.pfm"):
         assert (out / name).exists()
-    report = fileio.read_records(out / "final_report.jsonl")[0]
+    report = read_records(out / "final_report.jsonl")[0]
     assert "total" in report and "component_pc" in report
     assert_golden("optimize", tmp_path)
 
@@ -232,7 +234,7 @@ def test_grad_check_passes_quickly(tmp_path, capsys):
                    "--out", str(tmp_path / "audit")) == 0
     out = capsys.readouterr().out
     assert "photo_l0.5" in out and "[ok]" in out and "FAIL" not in out
-    recs = fileio.read_records(tmp_path / "audit" / "grad_check.jsonl")
+    recs = read_records(tmp_path / "audit" / "grad_check.jsonl")
     assert len(recs) == 7
     assert all(r["frac"] >= 0.99 for r in recs)
     assert all(r["checked"] == 32 * 40 for r in recs)
@@ -253,7 +255,7 @@ def test_grad_check_prints_the_worst_over_cases(tmp_path, capsys, monkeypatch):
     printed = re.findall(r"grad-check (\S+): worst pass fraction (\S+), most failing pixels "
                          r"(\d+), worst max rel err of passing pixels (\S+) \[ok\]",
                          capsys.readouterr().out)
-    recs = fileio.read_records(tmp_path / "grad_check.jsonl")
+    recs = read_records(tmp_path / "grad_check.jsonl")
     assert len(printed) == 2 and len(recs) == 6
     for term, frac, failing, max_rel in printed:
         mine = [r for r in recs if r["term"] == term]
@@ -319,6 +321,17 @@ def test_missing_out_exits_2(capsys, argv):
 def test_missing_input_exits_nonzero(capsys):
     assert run_cli("infer", "--scene", "/nonexistent/scene", "--out", "/tmp/x") == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(32, 40), (32, 40, 1)], ids=["grayscale", "one_channel"])
+def test_infer_rejects_a_view_that_is_not_rgb(pipeline_dirs, tmp_path, capsys, shape):
+    scene = tmp_path / "scene"
+    shutil.copytree(pipeline_dirs[1], scene)
+    np.save(scene / "images" / "00000002.npy", np.full(shape, 0.5))
+    assert run_cli("infer", "--scene", str(scene), "--out", str(tmp_path / "depths")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "images/00000002.npy" in err
+    assert "HxWx3" in err
 
 
 def test_config_round_trip(tmp_path):
@@ -436,7 +449,7 @@ def test_ablate_writes_one_record_per_qualifying_seed(tmp_path, capsys, monkeypa
     monkeypatch.setitem(claims.TRIALS, "scc", fake_trial)
     assert run_cli("ablate", "--claim", "scc", "--seeds", "2", "3", "4",
                    "--out", str(tmp_path)) == 0
-    records = fileio.read_records(tmp_path / "ablate_scc.jsonl")
+    records = read_records(tmp_path / "ablate_scc.jsonl")
     assert [r["seed"] for r in records] == [2, 4]
     assert all(set(r["arms"]) == {"consistency", "no_consistency"} for r in records)
     assert all(r["win"] for r in records)
@@ -448,7 +461,7 @@ def test_ablate_writes_one_record_per_qualifying_seed(tmp_path, capsys, monkeypa
 def test_ablate_defaults_to_the_criteria_seeds(tmp_path, monkeypatch):
     monkeypatch.setitem(claims.TRIALS, "norm", fake_trial)
     assert run_cli("ablate", "--claim", "norm", "--out", str(tmp_path)) == 0
-    records = fileio.read_records(tmp_path / "ablate_norm.jsonl")
+    records = read_records(tmp_path / "ablate_norm.jsonl")
     assert [r["seed"] for r in records] == [300, 302, 304]
 
 

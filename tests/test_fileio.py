@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import read_records
 from mvslab.fileio import (PLY_HEADER, FileFormatError, read_cam, read_pair_file,
-                           read_pfm, read_ply, read_records, write_cam,
-                           write_pair_file, write_pfm, write_ply, write_records)
+                           read_pfm, read_ply, write_cam, write_pair_file, write_pfm,
+                           write_ply, write_records)
 from mvslab.geometry import Camera
 from mvslab.grids import ScalarField
 
@@ -184,6 +185,15 @@ def test_ply_round_trip(tmp_path):
     assert np.array_equal(back_cols, cols)
 
 
+@pytest.mark.parametrize("bad", [np.nan, 1e39])  # 1e39 overflows float32
+def test_ply_writer_refuses_a_point_the_reader_rejects(tmp_path, bad):
+    path = tmp_path / "cloud.ply"
+    with pytest.raises(FileFormatError, match="finite in float32"):
+        write_ply(path, np.array([[1.0, 2.0, 3.0], [4.0, bad, 6.0]]),
+                  np.zeros((2, 3), dtype=np.uint8))
+    assert not path.exists()
+
+
 def test_pair_file_round_trip(tmp_path):
     scores = {0: [(1, 0.9), (2, 0.8125)], 1: [(0, 0.9)], 2: [(0, 0.8125), (1, 0.5)]}
     path = tmp_path / "pair.txt"
@@ -289,7 +299,8 @@ MALFORMED = [
     ("cam", b"extrinsic\n" + b"nan " * 16 + b"\nintrinsic\n1 0 0 0 1 0 0 0 1\n1 1 2 3\n"),
     ("cam", b"extrinsic\n1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1\nintrinsic\n"
             b"1 0 0 0 1 0 0 0 1\n900 1 2 400\n"),
-    ("records", b"{\"a\": 1}\n{not json\n"),
+    ("ply", PLY_HEADER.format(n=1).encode("ascii")
+            + struct.pack("<fffBBB", 1, np.inf, 3, 4, 5, 6)),
     ("cam", b"extrinsic\n1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1\nintrinsic\n"
             b"100 0 32 0 100 24 0 0 1\n425 2.5 192.7 935\n"),
     ("ply", b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
@@ -301,7 +312,7 @@ MALFORMED = [
             + struct.pack("<fffBBB", np.nan, 2, 3, 4, 5, 6)),
 ]
 READERS = {"ply": read_ply, "pfm": read_pfm, "pair": read_pair_file,
-           "cam": read_cam, "records": read_records}
+           "cam": read_cam}
 
 
 @pytest.mark.parametrize("kind,raw", MALFORMED,

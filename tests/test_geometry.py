@@ -25,7 +25,7 @@ def simple_camera(k=None, pose=None):
 def warp_one(src: CameraView, depth: ScalarField, ref_cam: Camera):
     """(warped image, mask) of one source warped into the reference camera by
     the optimizer's warp; the reference image itself is not read."""
-    ref = CameraView(Image(np.zeros(depth.data.shape)), ref_cam)
+    ref = CameraView(Image(np.zeros(depth.data.shape + (3,))), ref_cam)
     details = _warp_sources(Sample(ref, [src]), depth.data)
     return details.warped[0], details.masks[0]
 

@@ -9,13 +9,13 @@ from mvslab.grids import GridError, Image, ScalarField, forward_diff, to_graysca
 
 def test_image_shape_and_range_contract():
     Image(np.zeros((4, 5, 3)))
-    Image(np.zeros((4, 5)))  # promoted to one channel
+    for shape in ((4, 5), (4, 5, 1), (4, 5, 2)):  # RGB only
+        with pytest.raises(GridError, match="HxWx3"):
+            Image(np.zeros(shape))
     with pytest.raises(GridError):
-        Image(np.zeros((4, 5, 2)))
+        Image(np.full((3, 3, 3), 1.5))
     with pytest.raises(GridError):
-        Image(np.full((3, 3, 1), 1.5))
-    with pytest.raises(GridError):
-        Image(np.full((3, 3, 1), np.nan))
+        Image(np.full((3, 3, 3), np.nan))
 
 
 def test_scalar_field_contract():
@@ -35,7 +35,7 @@ def test_gradient_of_constant_is_zero():
 
 def test_gradient_of_horizontal_ramp():
     w = 10
-    ramp = np.tile(np.arange(w) / w, (6, 1))[:, :, None]
+    ramp = np.repeat(np.tile(np.arange(w) / w, (6, 1))[:, :, None], 3, axis=2)
     gx, gy = forward_diff(Image(ramp).data)
     assert np.allclose(gx[:, :-1], 1.0 / w)
     assert np.all(gx[:, -1] == 0)

@@ -112,13 +112,17 @@ def test_occluder_corrupts_one_view_only():
     spec = SceneSpec(geometry="plane_with_occluder", height=32, width=40,
                      n_views=6, seed=6)
     scene = gen_scene(spec)
-    assert scene.corrupted_view is not None
-    assert scene.corrupted_view in scene.occluder_masks
-    assert len(scene.occluder_masks) == 1
-    footprint = scene.occluder_masks[scene.corrupted_view]
+    assert scene.occluder is not None
+    corrupted, footprint = scene.occluder
+    assert footprint.shape == (32, 40) and footprint.dtype == bool
     assert footprint.any()
+    # every other view is the occluder-free render
+    for view in scene.views:
+        if view.view_id != corrupted:
+            clean, _, _ = synth.render_view(spec, view.camera, include_occluder=False)
+            assert np.array_equal(view.image.data, clean.data)
     # ground truth is the clean plane: every GT point lies on z=0
-    view = scene.views[scene.corrupted_view]
+    view = scene.views[corrupted]
     pts = backproject(view.camera, pixel_grid(32, 40), view.gt_depth.data)
     assert np.all(np.abs(pts[..., 2]) < 1e-6)
     # the image differs from an occluder-free render exactly on the footprint
@@ -133,11 +137,10 @@ def test_occluder_corrupts_one_view_only():
 def test_occlusion_affected_mask_nonempty():
     scene = gen_scene(SceneSpec(geometry="plane_with_occluder", height=32, width=40,
                                 n_views=6, seed=6))
-    ref, corrupted = scene.views[0], scene.corrupted_view
-    aff = claims.affected_mask(ref, [scene.views[corrupted]],
-                               [scene.occluder_masks[corrupted]])
+    ref, (corrupted, footprint) = scene.views[0], scene.occluder
+    aff = claims.affected_mask(ref, [scene.views[corrupted]], [footprint])
     assert aff.any()
-    assert 0 not in scene.occluder_masks
+    assert corrupted != 0
     none = claims.affected_mask(ref, [ref], [np.zeros((32, 40), dtype=bool)])
     assert not none.any()
 
@@ -154,13 +157,10 @@ def test_save_load_round_trip(tmp_path):
     synth.save_scene(scene, tmp_path / "scene")
     loaded = synth.load_scene(tmp_path / "scene")
     assert loaded.spec == scene.spec
-    assert loaded.corrupted_view == scene.corrupted_view
     for va, vb in zip(scene.views, loaded.views):
         assert np.array_equal(va.image.data, vb.image.data)
         assert np.allclose(va.gt_depth.data, vb.gt_depth.data, atol=1e-4)
         assert np.array_equal(va.camera.pose, vb.camera.pose)
-    for vid, mask in scene.occluder_masks.items():
-        assert np.array_equal(mask, loaded.occluder_masks[vid])
 
 
 def _edit_meta(change):
@@ -174,7 +174,6 @@ def _edit_meta(change):
 
 BAD_SCENES = {
     "unknown_spec_key": _edit_meta(lambda m: m["spec"].update(bogus=1)),
-    "no_corrupted_view": _edit_meta(lambda m: m.pop("corrupted_view")),
     "spec_not_a_table": _edit_meta(lambda m: m.update(spec=[1])),
     "not_json": lambda root: (root / "scene.json").write_text("{not json"),
     "unknown_geometry": _edit_meta(lambda m: m["spec"].update(geometry="torus")),
@@ -182,6 +181,10 @@ BAD_SCENES = {
                                       np.zeros((3, 3, 3))),
     "garbage_npy": lambda root: (root / "images" / "00000001.npy").write_bytes(b"garbage"),
     "empty_npy": lambda root: (root / "images" / "00000001.npy").write_bytes(b""),
+    "grayscale_view": lambda root: np.save(root / "images" / "00000002.npy",
+                                           np.full((24, 30), 0.5)),
+    "one_channel_view": lambda root: np.save(root / "images" / "00000002.npy",
+                                             np.full((24, 30, 1), 0.5)),
     "missing_cam": lambda root: (root / "cams" / "00000002_cam.txt").unlink(),
 }
 
