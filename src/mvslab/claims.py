@@ -31,7 +31,7 @@ def affected_mask(reference: CameraView, sources: list[CameraView],
                   footprints: list[np.ndarray]) -> np.ndarray:
     """Reference pixels whose ground-truth correspondence in some source lands,
     at the nearest pixel, on that source's footprint dilated by one pixel."""
-    gt = reference.gt_depth.data
+    gt = reference.gt_depth
     grid = pixel_grid(*gt.shape)
     affected = np.zeros(gt.shape, dtype=bool)
     for view, footprint in zip(sources, footprints):
@@ -64,7 +64,7 @@ def icc_trial(seed: int) -> dict:
     for arm, weight in (("consistency", 400.0), ("no_consistency", 0.0)):
         opt = OptimizerConfig(image_consist_weight=weight)
         depth, _ = optimize_contrastive(occluded, "image_contrastive", state, start, opt)
-        err = np.abs(depth.data - reference.gt_depth.data)
+        err = np.abs(depth - reference.gt_depth)
         arms[arm] = float(np.median(err[affected]))
     return _record("icc", seed, "median_abs_err_affected_mm", arms,
                    arms["no_consistency"] - arms["consistency"])
@@ -96,7 +96,7 @@ def scc_trial(seed: int) -> dict | None:
     for arm, weight in (("consistency", 400.0), ("no_consistency", 0.0)):
         opt = OptimizerConfig(weights=LossWeights(scene_consist=weight))
         depth, _ = optimize_contrastive(sc, "scene_contrastive", state, start, opt)
-        err = np.abs(depth.data - reference.gt_depth.data)
+        err = np.abs(depth - reference.gt_depth)
         arms[arm] = float(np.median(err[affected]))
     return _record("scc", seed, "median_abs_err_affected_mm", arms,
                    arms["no_consistency"] - arms["consistency"])
@@ -130,13 +130,13 @@ def norm_trial(seed: int) -> dict:
     reference = scene.views[0]
     regular = _contaminate_sources(synth.regular_sample(scene, 0, N_VIEWS), 0.20, seed + 600)
     final = cascade_infer(regular)
-    prob = final.prob_map.data
+    prob = final.prob_map
     top80 = prob >= np.quantile(prob, 0.2)
     arms = {}
     for arm, exponent in (("l0.5", 0.5), ("l1", 1.0)):
         opt = OptimizerConfig(iterations=60, norm=NormKind(exponent))
         depth = optimize_regular(regular, final.depth, opt)[-1][0]
-        err = np.abs(depth.data - reference.gt_depth.data)
+        err = np.abs(depth - reference.gt_depth)
         arms[arm] = float((err[top80] <= 2.0).mean())
     return _record("norm", seed, "frac_within_2mm_confident", arms,
                    arms["l0.5"] - arms["l1"])

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import claims, depthopt, fileio, fusion, planesweep, sampling, synth
 from .config import RunConfig, load_config
-from .grids import ScalarField
 from .sampling import N_VIEWS
 
 EVAL_CAVEAT = ("note: published benchmark tables for this method come from "
@@ -60,12 +59,11 @@ def cmd_infer(args, cfg: RunConfig) -> int:
         final = planesweep.cascade_infer(sample)
         fileio.write_pfm(out / f"{ref_id:08d}_depth.pfm", final.depth)
         fileio.write_pfm(out / f"{ref_id:08d}_prob.pfm", final.prob_map)
-        fileio.write_pfm(out / f"{ref_id:08d}_conf.pfm",
-                         ScalarField(final.conf_mask.astype(np.float64)))
+        fileio.write_pfm(out / f"{ref_id:08d}_conf.pfm", final.conf_mask.astype(np.float64))
         rec = {"view": ref_id, "sources": sample.source_ids(),
                "conf_fraction": final.conf_mask.mean()}
         gt = scene.views[ref_id].gt_depth
-        rec["median_abs_err_mm"] = float(np.median(np.abs(final.depth.data - gt.data)))
+        rec["median_abs_err_mm"] = float(np.median(np.abs(final.depth - gt)))
         rec["frac_within_2mm"] = fusion.depth_metrics(final.depth, gt)[2.0]
         records.append(rec)
     fileio.write_records(out / "records.jsonl", records)
@@ -87,8 +85,7 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
     fileio.write_records(out / "loss_history.jsonl", state.history)
     for name, short in depthopt.BRANCHES.items():
         fileio.write_pfm(out / f"depth_{short}.pfm", state.depths[name])
-    fileio.write_pfm(out / "conf_mask.pfm",
-                     ScalarField(state.targets[-1][1].astype(np.float64)))
+    fileio.write_pfm(out / "conf_mask.pfm", state.targets[-1][1].astype(np.float64))
     fileio.write_records(out / "final_report.jsonl", [report])
     print(f"optimized 3 branches for view {args.ref}; total={report['total']:.6f}")
     return 0
@@ -148,9 +145,8 @@ def _gt_cloud(scene, stride: int = 2) -> np.ndarray:
     pts = []
     for view in scene.views:
         gt = view.gt_depth
-        grid = pixel_grid(gt.height, gt.width)[::stride, ::stride]
-        pts.append(backproject(view.camera, grid,
-                               gt.data[::stride, ::stride]).reshape(-1, 3))
+        grid = pixel_grid(*gt.shape)[::stride, ::stride]
+        pts.append(backproject(view.camera, grid, gt[::stride, ::stride]).reshape(-1, 3))
     return np.concatenate(pts)
 
 
@@ -301,7 +297,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
         return args.fn(args, cfg)
     except Exception as exc:  # surface a diagnostic, not a traceback
-        print(f"error: {exc}", file=sys.stderr)
+        # the package's own errors and OSErrors say what failed; name any other class
+        typed = isinstance(exc, OSError) or type(exc).__module__.startswith("mvslab.")
+        print(f"error: {exc}" if typed else f"error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import BilinearCells, Camera, CameraView, ray_jacobian, warp_image
-from .grids import Image, ScalarField
+from .grids import Image
 from .losses import (LossError, LossWeights, NormKind, PhotometricResidual,
                      branch_consistency, photometric_consistency_arrays,
                      photometric_residual, smoothness_loss, ssim_loss_arrays)
@@ -43,7 +43,7 @@ class BranchLossConfig:
     weight_ssim: float = 0.0
     weight_smooth: float = 0.0
     weight_consist: float = 0.0
-    consist_target: ScalarField | None = None
+    consist_target: np.ndarray | None = None  # (H, W) float64, mm
     consist_mask: np.ndarray | None = None  # (H, W) bool
 
 
@@ -90,34 +90,33 @@ def _add_chain(sample: Sample, details: WarpDetails) -> None:
         details.chain.append((gu * jac[:, :, 0:1] + gv * jac[:, :, 1:2]) * mask[:, :, None])
 
 
-def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
+def _evaluate(sample: Sample, depth: np.ndarray, cfg: BranchLossConfig,
               with_grad: bool, details: WarpDetails | None = None,
               residuals: list[PhotometricResidual] | None = None):
     """The one loss evaluator; with_grad=False is the cheap path the FD oracle
     uses. Warps the sources unless a warp of this depth is given as details;
     a gradient evaluation adds the chain to the warp. residuals, the
     photometric residuals of that warp, are computed here when not given."""
-    d = depth.data
     if cfg.weight_photo > 0 or cfg.weight_ssim > 0:
         if details is None:
-            details = _warp_sources(sample, d)
+            details = _warp_sources(sample, depth)
         if with_grad:
             _add_chain(sample, details)
     parts = dict.fromkeys(("photo", "ssim", "smooth", "consist"), 0.0)
-    grad = np.zeros_like(d) if with_grad else None
+    grad = np.zeros_like(depth) if with_grad else None
 
     if cfg.weight_photo > 0:
         parts["photo"], image_grads = photometric_consistency_arrays(
             residuals or _photo_residuals(sample, details), cfg.norm, need_grads=with_grad)
         if with_grad:
-            g = np.zeros_like(d)
+            g = np.zeros_like(depth)
             for img_grad, chain in zip(image_grads, details.chain):
                 g += (img_grad * chain).sum(axis=2)
             grad += cfg.weight_photo * g
 
     if cfg.weight_ssim > 0:
         vals = []
-        g_ssim = np.zeros_like(d) if with_grad else None
+        g_ssim = np.zeros_like(depth) if with_grad else None
         for i, (rec, m) in enumerate(zip(details.warped, details.masks)):
             if not m.any():
                 continue
@@ -148,70 +147,63 @@ def _evaluate(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
     return total, grad, parts, details
 
 
-def loss_grad_wrt_depth(sample: Sample, depth: ScalarField, cfg: BranchLossConfig):
+def loss_grad_wrt_depth(sample: Sample, depth: np.ndarray, cfg: BranchLossConfig):
     """Analytic total loss, per-pixel d(loss)/d(depth) in 1/mm, the loss parts
     and the warp: (total, grad, parts, details)."""
     return _evaluate(sample, depth, cfg, with_grad=True)
 
 
-def _rewarp_pixel(sample: Sample, details: WarpDetails, depth: np.ndarray,
-                  v: int, u: int) -> None:
-    """Overwrite pixel (v, u) of details.warped and details.masks with its warp
-    at depth[v, u]: a pixel's warp reads its own depth and no other."""
-    d = depth[v:v + 1, u:u + 1]
-    for (a, c), view, warped, mask in zip(sample.rays, sample.sources,
-                                          details.warped, details.masks):
-        pixel, inside = warp_image(a[v:v + 1, u:u + 1], c, view.image.data, d)[:2]
-        warped[v, u] = pixel[0, 0]
-        mask[v, u] = inside[0, 0]
+def _copy_pixel(dst: WarpDetails, src: WarpDetails, v: int, u: int) -> None:
+    """Overwrite pixel (v, u) of dst.warped and dst.masks with src's."""
+    for dst_w, dst_m, src_w, src_m in zip(dst.warped, dst.masks, src.warped, src.masks):
+        dst_w[v, u] = src_w[v, u]
+        dst_m[v, u] = src_m[v, u]
 
 
-def _multi_values(sample: Sample, depth_arr: np.ndarray,
+def _multi_values(sample: Sample, depth: np.ndarray,
                   cfgs: dict[str, BranchLossConfig],
                   details: WarpDetails | None) -> dict[str, float]:
     """Loss values of several configs at one depth field whose warp is details
     (None when no config reads a warp), computing the photometric residuals
     once for every norm."""
-    depth = ScalarField(depth_arr)
     residuals = (list(_photo_residuals(sample, details))
                  if any(c.weight_photo > 0 for c in cfgs.values()) else None)
     return {name: _evaluate(sample, depth, cfg, False, details, residuals)[0]
             for name, cfg in cfgs.items()}
 
 
-def finite_diff_grad_multi(sample: Sample, depth: ScalarField,
+def finite_diff_grad_multi(sample: Sample, depth: np.ndarray,
                            cfgs: dict[str, BranchLossConfig], h: float
                            ) -> dict[str, np.ndarray]:
     """Central finite differences of the total loss of several configs in one
     pixel sweep, equal bit for bit to a full evaluation per perturbation and
-    config. The sources are warped once; each perturbation re-warps only the
-    moved pixel, which is restored from the base warp afterwards."""
+    config. The sources are warped three times, at depth, depth + h and
+    depth - h. The warp is elementwise, so pixel (v, u) of the shifted warps
+    is that pixel's warp when only it moves: each perturbation copies the
+    moved pixel from one of them and restores it from the base warp."""
     if not (np.isfinite(h) and h > 0):
         raise LossError(f"finite difference step must be positive and finite, got {h}")
-    base = depth.data
-    base_warp = None
+    warps = [None] * 3  # at depth, depth + h and depth - h
     warp = None
     if any(c.weight_photo > 0 or c.weight_ssim > 0 for c in cfgs.values()):
-        base_warp = _warp_sources(sample, base)
+        warps = [_warp_sources(sample, d) for d in (depth, depth + h, depth - h)]
         # the patched copy carries what the value path reads
-        warp = WarpDetails([w.copy() for w in base_warp.warped],
-                           [m.copy() for m in base_warp.masks], [], [])
-    grads = {name: np.zeros_like(base) for name in cfgs}
-    work = base.copy()
-    for v in range(base.shape[0]):
-        for u in range(base.shape[1]):
+        warp = WarpDetails([w.copy() for w in warps[0].warped],
+                           [m.copy() for m in warps[0].masks], [], [])
+    grads = {name: np.zeros_like(depth) for name in cfgs}
+    work = depth.copy()
+    for v in range(depth.shape[0]):
+        for u in range(depth.shape[1]):
             d0 = work[v, u]
             values = []
-            for d in (d0 + h, d0 - h):
+            for d, moved in zip((d0 + h, d0 - h), warps[1:]):
                 work[v, u] = d
                 if warp is not None:
-                    _rewarp_pixel(sample, warp, work, v, u)
+                    _copy_pixel(warp, moved, v, u)
                 values.append(_multi_values(sample, work, cfgs, warp))
             work[v, u] = d0
             if warp is not None:
-                for i in range(len(warp.warped)):
-                    warp.warped[i][v, u] = base_warp.warped[i][v, u]
-                    warp.masks[i][v, u] = base_warp.masks[i][v, u]
+                _copy_pixel(warp, warps[0], v, u)
             plus, minus = values
             for name in cfgs:
                 grads[name][v, u] = (plus[name] - minus[name]) / (2.0 * h)
@@ -250,7 +242,7 @@ def _compare_grads(a: np.ndarray, f: np.ndarray) -> AuditReport:
     return AuditReport(a.size, int(passed.sum()), max_rel)
 
 
-def audit_case(sample: Sample, depth: ScalarField,
+def audit_case(sample: Sample, depth: np.ndarray,
                cfgs: dict[str, BranchLossConfig], h: float = 3e-4
                ) -> dict[str, AuditReport]:
     """Compare the analytic gradient of each loss term against central finite
@@ -265,11 +257,14 @@ def audit_case(sample: Sample, depth: ScalarField,
 
 @dataclass
 class AuditCase:
+    """A gradient-audit configuration: the depth and both targets are (H, W)
+    float64 maps in mm, the masks (H, W) bool."""
+
     sample: Sample
-    depth: ScalarField
-    icc_target: ScalarField
+    depth: np.ndarray
+    icc_target: np.ndarray
     icc_mask: np.ndarray
-    scc_target: ScalarField
+    scc_target: np.ndarray
     scc_mask: np.ndarray
 
     def configs(self) -> dict[str, BranchLossConfig]:
@@ -322,9 +317,9 @@ def random_audit_case(seed: int, h: int = 32, w: int = 40) -> AuditCase:
     views = [CameraView(smooth_image(), cam, view_id=i) for i, cam in enumerate(cams)]
     sample = Sample(views[0], views[1:])
 
-    depth = ScalarField(smooth_field(120.0, 600.0))
-    icc_target = ScalarField(depth.data + 5.0 + smooth_field(30.0, 0.0))
-    scc_target = ScalarField(depth.data - 3.0 + smooth_field(40.0, 0.0))
+    depth = smooth_field(120.0, 600.0)
+    icc_target = depth + 5.0 + smooth_field(30.0, 0.0)
+    scc_target = depth - 3.0 + smooth_field(40.0, 0.0)
     icc_mask = rng.random((h, w)) < 0.75
     scc_mask = rng.random((h, w)) < 0.6
     return AuditCase(sample, depth, icc_target, icc_mask, scc_target, scc_mask)
@@ -354,11 +349,11 @@ class OptimizerConfig:
 
 @dataclass
 class OptState:
-    depths: dict[str, ScalarField]
+    depths: dict[str, np.ndarray]
     history: list[dict]  # one record per iteration
     # per iteration, the regular depth after its step and the confidence mask:
     # what a contrastive branch is pulled toward at that iteration
-    targets: list[tuple[ScalarField, np.ndarray]]
+    targets: list[tuple[np.ndarray, np.ndarray]]
 
 
 # branch name -> the short name of its history keys and depth files, in the
@@ -367,7 +362,7 @@ BRANCHES = {"regular": "reg", "image_contrastive": "ic", "scene_contrastive": "s
 
 
 def _branch_cfg(opt: OptimizerConfig, branch: str,
-                target: ScalarField | None, mask: np.ndarray | None) -> BranchLossConfig:
+                target: np.ndarray | None, mask: np.ndarray | None) -> BranchLossConfig:
     w = opt.weights
     base = BranchLossConfig(norm=opt.norm, weight_photo=w.photo,
                             weight_ssim=w.ssim, weight_smooth=w.smooth)
@@ -379,12 +374,12 @@ def _branch_cfg(opt: OptimizerConfig, branch: str,
                    consist_mask=mask)
 
 
-def _descend(sample: Sample, branch: str, depth: ScalarField,
-             cfgs: Iterable[BranchLossConfig]) -> Iterator[tuple[ScalarField, dict]]:
+def _descend(sample: Sample, branch: str, depth: np.ndarray,
+             cfgs: Iterable[BranchLossConfig]) -> Iterator[tuple[np.ndarray, dict]]:
     """Normalized gradient descent on one branch's depth, one backtracking step
     per config: yields the depth after each step and the step's history keys."""
-    if depth.data.shape != sample.reference.image.data.shape[:2]:
-        raise SamplingError(f"start depth is {depth.data.shape}, the reference image is "
+    if depth.shape != sample.reference.image.data.shape[:2]:
+        raise SamplingError(f"start depth is {depth.shape}, the reference image is "
                             f"{sample.reference.image.data.shape[:2]}")
     cam = sample.reference.camera
     init_step = step = INIT_STEP_INTERVAL_SCALE * final_interval(cam)
@@ -401,8 +396,7 @@ def _descend(sample: Sample, branch: str, depth: ScalarField,
             direction = grad / scale
             trial = step
             for attempt in range(MAX_HALVINGS + 1):
-                cand = ScalarField(np.clip(depth.data - trial * direction,
-                                           cam.depth_min, cam.depth_max))
+                cand = np.clip(depth - trial * direction, cam.depth_min, cam.depth_max)
                 new_val, _, new_parts, new_warp = _evaluate(sample, cand, cfg, False)
                 if not np.isfinite(new_val):
                     raise OptimizationDiverged(
@@ -424,8 +418,8 @@ def _descend(sample: Sample, branch: str, depth: ScalarField,
         yield depth, keys
 
 
-def optimize_regular(sample: Sample, depth: ScalarField,
-                     opt_cfg: OptimizerConfig | None = None) -> list[tuple[ScalarField, dict]]:
+def optimize_regular(sample: Sample, depth: np.ndarray,
+                     opt_cfg: OptimizerConfig | None = None) -> list[tuple[np.ndarray, dict]]:
     """Descent on the regular branch from depth, opt_cfg.iterations steps: the depth
     after each step and its history keys. It reads no confidence mask; nothing is swept."""
     opt = opt_cfg or OptimizerConfig()
@@ -434,8 +428,8 @@ def optimize_regular(sample: Sample, depth: ScalarField,
 
 
 def optimize_contrastive(sample: Sample, branch: str, regular: OptState,
-                         depth: ScalarField, opt_cfg: OptimizerConfig | None = None
-                         ) -> tuple[ScalarField, list[dict]]:
+                         depth: np.ndarray, opt_cfg: OptimizerConfig | None = None
+                         ) -> tuple[np.ndarray, list[dict]]:
     """Descent on one contrastive branch from depth, one step per target of
     the regular run; opt_cfg.iterations is not read. At each iteration the
     branch is pulled toward the regular depth after that iteration's step, a

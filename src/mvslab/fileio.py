@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Camera, GeometryError
-from .grids import GridError, ScalarField
 
 
 class FileFormatError(ValueError):
@@ -71,17 +70,25 @@ def read_cam(path) -> Camera:
         raise FileFormatError(f"invalid camera: {exc}") from exc
 
 
-def write_pfm(path, field: ScalarField) -> None:
-    """Grayscale PFM, little-endian (negative scale), bottom-to-top rows."""
-    data = field.data.astype("<f4")
+def write_pfm(path, field: np.ndarray) -> None:
+    """Grayscale PFM, little-endian (negative scale), bottom-to-top rows, of a
+    non-empty (H, W) map; a map read_pfm would reject raises FileFormatError."""
+    if field.ndim != 2 or field.size == 0:
+        raise FileFormatError(f"a PFM map must be a non-empty (H, W) array, got {field.shape}")
+    if not np.all(np.abs(field) <= np.finfo(np.float32).max):  # False for NaN too
+        raise FileFormatError("PFM values must be finite in float32")
+    data = field.astype("<f4")
+    h, w = data.shape
     with open(path, "wb") as f:
         f.write(b"Pf\n")
-        f.write(f"{field.width} {field.height}\n".encode("ascii"))
+        f.write(f"{w} {h}\n".encode("ascii"))
         f.write(b"-1.0\n")
         f.write(np.flipud(data).tobytes())
 
 
-def read_pfm(path) -> ScalarField:
+def read_pfm(path) -> np.ndarray:
+    """The (H, W) float64 map of a grayscale PFM; a malformed file or a
+    non-finite value raises FileFormatError."""
     with open(path, "rb") as f:
         magic = f.readline().rstrip()
         if magic == b"PF":
@@ -99,11 +106,10 @@ def read_pfm(path) -> ScalarField:
     if len(payload) != 4 * w * h:
         raise FileFormatError(f"PFM payload of {len(payload)} bytes, expected 4 * {w} * {h}")
     endian = "<" if scale < 0 else ">"
-    data = np.frombuffer(payload, dtype=endian + "f4").reshape(h, w)
-    try:
-        return ScalarField(np.flipud(data).astype(np.float64))
-    except GridError as exc:
-        raise FileFormatError(f"invalid PFM values: {exc}") from exc
+    data = np.flipud(np.frombuffer(payload, dtype=endian + "f4").reshape(h, w))
+    if not np.all(np.isfinite(data)):
+        raise FileFormatError("PFM values must be finite")
+    return data.astype(np.float64)
 
 
 def write_pair_file(path, pair_scores: dict[int, list[tuple[int, float]]]) -> None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Camera, backproject, nearest_pixel, pixel_grid, project_with_depth
-from .grids import Image, ScalarField
+from .grids import Image
 
 
 DEPTH_THRESHOLDS_MM = (2.0, 4.0, 8.0)  # depth_metrics' inlier thresholds
@@ -39,17 +39,17 @@ class FusionConfig:
 @dataclass
 class DepthView:
     """Per-view fused inputs: estimated depth, its probability map, camera,
-    and the reference image for point colors."""
+    and the reference image for point colors. The maps are (H, W) float64
+    arrays of the image's shape."""
 
-    depth: ScalarField
-    prob_map: ScalarField
+    depth: np.ndarray
+    prob_map: np.ndarray
     camera: Camera
     image: Image
     view_id: int = 0
 
     def __post_init__(self):
-        shapes = [self.depth.data.shape, self.prob_map.data.shape,
-                  self.image.data.shape[:2]]
+        shapes = [self.depth.shape, self.prob_map.shape, self.image.data.shape[:2]]
         if len(set(shapes)) > 1:
             raise FusionError(f"view {self.view_id}: depth, prob_map and image "
                               f"disagree in shape: {shapes}")
@@ -73,15 +73,14 @@ def _pairwise_consistency(ref: DepthView, other: DepthView, cfg: FusionConfig):
     (match mask under the reprojection / relative-depth gate, matched pixel
     coords in other, matched world points).
     """
-    h, w = ref.depth.height, ref.depth.width
-    grid = pixel_grid(h, w)
-    d_ref = ref.depth.data
+    grid = pixel_grid(*ref.depth.shape)
+    d_ref = ref.depth
     pos = d_ref > 0
     uv, _, front = project_with_depth(grid, np.where(pos, d_ref, 1.0),
                                       ref.camera, other.camera)
-    uc, vc, inside = nearest_pixel(uv, other.depth.height, other.depth.width)
+    uc, vc, inside = nearest_pixel(uv, *other.depth.shape)
     inb = front & pos & inside
-    d_other = other.depth.data[vc, uc]
+    d_other = other.depth[vc, uc]
     pix_other = np.stack([uc, vc], axis=-1).astype(np.float64)
     world = backproject(other.camera, pix_other, d_other)
     uv_r, z_r, front_r = project_with_depth(pix_other, d_other, other.camera, ref.camera)
@@ -107,7 +106,7 @@ def fuse_point_cloud(views: list[DepthView], cfg: FusionConfig
     if len({v.view_id for v in views}) != len(views):
         raise FusionError("view ids must be unique")
     order = sorted(range(len(views)), key=lambda i: views[i].view_id)
-    consumed = [np.zeros(v.depth.data.shape, dtype=bool) for v in views]
+    consumed = [np.zeros(v.depth.shape, dtype=bool) for v in views]
     masks: list[np.ndarray | None] = [None] * len(views)
     all_pts, all_cols, all_prov = [], [], []
     for i in order:
@@ -115,14 +114,13 @@ def fuse_point_cloud(views: list[DepthView], cfg: FusionConfig
         pairs = [(j, *_pairwise_consistency(ref, views[j], cfg))
                  for j in order if j != i]
         count = np.sum([match for _, match, _, _ in pairs], axis=0)
-        masks[i] = ((ref.prob_map.data > cfg.conf_threshold)
+        masks[i] = ((ref.prob_map > cfg.conf_threshold)
                     & (count >= cfg.min_consistent_views))
         alive = masks[i] & ~consumed[i]
         if not alive.any():
             continue
-        h, w = ref.depth.height, ref.depth.width
-        acc = backproject(ref.camera, pixel_grid(h, w), ref.depth.data)
-        n_acc = np.ones((h, w))
+        acc = backproject(ref.camera, pixel_grid(*ref.depth.shape), ref.depth)
+        n_acc = np.ones(ref.depth.shape)
         for j, match, pix_other, world in pairs:
             match = match & alive
             acc += np.where(match[..., None], world, 0.0)
@@ -146,13 +144,12 @@ def fuse_point_cloud(views: list[DepthView], cfg: FusionConfig
     return cloud, masks
 
 
-def depth_metrics(depth: ScalarField, gt: ScalarField) -> dict[float, float]:
+def depth_metrics(depth: np.ndarray, gt: np.ndarray) -> dict[float, float]:
     """Fraction of pixels with |depth - gt| <= threshold, for each of
     DEPTH_THRESHOLDS_MM."""
-    if depth.data.shape != gt.data.shape:
-        raise FusionError(f"depth {depth.data.shape} and gt {gt.data.shape} "
-                          f"disagree in shape")
-    err = np.abs(depth.data - gt.data)
+    if depth.shape != gt.shape:
+        raise FusionError(f"depth {depth.shape} and gt {gt.shape} disagree in shape")
+    err = np.abs(depth - gt)
     return {t: float((err <= t).mean()) for t in DEPTH_THRESHOLDS_MM}
 
 

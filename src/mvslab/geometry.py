@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import GridError, Image, ScalarField
+from .grids import GridError, Image
 
 EPS_Z = 1e-3  # mm; guard against points at/behind the source camera plane
 
@@ -87,7 +87,7 @@ class CameraView:
 
     image: Image
     camera: Camera
-    gt_depth: ScalarField | None = None
+    gt_depth: np.ndarray | None = None  # (H, W) float64, mm
     view_id: int = 0
 
     def __post_init__(self):
@@ -95,7 +95,7 @@ class CameraView:
         if not (0.0 <= cx <= self.image.width - 1 and 0.0 <= cy <= self.image.height - 1):
             raise GeometryError("principal point must lie inside the image")
         if self.gt_depth is not None:
-            if (self.gt_depth.height, self.gt_depth.width) != (self.image.height, self.image.width):
+            if self.gt_depth.shape != self.image.data.shape[:2]:
                 raise GeometryError("gt depth shape must match the image")
 
 

@@ -1,5 +1,6 @@
-"""Dense grid containers shared by the whole pipeline, plus the forward-difference
-operator the losses and the cascade rely on."""
+"""The RGB image container shared by the whole pipeline, plus the
+forward-difference operator the losses and the cascade rely on. Depth,
+probability and consistency maps are plain (H, W) float64 arrays."""
 
 from __future__ import annotations
 
@@ -12,13 +13,6 @@ class GridError(ValueError):
     """A grid violates its shape or value contract."""
 
 
-def _finite_float(data, name: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise GridError(f"{name} data must be finite")
-    return arr
-
-
 @dataclass
 class Image:
     """H x W x 3 RGB intensity grid, values in [0, 1]."""
@@ -26,34 +20,15 @@ class Image:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _finite_float(self.data, "image")
+        arr = np.asarray(self.data, dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise GridError("image data must be finite")
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise GridError(f"image must be HxWx3, got shape {arr.shape}")
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise GridError("image values must lie in [0, 1]")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise GridError("image must be at least 1x1")
-        self.data = arr
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass
-class ScalarField:
-    """H x W grid of finite scalars (mm for depth, dimensionless otherwise)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = _finite_float(self.data, "scalar field")
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise GridError(f"scalar field must be HxW, got shape {arr.shape}")
         self.data = arr
 
     @property

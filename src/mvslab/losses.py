@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .grids import ScalarField, forward_diff
+from .grids import forward_diff
 
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
@@ -215,19 +215,18 @@ def edge_weights(ref_diffs: tuple[np.ndarray, np.ndarray]
     return np.exp(-np.abs(gx_i).mean(axis=2)), np.exp(-np.abs(gy_i).mean(axis=2))
 
 
-def smoothness_loss(depth: ScalarField, weights: tuple[np.ndarray, np.ndarray]
+def smoothness_loss(depth: np.ndarray, weights: tuple[np.ndarray, np.ndarray]
                     ) -> tuple[float, np.ndarray]:
     """Edge-aware first-order smoothness of the mean-normalized depth, weighted
     by the reference's edge_weights. Returns the value and dL/d(depth),
     including the coupling through the normalizing mean."""
-    d = depth.data
-    mean_d = d.mean()
+    mean_d = depth.mean()
     if mean_d <= 0:
         raise LossError("smoothness requires a positive mean depth")
-    dn = d / mean_d
+    dn = depth / mean_d
     gx_d, gy_d = forward_diff(dn)
     wx, wy = weights
-    n = d.size
+    n = depth.size
     value = float((np.abs(gx_d) * wx + np.abs(gy_d) * wy).mean())
     # dF/d(normalized depth) via the forward-difference adjoint
     sx = np.sign(gx_d) * wx / n
@@ -235,12 +234,12 @@ def smoothness_loss(depth: ScalarField, weights: tuple[np.ndarray, np.ndarray]
     g_dn = -sx - sy
     g_dn[:, 1:] += sx[:, :-1]
     g_dn[1:, :] += sy[:-1, :]
-    # chain through dn = d / mean(d)
-    grad = g_dn / mean_d - (g_dn * d).sum() / (mean_d * mean_d * n)
+    # chain through dn = depth / mean(depth)
+    grad = g_dn / mean_d - (g_dn * depth).sum() / (mean_d * mean_d * n)
     return value, grad
 
 
-def branch_consistency(target: ScalarField, branch: ScalarField,
+def branch_consistency(target: np.ndarray, branch: np.ndarray,
                        mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean absolute difference between two branch depth maps under a bool
     mask, and its gradient with respect to the branch.
@@ -248,12 +247,12 @@ def branch_consistency(target: ScalarField, branch: ScalarField,
     The target is detached pseudo-supervision: only the branch gets a
     gradient. An empty confidence mask contributes zero, not an error.
     """
-    if target.data.shape != branch.data.shape or mask.shape != branch.data.shape:
+    if target.shape != branch.shape or mask.shape != branch.shape:
         raise LossError("branch consistency shapes must match")
     msum = float(mask.sum())
     if msum == 0:
-        return 0.0, np.zeros_like(branch.data)
-    diff = target.data - branch.data
+        return 0.0, np.zeros_like(branch)
+    diff = target - branch
     value = float((np.abs(diff) * mask).sum() / msum)
     return value, -np.sign(diff) * mask / msum
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
 from .geometry import Camera, pixel_grid, resize_bilinear, warp_image, warp_rays
-from .grids import Image, ScalarField, forward_diff, to_grayscale
+from .grids import Image, forward_diff, to_grayscale
 from .sampling import Sample
 
 
@@ -68,12 +68,12 @@ class HypothesisSet:
 
 @dataclass
 class StageResult:
-    depth: ScalarField
-    prob_map: ScalarField
+    depth: np.ndarray  # (h, w) float64, mm
+    prob_map: np.ndarray  # (h, w) float64
     conf_mask: np.ndarray  # (h, w) bool
 
 
-def build_hypotheses(cam: Camera, stage: int, prev_depth: ScalarField | None,
+def build_hypotheses(cam: Camera, stage: int, prev_depth: np.ndarray | None,
                      h: int, w: int) -> HypothesisSet:
     """Stage-1: uniform sweep of the camera depth range. Later stages: a
     fixed-count window centered on the upsampled previous depth, shifted (not
@@ -88,7 +88,7 @@ def build_hypotheses(cam: Camera, stage: int, prev_depth: ScalarField | None,
     if prev_depth is None:
         raise PlaneSweepError(f"stage {stage} requires the previous stage depth")
     spacing = REFINE_INTERVAL_SCALES[stage - 2] * final_interval(cam)
-    center = resize_bilinear(prev_depth.data, h, w)
+    center = resize_bilinear(prev_depth, h, w)
     width = spacing * (count - 1)  # at most 124/191 of the range, so it fits
     start = np.clip(center - width / 2.0, lo, hi - width)
     values = start[None, :, :] + spacing * np.arange(count)[:, None, None]
@@ -205,30 +205,30 @@ def regularize_and_softmax(cost: np.ndarray, cfg: SweepConfig) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def regress_depth(prob: np.ndarray, hyps: HypothesisSet) -> ScalarField:
+def regress_depth(prob: np.ndarray, hyps: HypothesisSet) -> np.ndarray:
     if prob.shape != hyps.values.shape:
         raise PlaneSweepError("probability and hypothesis shapes must match")
-    return ScalarField((prob * hyps.values).sum(axis=0))
+    return (prob * hyps.values).sum(axis=0)
 
 
 def probability_and_confidence(prob: np.ndarray, hyps: HypothesisSet,
-                               depth: ScalarField, conf_threshold: float
-                               ) -> tuple[ScalarField, np.ndarray]:
+                               depth: np.ndarray, conf_threshold: float
+                               ) -> tuple[np.ndarray, np.ndarray]:
     """Probability mass over the 4 hypotheses nearest the regressed depth,
     window clamped at the ends of the hypothesis range, and its binary gate."""
     if hyps.count < 4:
         raise PlaneSweepError(f"the confidence window needs 4 hypotheses, got {hyps.count}")
-    t = (depth.data - hyps.values[0]) / hyps.spacing
+    t = (depth - hyps.values[0]) / hyps.spacing
     start = np.clip(np.floor(t).astype(int) - 1, 0, hyps.count - 4)
     csum = np.concatenate([np.zeros((1,) + prob.shape[1:]), np.cumsum(prob, axis=0)], axis=0)
-    rows, cols = np.indices(depth.data.shape)
+    rows, cols = np.indices(depth.shape)
     pm = csum[start + 4, rows, cols] - csum[start, rows, cols]
     pm = np.clip(pm, 0.0, 1.0)
-    return ScalarField(pm), pm > conf_threshold
+    return pm, pm > conf_threshold
 
 
 def _stage_volume(sample: Sample, stage: int, cfg: SweepConfig,
-                  prev_depth: ScalarField | None) -> tuple[np.ndarray, HypothesisSet]:
+                  prev_depth: np.ndarray | None) -> tuple[np.ndarray, HypothesisSet]:
     """One stage at its resolution: hypotheses from the reference camera's
     range (stage 1) or around prev_depth, features of every view warped onto
     them, correlation and softmax. Returns (probability volume, hypotheses)."""
@@ -261,8 +261,8 @@ def cascade_infer(sample: Sample, cfg: SweepConfig | None = None) -> StageResult
     return StageResult(depth, *probability_and_confidence(prob, hyps, depth, CONF_THRESHOLD))
 
 
-def refresh_confidence(sample: Sample, depth: ScalarField, cfg: SweepConfig
-                       ) -> tuple[ScalarField, np.ndarray]:
+def refresh_confidence(sample: Sample, depth: np.ndarray, cfg: SweepConfig
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Re-evaluate the final sweep stage with hypotheses centered on the given
     depth field and read the confidence off the fresh probability volume."""
     prob, hyps = _stage_volume(sample, len(STAGE_COUNTS), cfg, depth)

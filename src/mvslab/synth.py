@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fileio
 from .geometry import Camera, CameraView, pixel_grid, project_with_depth
-from .grids import Image, ScalarField
+from .grids import Image
 from .sampling import (Sample, SamplingError, make_image_contrastive,
                        make_scene_contrastive, select_regular_views)
 
@@ -231,12 +231,10 @@ def _shade(points, normals, albedo, view_dir, specular: float):
     return np.clip(col, 0.0, 1.0)
 
 
-def _trace(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
-           include_occluder: bool):
-    """(shaded color, depth, occluder hit) for a bundle of rays X = C + t*d,
-    where t is the camera-frame z because d is built with unit z-component."""
-    shape = dirs.shape[:-1]
-    best_t = np.full(shape, np.inf)
+def _nearest_hit(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray):
+    """(depth, normal) of the nearest solid along each ray X = C + t*d, where
+    t is the camera-frame z because d is built with unit z-component."""
+    best_t = np.full(dirs.shape[:-1], np.inf)
     normals = np.zeros(dirs.shape)
     for fn in _scene_solids(spec):
         t, n = fn(origin, dirs)
@@ -245,12 +243,19 @@ def _trace(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
         normals = np.where(closer[..., None], n, normals)
     if not np.all(np.isfinite(best_t)):
         raise SceneError("camera placement leaves rays that miss the scene")
+    return best_t, normals
+
+
+def _trace(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
+           include_occluder: bool):
+    """(shaded color, depth, occluder hit) for a bundle of rays."""
+    best_t, normals = _nearest_hit(spec, origin, dirs)
     points = origin + best_t[..., None] * dirs
     albedo = _albedo(points, spec)
     view_dir = origin - points
     view_dir = view_dir / np.linalg.norm(view_dir, axis=-1, keepdims=True)
     img = _shade(points, normals, albedo, view_dir, spec.specular_strength)
-    occ_hit = np.zeros(shape, dtype=bool)
+    occ_hit = np.zeros(best_t.shape, dtype=bool)
     if include_occluder:
         t_occ, n_occ = _intersect_occluder(origin, dirs)
         occ_hit = t_occ < best_t
@@ -263,7 +268,8 @@ def _trace(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
 
 
 def render_view(spec: SceneSpec, cam: Camera, include_occluder: bool = False):
-    """Trace one view; returns (Image, gt ScalarField, (H, W) bool occluder mask).
+    """Trace one view; returns (Image, (H, W) float64 gt depth in mm, (H, W)
+    bool occluder mask).
 
     Colors are 2x2 supersampled so texture edges stay consistent between
     views; the ground-truth depth is the exact center-ray depth. The phantom
@@ -289,8 +295,8 @@ def render_view(spec: SceneSpec, cam: Camera, include_occluder: bool = False):
             img += sub_img
             occ_votes += sub_occ
     img /= 4.0
-    _, depth, _ = _trace(spec, origin, world_dirs(0.0, 0.0), include_occluder)
-    return Image(img), ScalarField(depth), occ_votes >= 2
+    depth, _ = _nearest_hit(spec, origin, world_dirs(0.0, 0.0))
+    return Image(img), depth, occ_votes >= 2
 
 
 def _ring_cameras(spec: SceneSpec) -> list[Camera]:
@@ -328,13 +334,13 @@ def _overlap_scores(views: list[CameraView]) -> dict[int, list[tuple[int, float]
     the candidate view's image."""
     scores: dict[int, list[tuple[int, float]]] = {}
     for ref in views:
-        h, w = ref.gt_depth.height, ref.gt_depth.width
+        h, w = ref.gt_depth.shape
         grid = pixel_grid(h, w)
         entries = []
         for src in views:
             if src.view_id == ref.view_id:
                 continue
-            uv, _, front = project_with_depth(grid, ref.gt_depth.data, ref.camera, src.camera)
+            uv, _, front = project_with_depth(grid, ref.gt_depth, ref.camera, src.camera)
             inb = front & (uv[..., 0] >= 0) & (uv[..., 0] <= w - 1) \
                 & (uv[..., 1] >= 0) & (uv[..., 1] <= h - 1)
             entries.append((src.view_id, float(inb.mean())))
@@ -353,7 +359,7 @@ def gen_scene(spec: SceneSpec) -> SyntheticScene:
     occluder = None
     for i, cam in enumerate(cams):
         img, depth, occ = render_view(spec, cam, include_occluder=(i == corrupted))
-        dmin, dmax = depth.data.min(), depth.data.max()
+        dmin, dmax = depth.min(), depth.max()
         if dmin < _DEPTH_MIN_MM or dmax > _DEPTH_MAX_MM:
             raise SceneError(
                 f"view {i} GT depth [{dmin:.1f}, {dmax:.1f}] leaves the configured range")

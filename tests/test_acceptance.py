@@ -17,7 +17,6 @@ import numpy as np
 
 from mvslab import claims, depthopt, fileio, fusion, synth
 from mvslab.cli import EVAL_CAVEAT, main as cli_main
-from mvslab.grids import ScalarField
 from mvslab.losses import NormKind, norm_value_grad
 from mvslab.planesweep import cascade_infer, groupwise_correlation
 
@@ -91,9 +90,9 @@ def test_criterion_3_correlation_oracle():
 def test_criterion_4_plane_sweep_fidelity(checker_scene, checker_samples,
                                           checker_cascade):
     start = time.time()
-    gt = checker_scene.views[0].gt_depth.data
+    gt = checker_scene.views[0].gt_depth
     valid = mutual_visibility(checker_samples["regular"], gt, crop=4)
-    err = np.abs(checker_cascade[-1].depth.data - gt)
+    err = np.abs(checker_cascade[-1].depth - gt)
     frac = (err[valid] <= 2.0).mean()
     gt_field = checker_scene.views[0].gt_depth
     perfect = fusion.depth_metrics(gt_field, gt_field)
@@ -166,7 +165,7 @@ def test_criterion_8_fusion_integrity():
     interval = (935.0 - 425.0) / 191.0
     frac = float((dist <= interval).mean())
     provenance_ok = all(masks[vid][v, u] and
-                        views[vid].prob_map.data[v, u] > cfg.conf_threshold
+                        views[vid].prob_map[v, u] > cfg.conf_threshold
                         for vid, v, u in cloud.provenance)
     elapsed = time.time() - start
     report("criterion 8 (fusion integrity)",
@@ -193,9 +192,9 @@ def test_criterion_9_determinism_and_formats(tmp_path):
 
     # format round trips, bit exact
     rng = np.random.default_rng(0)
-    field = ScalarField(rng.random((9, 11)).astype(np.float32).astype(np.float64))
+    field = rng.random((9, 11)).astype(np.float32).astype(np.float64)
     fileio.write_pfm(tmp_path / "f.pfm", field)
-    pfm_ok = np.array_equal(fileio.read_pfm(tmp_path / "f.pfm").data, field.data)
+    pfm_ok = np.array_equal(fileio.read_pfm(tmp_path / "f.pfm"), field)
     cam = synth.gen_scene(synth.SceneSpec(height=24, width=32, seed=1)).views[0].camera
     fileio.write_cam(tmp_path / "c.txt", cam)
     back = fileio.read_cam(tmp_path / "c.txt")

@@ -16,7 +16,6 @@ from mvslab.cli import EVAL_CAVEAT, N_VIEWS, build_parser, main
 from mvslab.config import RunConfig, load_config
 from mvslab.fileio import FileFormatError
 from mvslab.fusion import FusionConfig, FusionError
-from mvslab.grids import ScalarField
 from mvslab.losses import LossWeights, NormKind
 from mvslab.planesweep import SweepConfig
 
@@ -119,7 +118,7 @@ def test_eval_shape_mismatch_names_view_and_file(pipeline_dirs, tmp_path):
     bad = tmp_path / "depths"
     shutil.copytree(depths, bad)
     path = bad / "00000002_depth.pfm"
-    fileio.write_pfm(path, ScalarField(np.full((8, 10), 500.0)))
+    fileio.write_pfm(path, np.full((8, 10), 500.0))
     with pytest.raises(FusionError, match=rf"view 2, {re.escape(str(path))}: .*\(8, 10\)"):
         run_eval_command(scene, bad)
 
@@ -321,6 +320,19 @@ def test_missing_out_exits_2(capsys, argv):
 def test_missing_input_exits_nonzero(capsys):
     assert run_cli("infer", "--scene", "/nonexistent/scene", "--out", "/tmp/x") == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc,printed", [
+    (IndexError("index 3 is out of bounds"), "error: IndexError: index 3 is out of bounds"),
+    (losses.LossError("no photometric signal"), "error: no photometric signal"),
+    (FileNotFoundError("no such file: scene.json"), "error: no such file: scene.json"),
+], ids=["untyped", "package_error", "os_error"])
+def test_an_untyped_failure_names_its_class(tmp_path, capsys, monkeypatch, exc, printed):
+    def failing_trial(seed):
+        raise exc
+    monkeypatch.setitem(claims.TRIALS, "norm", failing_trial)
+    assert run_cli("ablate", "--claim", "norm", "--seeds", "1", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == printed + "\n"
 
 
 @pytest.mark.parametrize("shape", [(32, 40), (32, 40, 1)], ids=["grayscale", "one_channel"])

@@ -7,7 +7,7 @@ from mvslab.depthopt import (BranchLossConfig, OptimizationDiverged, OptimizerCo
                              optimize_contrastive, optimize_joint, optimize_regular,
                              random_audit_case)
 from mvslab.geometry import Camera, CameraView
-from mvslab.grids import Image, ScalarField
+from mvslab.grids import Image
 from mvslab.losses import LossError, LossWeights, NormKind, branch_consistency
 from mvslab.planesweep import SweepConfig, cascade_infer, final_interval
 from mvslab.sampling import Sample, SamplingError, curriculum
@@ -15,21 +15,20 @@ from mvslab.sampling import Sample, SamplingError, curriculum
 ICC_EPOCH_8 = 0.16  # curriculum(8).image_consist_weight
 
 
-def finite_diff_grad(sample: Sample, depth: ScalarField, cfg: BranchLossConfig,
+def finite_diff_grad(sample: Sample, depth: np.ndarray, cfg: BranchLossConfig,
                      h: float) -> np.ndarray:
     """Central finite difference of the total loss, one pixel at a time: the
     slow black-box reference for finite_diff_grad_multi, with a full
     evaluation per perturbation."""
-    base = depth.data
-    grad = np.zeros_like(base)
-    work = base.copy()
-    for v in range(base.shape[0]):
-        for u in range(base.shape[1]):
+    grad = np.zeros_like(depth)
+    work = depth.copy()
+    for v in range(depth.shape[0]):
+        for u in range(depth.shape[1]):
             d0 = work[v, u]
             work[v, u] = d0 + h
-            plus = depthopt._evaluate(sample, ScalarField(work), cfg, False)[0]
+            plus = depthopt._evaluate(sample, work, cfg, False)[0]
             work[v, u] = d0 - h
-            minus = depthopt._evaluate(sample, ScalarField(work), cfg, False)[0]
+            minus = depthopt._evaluate(sample, work, cfg, False)[0]
             work[v, u] = d0
             grad[v, u] = (plus - minus) / (2.0 * h)
     return grad
@@ -39,8 +38,8 @@ def test_finite_diff_on_quadratic_toy():
     # L = sum (D - c)^2 expressed through the consistency term would be |.|;
     # instead check the oracle itself on an analytic quadratic via a stub
     # config: weight_consist on |D - c| gives +-1 gradients away from ties
-    target = ScalarField(np.full((4, 5), 500.0))
-    depth = ScalarField(np.full((4, 5), 507.5))
+    target = np.full((4, 5), 500.0)
+    depth = np.full((4, 5), 507.5)
     mask = np.ones((4, 5), dtype=bool)
     case = random_audit_case(0, 4, 5)
     cfg = BranchLossConfig(weight_consist=1.0, consist_target=target, consist_mask=mask)
@@ -56,7 +55,7 @@ def test_identity_source_pose_zero_photometric_gradient():
     ref = CameraView(Image(rng.random((h, w, 3))), cam, view_id=0)
     src = CameraView(Image(rng.random((h, w, 3))), cam, view_id=1)
     sample = Sample(ref, [src])
-    depth = ScalarField(np.full((h, w), 400.0))
+    depth = np.full((h, w), 400.0)
     cfg = BranchLossConfig(weight_photo=1.0)
     total, grad, _, _ = loss_grad_wrt_depth(sample, depth, cfg)
     assert total > 0  # images differ
@@ -71,7 +70,7 @@ def test_gradient_matches_fd_every_norm():
     assert reports.keys() == cfgs.keys()
     for term, rep in reports.items():
         assert rep.frac_passed >= 0.99, term
-        assert rep.n_checked == case.depth.data.size, term
+        assert rep.n_checked == case.depth.size, term
 
 
 def test_audit_checks_every_pixel():
@@ -79,7 +78,7 @@ def test_audit_checks_every_pixel():
     reports = audit_case(case.sample, case.depth, case.configs())
     assert reports.keys() == case.configs().keys()
     for term, rep in reports.items():
-        assert rep.n_checked == case.depth.data.size == 1280, term
+        assert rep.n_checked == case.depth.size == 1280, term
         assert rep.frac_passed >= 0.99, (term, rep)
 
 
@@ -126,21 +125,23 @@ def test_local_warp_fd_equals_per_config_fd(seed):
 
 def test_local_warp_fd_is_exact_where_a_step_flips_a_mask():
     # a 10 mm step moves some pixels' warps across a source's border, so the
-    # re-warped pixel changes its mask and the mask areas the norms divide by
+    # moved pixel changes its mask and the mask areas the norms divide by
     case, h = random_audit_case(0, 12, 15), 10.0
-    d = case.depth.data
+    d = case.depth
     plus = depthopt._warp_sources(case.sample, d + h).masks
     minus = depthopt._warp_sources(case.sample, d - h).masks
     assert any((p != m).any() for p, m in zip(plus, minus))
     assert_local_warp_fd_is_exact(case, h)
 
 
-def test_fd_oracle_warps_once_and_shares_residuals(monkeypatch):
-    # one whole-image warp per sweep, one value evaluation per perturbation,
-    # and the photometric residuals once per source per perturbation for all
-    # three norms: a return to whole-image re-warps or per-norm residuals fails
+def test_fd_oracle_warps_three_times_and_shares_residuals(monkeypatch):
+    # three whole-image warps per sweep (at depth and depth +- h), one value
+    # evaluation per perturbation, and the photometric residuals once per
+    # source per perturbation for all three norms: a return to per-pixel or
+    # per-perturbation re-warps, or to per-norm residuals, fails
     case = random_audit_case(4, 5, 6)
-    calls = {"_warp_sources": 0, "_multi_values": 0, "photometric_residual": 0}
+    calls = {"_warp_sources": 0, "warp_image": 0, "_multi_values": 0,
+             "photometric_residual": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -154,8 +155,10 @@ def test_fd_oracle_warps_once_and_shares_residuals(monkeypatch):
                         counting("photometric_residual", losses.photometric_residual))
     depthopt.finite_diff_grad_multi(case.sample, case.depth, case.configs(), 3e-4)
     perturbations = 2 * 5 * 6
-    assert calls == {"_warp_sources": 1, "_multi_values": perturbations,
-                     "photometric_residual": perturbations * len(case.sample.sources)}
+    n_sources = len(case.sample.sources)
+    assert calls == {"_warp_sources": 3, "warp_image": 3 * n_sources,
+                     "_multi_values": perturbations,
+                     "photometric_residual": perturbations * n_sources}
 
 
 @pytest.mark.parametrize("h", [0.0, -3e-4, np.nan, np.inf])
@@ -230,10 +233,10 @@ def test_gt_initialization_is_a_fixed_point():
     # stays within one final interval of it (a small weak-texture tail drifts
     # to nearby spurious photometric optima)
     scene = synth.gen_scene(synth.SceneSpec(height=32, width=40, n_views=6, seed=5))
-    gt = scene.views[0].gt_depth.data
-    steps = optimize_regular(synth.regular_sample(scene, 0, 4), ScalarField(gt.copy()),
+    gt = scene.views[0].gt_depth
+    steps = optimize_regular(synth.regular_sample(scene, 0, 4), gt.copy(),
                              OptimizerConfig(iterations=50))
-    drift = np.abs(steps[-1][0].data - gt)
+    drift = np.abs(steps[-1][0] - gt)
     interval = final_interval(scene.views[0].camera)
     assert (drift <= interval).mean() > 0.94
     assert np.median(drift) < 0.4 * interval
@@ -247,7 +250,7 @@ def test_branches_independent_when_consistency_off():
     # single-branch runs: each branch's sample optimized alone as the regular one
     for name in depthopt.BRANCHES:
         solo = optimize_joint({"regular": samples[name]}, SweepConfig(), opt)
-        assert np.array_equal(solo.depths["regular"].data, joint.depths[name].data), name
+        assert np.array_equal(solo.depths["regular"], joint.depths[name]), name
 
 
 def test_detach_contract_regular_branch_invariant():
@@ -259,8 +262,8 @@ def test_detach_contract_regular_branch_invariant():
                              OptimizerConfig(iterations=8,
                                              image_consist_weight=0.0,
                                              weights=LossWeights(scene_consist=0.0)))
-    assert np.array_equal(with_terms.depths["regular"].data,
-                          without.depths["regular"].data)
+    assert np.array_equal(with_terms.depths["regular"],
+                          without.depths["regular"])
 
 
 def test_divergence_aborts_naming_branch_iteration_and_loss():
@@ -299,7 +302,7 @@ def test_branch_subset_matches_full_run(monkeypatch):
     part = optimize_joint(subset, SweepConfig(), opt)
     assert set(part.depths) == set(subset)
     for name in subset:
-        assert np.array_equal(part.depths[name].data, full.depths[name].data), name
+        assert np.array_equal(part.depths[name], full.depths[name]), name
     assert not any(key.endswith("_ic") for key in part.history[0])
     assert [r["total"] for r in part.history] == [
         r["loss_reg"] + r["loss_sc"] for r in full.history]
@@ -325,7 +328,7 @@ def test_contrastive_arms_replay_one_regular_run(monkeypatch):
             depth, records = optimize_contrastive(samples[name], name, regular, start,
                                                   OptimizerConfig(**weights))
             assert len(records) == 3
-            assert np.array_equal(depth.data, full.depths[name].data), (weight, name)
+            assert np.array_equal(depth, full.depths[name]), (weight, name)
             assert all(full.history[it][key] == value for it, keys in enumerate(records)
                        for key, value in keys.items()), (weight, name)
     with pytest.raises(SamplingError, match="'regular' is not a contrastive branch"):
@@ -347,15 +350,15 @@ def test_optimize_regular_sweeps_nothing_and_is_the_joint_regular_pass(monkeypat
     monkeypatch.setattr(depthopt, "refresh_confidence", no_sweep)
     steps = optimize_regular(samples["regular"], start, opt)
     assert len(steps) == len(joint.history) == 4
-    assert np.array_equal(steps[-1][0].data, joint.depths["regular"].data)
+    assert np.array_equal(steps[-1][0], joint.depths["regular"])
     for (depth, keys), record, (target, _) in zip(steps, joint.history, joint.targets):
-        assert np.array_equal(depth.data, target.data)
+        assert np.array_equal(depth, target)
         assert all(record[key] == value for key, value in keys.items())
 
 
 def test_start_depth_of_another_shape_is_a_sampling_error():
     scene, samples = opt_scene()
-    small = ScalarField(np.full((16, 20), 600.0))
+    small = np.full((16, 20), 600.0)
     with pytest.raises(SamplingError, match=r"\(16, 20\).*\(32, 40\)"):
         optimize_regular(samples["regular"], small)
     with pytest.raises(SamplingError, match=r"\(16, 20\).*\(32, 40\)"):
@@ -368,7 +371,7 @@ def test_start_below_the_range_has_no_photometric_signal():
     scene, samples = opt_scene()
     assert samples["regular"].reference.camera.depth_min > 100.0
     with pytest.raises(LossError, match="no photometric signal"):
-        optimize_regular(samples["regular"], ScalarField(np.full((32, 40), 100.0)),
+        optimize_regular(samples["regular"], np.full((32, 40), 100.0),
                          OptimizerConfig(iterations=1))
 
 
@@ -376,7 +379,7 @@ def test_start_below_the_range_has_no_photometric_signal():
 def test_constant_depth_at_either_end_of_the_range_is_finite(end):
     scene, samples = opt_scene()
     sample = samples["regular"]
-    depth = ScalarField(np.full((32, 40), getattr(sample.reference.camera, end)))
+    depth = np.full((32, 40), getattr(sample.reference.camera, end))
     cfg = depthopt._branch_cfg(OptimizerConfig(), "regular", None, None)
     total, grad, _, _ = loss_grad_wrt_depth(sample, depth, cfg)
     assert np.isfinite(total)
@@ -403,7 +406,7 @@ def test_textureless_scene_optimizes_to_finite_losses(uniform_scene):
     assert len(state.history) == 3
     assert all(np.isfinite(value) for record in state.history
                for key, value in record.items() if key.startswith(("loss_", "total")))
-    assert all(np.isfinite(depth.data).all() for depth in state.depths.values())
+    assert all(np.isfinite(depth).all() for depth in state.depths.values())
 
 
 def test_branches_with_different_references_rejected():

@@ -11,7 +11,6 @@ from mvslab.fileio import (PLY_HEADER, FileFormatError, read_cam, read_pair_file
                            read_pfm, read_ply, write_cam, write_pair_file, write_pfm,
                            write_ply, write_records)
 from mvslab.geometry import Camera
-from mvslab.grids import ScalarField
 
 
 def rotation_z(a):
@@ -113,11 +112,11 @@ intrinsic
 
 def test_pfm_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    field = ScalarField(rng.random((13, 17)).astype(np.float32).astype(np.float64))
+    field = rng.random((13, 17)).astype(np.float32).astype(np.float64)
     path = tmp_path / "depth.pfm"
     write_pfm(path, field)
     back = read_pfm(path)
-    assert np.array_equal(back.data, field.data)
+    assert np.array_equal(back, field)
 
 
 def test_pfm_golden_bytes(tmp_path):
@@ -128,10 +127,10 @@ def test_pfm_golden_bytes(tmp_path):
     path = tmp_path / "golden.pfm"
     path.write_bytes(raw)
     field = read_pfm(path)
-    assert np.array_equal(field.data, values.astype(np.float64))
+    assert np.array_equal(field, values.astype(np.float64))
     # and our writer reproduces the same bytes
     out = tmp_path / "rewrite.pfm"
-    write_pfm(out, ScalarField(values.astype(np.float64)))
+    write_pfm(out, values.astype(np.float64))
     assert out.read_bytes() == raw
 
 
@@ -194,6 +193,22 @@ def test_ply_writer_refuses_a_point_the_reader_rejects(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, 1e39])  # 1e39 overflows float32
+def test_pfm_writer_refuses_a_map_the_reader_rejects(tmp_path, bad):
+    path = tmp_path / "depth.pfm"
+    with pytest.raises(FileFormatError, match="finite in float32"):
+        write_pfm(path, np.array([[1.0, 2.0, 3.0], [4.0, bad, 6.0]]))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1), (0, 3)])
+def test_pfm_writer_refuses_a_map_that_is_not_hxw(tmp_path, shape):
+    path = tmp_path / "depth.pfm"
+    with pytest.raises(FileFormatError, match=r"non-empty \(H, W\)"):
+        write_pfm(path, np.ones(shape))
+    assert not path.exists()
+
+
 def test_pair_file_round_trip(tmp_path):
     scores = {0: [(1, 0.9), (2, 0.8125)], 1: [(0, 0.9)], 2: [(0, 0.8125), (1, 0.5)]}
     path = tmp_path / "pair.txt"
@@ -248,10 +263,10 @@ def test_cam_round_trip_property(tmp_path_factory, cam):
 @given(arrays(np.float32, st.tuples(st.integers(1, 9), st.integers(1, 9)),
               elements=finite32))
 def test_pfm_round_trip_property(tmp_path_factory, values):
-    field = ScalarField(values.astype(np.float64))
+    field = values.astype(np.float64)
     path = tmp_path_factory.mktemp("pfm") / "f.pfm"
     write_pfm(path, field)
-    assert np.array_equal(read_pfm(path).data, field.data)
+    assert np.array_equal(read_pfm(path), field)
 
 
 @settings(deadline=None, max_examples=50)
@@ -310,6 +325,7 @@ MALFORMED = [
     ("ply", PLY_HEADER.format(n=2).encode("ascii") + b"\x00" * 15),
     ("ply", PLY_HEADER.format(n=1).encode("ascii")
             + struct.pack("<fffBBB", np.nan, 2, 3, 4, 5, 6)),
+    ("pfm", b"Pf\n1 1\n-1.0\n" + np.array([np.inf], dtype="<f4").tobytes()),
 ]
 READERS = {"ply": read_ply, "pfm": read_pfm, "pair": read_pair_file,
            "cam": read_cam}

@@ -7,7 +7,6 @@ from mvslab import fusion, synth
 from mvslab.fusion import (DepthView, FusionConfig, FusionError, cloud_metrics,
                            depth_metrics, fuse_point_cloud)
 from mvslab.geometry import Camera, backproject, pixel_grid
-from mvslab.grids import ScalarField
 from mvslab.planesweep import cascade_infer
 
 
@@ -26,7 +25,7 @@ def cube_views():
 @pytest.fixture(scope="module")
 def gt_views():
     scene = synth.gen_scene(synth.SceneSpec(height=32, width=40, n_views=5, seed=13))
-    views = [DepthView(v.gt_depth, ScalarField(np.ones((32, 40))), v.camera,
+    views = [DepthView(v.gt_depth, np.ones((32, 40)), v.camera,
                        v.image, v.view_id) for v in scene.views]
     return scene, views
 
@@ -38,14 +37,14 @@ def test_filter_gt_depths_mostly_survive(gt_views):
     _, masks = fuse_point_cloud(views, cfg)
     # mutually visible pixels: GT projects into at least 3 other views
     for view, mask in zip(views, masks):
-        h, w = view.depth.data.shape
+        h, w = view.depth.shape
         grid = pixel_grid(h, w)
         count = np.zeros((h, w), dtype=int)
         for other in views:
             if other.view_id == view.view_id:
                 continue
             from mvslab.geometry import project_with_depth
-            uv, _, front = project_with_depth(grid, view.depth.data, view.camera,
+            uv, _, front = project_with_depth(grid, view.depth, view.camera,
                                               other.camera)
             count += (front & (uv[..., 0] >= 0) & (uv[..., 0] <= w - 1)
                       & (uv[..., 1] >= 0) & (uv[..., 1] <= h - 1))
@@ -69,7 +68,7 @@ def test_filter_rejects_corrupted_view(gt_views):
     cfg = FusionConfig(conf_threshold=0.5, reproj_px=1.0, rel_depth=0.01,
                        min_consistent_views=3)
     base = fuse_point_cloud(views, cfg)[1][0]
-    corrupted = [DepthView(ScalarField(v.depth.data + (50.0 if v.view_id == 0 else 0.0)),
+    corrupted = [DepthView(v.depth + (50.0 if v.view_id == 0 else 0.0),
                            v.prob_map, v.camera, v.image, v.view_id) for v in views]
     _, masks = fuse_point_cloud(corrupted, cfg)
     # view 0's +50mm depths fail the cross-view round trip almost everywhere
@@ -79,7 +78,7 @@ def test_filter_rejects_corrupted_view(gt_views):
 
 def test_filter_photometric_gate(gt_views):
     scene, views = gt_views
-    low_conf = [DepthView(v.depth, ScalarField(np.full(v.depth.data.shape, 0.5)),
+    low_conf = [DepthView(v.depth, np.full(v.depth.shape, 0.5),
                           v.camera, v.image, v.view_id) for v in views]
     cfg = FusionConfig(conf_threshold=0.95)
     _, masks = fuse_point_cloud(low_conf, cfg)
@@ -94,9 +93,7 @@ def test_filter_needs_two_views(gt_views):
 
 def test_filter_stricter_thresholds_give_subsets(gt_views):
     scene, views = gt_views
-    noisy = [DepthView(ScalarField(v.depth.data
-                                   + np.random.default_rng(v.view_id).normal(0, 1.5,
-                                                                             v.depth.data.shape)),
+    noisy = [DepthView(v.depth + np.random.default_rng(v.view_id).normal(0, 1.5, v.depth.shape),
                        v.prob_map, v.camera, v.image, v.view_id) for v in views]
     _, loose = fuse_point_cloud(
         noisy, FusionConfig(conf_threshold=0.5, reproj_px=2.0, rel_depth=0.02,
@@ -136,7 +133,7 @@ def test_fuse_provenance_passes_gates(cube_views):
     cloud, masks = fuse_point_cloud(views, cfg)
     for vid, v, u in cloud.provenance:
         assert masks[vid][v, u]
-        assert views[vid].prob_map.data[v, u] > cfg.conf_threshold
+        assert views[vid].prob_map[v, u] > cfg.conf_threshold
 
 
 def test_fuse_duplicate_suppression(gt_views):
@@ -170,7 +167,7 @@ def test_fuse_rejects_duplicate_view_ids(gt_views):
 def test_depth_view_rejects_shape_mismatch(gt_views):
     scene, views = gt_views
     v = views[2]
-    small = ScalarField(np.ones((16, 20)))
+    small = np.ones((16, 20))
     with pytest.raises(FusionError, match="view 2"):
         DepthView(small, v.prob_map, v.camera, v.image, v.view_id)
     with pytest.raises(FusionError, match="view 2"):
@@ -196,14 +193,14 @@ def test_fuse_evaluates_each_ordered_pair_once(cube_views, monkeypatch):
 
 
 def test_depth_metrics_exact():
-    gt = ScalarField(np.full((6, 6), 600.0))
+    gt = np.full((6, 6), 600.0)
     fr = depth_metrics(gt, gt)
     assert (fr[2.0], fr[4.0], fr[8.0]) == (1.0, 1.0, 1.0)
 
 
 def test_depth_metrics_uniform_offset():
-    gt = ScalarField(np.full((6, 6), 600.0))
-    off = ScalarField(gt.data + 3.0)
+    gt = np.full((6, 6), 600.0)
+    off = gt + 3.0
     fr = depth_metrics(off, gt)
     assert (fr[2.0], fr[4.0], fr[8.0]) == (0.0, 1.0, 1.0)
 
@@ -211,9 +208,9 @@ def test_depth_metrics_uniform_offset():
 def test_depth_metrics_sampled_uniform_errors():
     rng = np.random.default_rng(3)
     n = 200 * 200
-    gt = ScalarField(np.full((200, 200), 600.0))
+    gt = np.full((200, 200), 600.0)
     errors = rng.uniform(0, 10, (200, 200))
-    noisy = ScalarField(gt.data + errors)
+    noisy = gt + errors
     fr = depth_metrics(noisy, gt)
     for tau, expect in ((2.0, 0.2), (4.0, 0.4), (8.0, 0.8)):
         sigma = np.sqrt(expect * (1 - expect) / n)
@@ -223,8 +220,8 @@ def test_depth_metrics_sampled_uniform_errors():
 def test_depth_metrics_monotone_in_threshold(monkeypatch):
     monkeypatch.setattr(fusion, "DEPTH_THRESHOLDS_MM", (1.0, 2.0, 4.0, 8.0, 16.0))
     rng = np.random.default_rng(4)
-    gt = ScalarField(np.full((20, 20), 600.0))
-    noisy = ScalarField(gt.data + rng.normal(0, 4, (20, 20)))
+    gt = np.full((20, 20), 600.0)
+    noisy = gt + rng.normal(0, 4, (20, 20))
     fr = depth_metrics(noisy, gt)
     assert list(fr) == [1.0, 2.0, 4.0, 8.0, 16.0]
     vals = [fr[t] for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
@@ -233,8 +230,8 @@ def test_depth_metrics_monotone_in_threshold(monkeypatch):
 
 def test_depth_metrics_shape_mismatch_errors():
     # an 8x10 depth against a 16x20 ground truth would otherwise broadcast-fail
-    depth = ScalarField(np.full((8, 10), 600.0))
-    gt = ScalarField(np.full((16, 20), 600.0))
+    depth = np.full((8, 10), 600.0)
+    gt = np.full((16, 20), 600.0)
     with pytest.raises(FusionError, match="disagree in shape"):
         depth_metrics(depth, gt)
     with pytest.raises(FusionError, match="disagree in shape"):

@@ -9,7 +9,7 @@ from mvslab.depthopt import _warp_sources
 from mvslab.geometry import (Camera, CameraView, GeometryError, backproject,
                              bilinear_cells, nearest_pixel, pixel_grid, project_rays,
                              project_with_depth, ray_jacobian, warp_image, warp_rays)
-from mvslab.grids import Image, ScalarField
+from mvslab.grids import Image
 from mvslab.sampling import Sample
 from conftest import assert_same_bytes, signed_values
 
@@ -22,11 +22,11 @@ def simple_camera(k=None, pose=None):
     return Camera(k, pose, 100.0, 1000.0)
 
 
-def warp_one(src: CameraView, depth: ScalarField, ref_cam: Camera):
+def warp_one(src: CameraView, depth: np.ndarray, ref_cam: Camera):
     """(warped image, mask) of one source warped into the reference camera by
     the optimizer's warp; the reference image itself is not read."""
-    ref = CameraView(Image(np.zeros(depth.data.shape + (3,))), ref_cam)
-    details = _warp_sources(Sample(ref, [src]), depth.data)
+    ref = CameraView(Image(np.zeros(depth.shape + (3,))), ref_cam)
+    details = _warp_sources(Sample(ref, [src]), depth)
     return details.warped[0], details.masks[0]
 
 
@@ -155,7 +155,7 @@ def test_warp_identity_pose_reproduces_image():
     cam = Camera(k, np.eye(4), 100.0, 1000.0)
     img = Image(rng.random((11, 15, 3)))
     view = CameraView(img, cam)
-    depth = ScalarField(np.full((11, 15), 400.0))
+    depth = np.full((11, 15), 400.0)
     warped, mask = warp_one(view, depth, cam)
     assert np.all(mask)
     assert np.allclose(warped, img.data, atol=1e-12)
@@ -168,7 +168,7 @@ def test_warp_translation_masks_out_of_frustum():
     pose[0, 3] = -200.0  # shifts projections far in -u for nearby depths
     src = Camera(k, pose, 100.0, 1000.0)
     img = Image(np.random.default_rng(7).random((11, 15, 3)))
-    depth = ScalarField(np.full((11, 15), 150.0))
+    depth = np.full((11, 15), 150.0)
     warped, mask = warp_one(CameraView(img, src), depth, ref)
     # p' = p - 200*20/150 = p - 26.7: every pixel leaves the 15-wide image
     assert not mask.any()
@@ -182,7 +182,7 @@ def test_warp_half_frustum_mask_matches_bounds():
     pose[0, 3] = -75.0  # shifts projections by -10 px at depth 150
     src = Camera(k, pose, 100.0, 1000.0)
     img = Image(np.random.default_rng(12).random((11, 15, 3)))
-    depth = ScalarField(np.full((11, 15), 150.0))
+    depth = np.full((11, 15), 150.0)
     warped, mask = warp_one(CameraView(img, src), depth, ref)
     # u' = u - 10: exactly the columns with u >= 10 stay in bounds
     expect = np.zeros((11, 15), dtype=bool)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvslab.geometry import resize_bilinear
-from mvslab.grids import GridError, Image, ScalarField, forward_diff, to_grayscale
+from mvslab.grids import GridError, Image, forward_diff, to_grayscale
 
 
 def test_image_shape_and_range_contract():
@@ -16,15 +16,6 @@ def test_image_shape_and_range_contract():
         Image(np.full((3, 3, 3), 1.5))
     with pytest.raises(GridError):
         Image(np.full((3, 3, 3), np.nan))
-
-
-def test_scalar_field_contract():
-    f = ScalarField(np.ones((3, 4)))
-    assert (f.height, f.width) == (3, 4)
-    with pytest.raises(GridError):
-        ScalarField(np.ones((3, 4, 1)))
-    with pytest.raises(GridError):
-        ScalarField(np.full((3, 4), np.inf))
 
 
 def test_gradient_of_constant_is_zero():

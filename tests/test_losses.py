@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvslab.grids import Image, ScalarField, forward_diff
+from mvslab.grids import Image, forward_diff
 from mvslab.losses import (LossError, NormKind, branch_consistency, edge_weights,
                            norm_value_grad, photometric_consistency_arrays,
                            photometric_residual, smoothness_loss, ssim_loss_arrays,
@@ -203,7 +203,7 @@ def test_ssim_empty_mask_errors():
 
 def test_smoothness_constant_depth_zero():
     img = Image(np.random.default_rng(7).random((5, 6, 3)))
-    value, grad = smoothness(ScalarField(np.full((5, 6), 500.0)), img)
+    value, grad = smoothness(np.full((5, 6), 500.0), img)
     assert value == pytest.approx(0.0)
     assert np.allclose(grad, 0.0)
 
@@ -216,8 +216,8 @@ def test_smoothness_edge_aware_weighting():
     flat_img = Image(np.full((h, w, 3), 0.5))
     edge_img_data = np.full((h, w, 3), 0.1)
     edge_img_data[:, w // 2:] = 0.9  # strong image edge at the step
-    v_flat, _ = smoothness(ScalarField(depth), flat_img)
-    v_edge, _ = smoothness(ScalarField(depth), Image(edge_img_data))
+    v_flat, _ = smoothness(depth, flat_img)
+    v_edge, _ = smoothness(depth, Image(edge_img_data))
     assert v_flat > v_edge
 
 
@@ -225,7 +225,7 @@ def test_smoothness_edge_aware_weighting():
 @given(st.integers(0, 2 ** 31 - 1))
 def test_smoothness_finite_nonnegative(seed):
     rng = np.random.default_rng(seed)
-    depth = ScalarField(400.0 + 100.0 * rng.random((5, 5)))
+    depth = 400.0 + 100.0 * rng.random((5, 5))
     img = Image(rng.random((5, 5, 3)))
     value, grad = smoothness(depth, img)
     assert np.isfinite(value) and value >= 0.0
@@ -235,18 +235,18 @@ def test_smoothness_finite_nonnegative(seed):
 def test_smoothness_nonpositive_mean_errors():
     img = Image(np.zeros((3, 3, 3)))
     with pytest.raises(LossError):
-        smoothness(ScalarField(np.full((3, 3), -1.0)), img)
+        smoothness(np.full((3, 3), -1.0), img)
 
 
 def test_branch_consistency_identical_zero():
-    d = ScalarField(np.full((4, 4), 600.0))
+    d = np.full((4, 4), 600.0)
     value, _ = branch_consistency(d, d, np.ones((4, 4), dtype=bool))
     assert value == pytest.approx(0.0)
 
 
 def test_branch_consistency_uniform_offset():
-    d = ScalarField(np.full((4, 4), 600.0))
-    shifted = ScalarField(d.data + 7.5)
+    d = np.full((4, 4), 600.0)
+    shifted = d + 7.5
     value, grad = branch_consistency(d, shifted, np.ones((4, 4), dtype=bool))
     assert value == pytest.approx(7.5)
     assert np.allclose(grad, 1.0 / 16.0)
@@ -254,18 +254,18 @@ def test_branch_consistency_uniform_offset():
 
 def test_branch_consistency_half_mask():
     h, w = 4, 6
-    target = ScalarField(np.full((h, w), 600.0))
-    branch = target.data.copy()
+    target = np.full((h, w), 600.0)
+    branch = target.copy()
     mask = np.zeros((h, w), dtype=bool)
     mask[:, :w // 2] = True
     branch[:, :w // 2] += 3.0  # offset only on the masked half
-    value, _ = branch_consistency(target, ScalarField(branch), mask)
+    value, _ = branch_consistency(target, branch, mask)
     assert value == pytest.approx(3.0)
 
 
 def test_branch_consistency_empty_mask_flagged():
-    d = ScalarField(np.full((3, 3), 500.0))
-    value, grad = branch_consistency(ScalarField(d.data + 4.0), d,
+    d = np.full((3, 3), 500.0)
+    value, grad = branch_consistency(d + 4.0, d,
                                      np.zeros((3, 3), dtype=bool))
     assert value == 0.0
     assert grad.shape == (3, 3)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mvslab.geometry import Camera, CameraView, pixel_grid, warp_image, warp_rays
 from mvslab.geometry import resize_bilinear
-from mvslab.grids import Image, ScalarField
+from mvslab.grids import Image
 from mvslab.planesweep import (N_FEATURES, N_GROUPS, STAGE_COUNTS, HypothesisSet,
                                PlaneSweepError, SweepConfig, _normalize_groups,
                                build_feature_volume, build_hypotheses,
@@ -38,7 +38,7 @@ def test_stage2_window_arithmetic():
     # stage-2 interval = 4 x final interval; a 191mm range makes the final
     # interval exactly 1mm, and the range is placed so the window fits
     cam_1mm = Camera(cam.k, cam.pose, 480.0, 480.0 + 191.0)
-    prev = ScalarField(np.full((4, 5), 600.0))
+    prev = np.full((4, 5), 600.0)
     hyps = build_hypotheses(cam_1mm, 2, prev, 4, 5)
     assert hyps.count == 32
     assert hyps.values[0, 0, 0] == pytest.approx(600.0 - 62.0)
@@ -47,7 +47,7 @@ def test_stage2_window_arithmetic():
 
 def test_hypothesis_clamp_shifts_window_into_range():
     cam = flat_camera()
-    prev = ScalarField(np.full((3, 3), 430.0))
+    prev = np.full((3, 3), 430.0)
     hyps = build_hypotheses(cam, 2, prev, 3, 3)
     assert hyps.values.min() >= 425.0
     assert np.all(np.diff(hyps.values, axis=0) > 0)  # still strictly increasing
@@ -120,8 +120,8 @@ def test_feature_volume_at_gt_depth_matches_reference(checker_scene):
     src = checker_scene.views[1]
     ref_feat = extract_features(ref.image, 3)
     src_feat = extract_features(src.image, 3)
-    h, w = ref.gt_depth.height, ref.gt_depth.width
-    hyps = HypothesisSet(ref.gt_depth.data[None, :, :], 1.0)
+    h, w = ref.gt_depth.shape
+    hyps = HypothesisSet(ref.gt_depth[None, :, :], 1.0)
     vol = build_feature_volume(src_feat, hyps, ref.camera, src.camera)
     warped = np.moveaxis(vol[:, 0], 0, -1)
     covered = np.abs(warped).sum(axis=2) > 0
@@ -242,14 +242,14 @@ def test_regress_depth_uniform_prob_is_mean():
     hyps = uniform_hyps([400.0, 500.0, 600.0], 2, 2)
     prob = np.full((3, 2, 2), 1.0 / 3.0)
     depth = regress_depth(prob, hyps)
-    assert np.allclose(depth.data, 500.0)
+    assert np.allclose(depth, 500.0)
 
 
 def test_regress_depth_one_hot():
     hyps = uniform_hyps([400.0, 500.0, 600.0], 2, 2)
     prob = np.zeros((3, 2, 2))
     prob[2] = 1.0
-    assert np.allclose(regress_depth(prob, hyps).data, 600.0)
+    assert np.allclose(regress_depth(prob, hyps), 600.0)
 
 
 @settings(deadline=None, max_examples=50)
@@ -260,8 +260,8 @@ def test_regress_depth_within_hypothesis_range(seed):
     raw = rng.random((8, 3, 3))
     prob = raw / raw.sum(axis=0, keepdims=True)
     depth = regress_depth(prob, hyps)
-    assert depth.data.min() >= 425.0 - 1e-9
-    assert depth.data.max() <= 935.0 + 1e-9
+    assert depth.min() >= 425.0 - 1e-9
+    assert depth.max() <= 935.0 + 1e-9
 
 
 def test_confidence_one_hot_prob():
@@ -270,7 +270,7 @@ def test_confidence_one_hot_prob():
     prob[20] = 1.0
     depth = regress_depth(prob, hyps)
     pm, mc = probability_and_confidence(prob, hyps, depth, 0.95)
-    assert np.allclose(pm.data, 1.0)
+    assert np.allclose(pm, 1.0)
     assert np.all(mc)
 
 
@@ -279,7 +279,7 @@ def test_confidence_uniform_prob():
     prob = np.full((48, 2, 2), 1.0 / 48.0)
     depth = regress_depth(prob, hyps)
     pm, mc = probability_and_confidence(prob, hyps, depth, 0.95)
-    assert np.allclose(pm.data, 4.0 / 48.0)
+    assert np.allclose(pm, 4.0 / 48.0)
     assert not mc.any()
 
 
@@ -312,9 +312,9 @@ def test_confidence_antitone_in_threshold():
 
 
 def test_cascade_stage1_recovers_plane(checker_scene, checker_samples, checker_cascade):
-    gt = checker_scene.views[0].gt_depth.data
+    gt = checker_scene.views[0].gt_depth
     st1 = checker_cascade[0]
-    h, w = st1.depth.data.shape
+    h, w = st1.depth.shape
     ref = checker_samples["regular"].reference
     cam = ref.camera.scaled(h, w, ref.image.height, ref.image.width)
     spacing = (cam.depth_max - cam.depth_min) / (STAGE_COUNTS[0] - 1)
@@ -325,28 +325,28 @@ def test_cascade_stage1_recovers_plane(checker_scene, checker_samples, checker_c
     # stage-1 evidence is only complete a few pixels in from the border
     valid_s[:3, :] = valid_s[-3:, :] = False
     valid_s[:, :3] = valid_s[:, -3:] = False
-    err = np.abs(st1.depth.data - gt_s)
+    err = np.abs(st1.depth - gt_s)
     assert (err[valid_s] <= spacing).mean() >= 0.95
 
 
 def test_cascade_final_stage_accuracy(checker_scene, checker_samples, checker_cascade):
-    gt = checker_scene.views[0].gt_depth.data
+    gt = checker_scene.views[0].gt_depth
     final = checker_cascade[-1]
     valid = mutual_visibility(checker_samples["regular"], gt, crop=4)
-    err = np.abs(final.depth.data - gt)
+    err = np.abs(final.depth - gt)
     assert (err[valid] <= 2.0).mean() >= 0.90
 
 
 def test_cascade_median_error_never_increases(checker_scene, checker_samples,
                                               checker_cascade):
-    gt = checker_scene.views[0].gt_depth.data
+    gt = checker_scene.views[0].gt_depth
     valid = mutual_visibility(checker_samples["regular"], gt, crop=4)
     medians = []
     for stage in checker_cascade:
-        h, w = stage.depth.data.shape
+        h, w = stage.depth.shape
         gt_s = resize_bilinear(gt, h, w)
         v_s = resize_bilinear(valid.astype(float), h, w) > 0.99
-        medians.append(np.median(np.abs(stage.depth.data - gt_s)[v_s]))
+        medians.append(np.median(np.abs(stage.depth - gt_s)[v_s]))
     assert medians[1] <= medians[0] + 1e-9
     assert medians[2] <= medians[1] + 1e-9
 
@@ -354,8 +354,8 @@ def test_cascade_median_error_never_increases(checker_scene, checker_samples,
 def test_cascade_infer_returns_the_last_stage(checker_samples, checker_cascade):
     final = cascade_infer(checker_samples["regular"])
     last = checker_cascade[-1]
-    assert np.array_equal(final.depth.data, last.depth.data)
-    assert np.array_equal(final.prob_map.data, last.prob_map.data)
+    assert np.array_equal(final.depth, last.depth)
+    assert np.array_equal(final.prob_map, last.prob_map)
     assert np.array_equal(final.conf_mask, last.conf_mask)
 
 
@@ -371,15 +371,15 @@ def test_image_too_small_for_stage_divisor_raises(size):
 def test_textureless_scene_has_no_confidence(uniform_scene):
     samples = synth.build_branch_samples(uniform_scene, 0, 5, 0.0, 7)
     final = cascade_infer(samples["regular"])
-    assert np.isfinite(final.depth.data).all() and np.isfinite(final.prob_map.data).all()
+    assert np.isfinite(final.depth).all() and np.isfinite(final.prob_map).all()
     assert final.conf_mask.mean() < 0.05
 
 
 def test_refresh_at_the_far_end_of_the_range_has_no_confidence(small_scene):
     sample = synth.regular_sample(small_scene, 0, 4)
-    far = ScalarField(np.full((32, 40), sample.reference.camera.depth_max))
+    far = np.full((32, 40), sample.reference.camera.depth_max)
     prob, conf = refresh_confidence(sample, far, SweepConfig())
-    assert np.isfinite(prob.data).all()
+    assert np.isfinite(prob).all()
     assert conf.sum() == 0
 
 
@@ -389,7 +389,7 @@ def test_all_black_sources_sweep_to_finite_depth_with_no_confidence(small_scene)
                                                  v.camera, v.gt_depth, v.view_id)
                                       for v in sample.sources])
     final = cascade_infer(black)
-    assert np.isfinite(final.depth.data).all() and np.isfinite(final.prob_map.data).all()
+    assert np.isfinite(final.depth).all() and np.isfinite(final.prob_map).all()
     assert final.conf_mask.sum() == 0
 
 
@@ -398,6 +398,6 @@ def test_refresh_confidence_centers_on_given_depth(checker_scene, checker_sample
     reg = checker_samples["regular"]
     depth = checker_cascade[-1].depth
     pm, mc = refresh_confidence(reg, depth, SweepConfig())
-    assert pm.data.shape == depth.data.shape
-    assert 0.0 <= pm.data.min() and pm.data.max() <= 1.0
+    assert pm.shape == depth.shape
+    assert 0.0 <= pm.min() and pm.max() <= 1.0
     assert mc.mean() > 0.1  # plenty of confident pixels on a textured plane

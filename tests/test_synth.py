@@ -39,7 +39,7 @@ def test_gt_depth_points_lie_on_surface():
         scene = gen_scene(SceneSpec(geometry=geometry, height=24, width=30, seed=2))
         view = scene.views[0]
         grid = pixel_grid(24, 30)
-        pts = backproject(view.camera, grid, view.gt_depth.data)
+        pts = backproject(view.camera, grid, view.gt_depth)
         half = synth._CUBE_HALF
         on_plane = np.abs(pts[..., 2]) < 1e-6
         if geometry == "textured_plane":
@@ -61,7 +61,7 @@ def test_lambertian_view_invariance(monkeypatch):
     scene = gen_scene(SceneSpec(texture="noise", height=32, width=40, seed=3))
     ref, other = scene.views[0], scene.views[2]
     grid = pixel_grid(32, 40)
-    uv, _, front = project_with_depth(grid, ref.gt_depth.data, ref.camera, other.camera)
+    uv, _, front = project_with_depth(grid, ref.gt_depth, ref.camera, other.camera)
     cells = bilinear_cells(other.image.data, uv)
     val = cells.value().reshape(uv.shape[:-1] + (3,))
     m = cells.inb.reshape(uv.shape[:-1]) & front
@@ -79,7 +79,7 @@ def test_specular_breaks_view_invariance():
     def cross_view_residual(scene):
         ref, other = scene.views[0], scene.views[2]
         grid = pixel_grid(32, 40)
-        uv, _, front = project_with_depth(grid, ref.gt_depth.data, ref.camera,
+        uv, _, front = project_with_depth(grid, ref.gt_depth, ref.camera,
                                           other.camera)
         cells = bilinear_cells(other.image.data, uv)
         val = cells.value().reshape(uv.shape[:-1] + (3,))
@@ -94,7 +94,7 @@ def test_scene_determinism():
     b = gen_scene(SceneSpec(height=24, width=30, seed=11))
     for va, vb in zip(a.views, b.views):
         assert np.array_equal(va.image.data, vb.image.data)
-        assert np.array_equal(va.gt_depth.data, vb.gt_depth.data)
+        assert np.array_equal(va.gt_depth, vb.gt_depth)
         assert np.array_equal(va.camera.pose, vb.camera.pose)
     assert a.pair_scores == b.pair_scores
 
@@ -123,7 +123,7 @@ def test_occluder_corrupts_one_view_only():
             assert np.array_equal(view.image.data, clean.data)
     # ground truth is the clean plane: every GT point lies on z=0
     view = scene.views[corrupted]
-    pts = backproject(view.camera, pixel_grid(32, 40), view.gt_depth.data)
+    pts = backproject(view.camera, pixel_grid(32, 40), view.gt_depth)
     assert np.all(np.abs(pts[..., 2]) < 1e-6)
     # the image differs from an occluder-free render exactly on the footprint
     clean, _, _ = synth.render_view(spec, view.camera, include_occluder=False)
@@ -159,7 +159,7 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.spec == scene.spec
     for va, vb in zip(scene.views, loaded.views):
         assert np.array_equal(va.image.data, vb.image.data)
-        assert np.allclose(va.gt_depth.data, vb.gt_depth.data, atol=1e-4)
+        assert np.allclose(va.gt_depth, vb.gt_depth, atol=1e-4)
         assert np.array_equal(va.camera.pose, vb.camera.pose)
 
 
